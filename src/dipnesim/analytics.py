@@ -1,10 +1,12 @@
 """Closed-form oracles and auxiliary formulas.
 
-Everything here is independent of the Fock simulator: interference-loss
-prediction, the equal-photon-count amplitude and its brute-force twin,
-erasure and Poisson basics, antisqueezing-fraction limits, the
-squeeze-to-match solver, and Gaussian moment propagation.  The tests
-play these against the simulator as cross-checks in both directions.
+Interference-loss prediction, the equal-photon-count amplitude and its
+brute-force twin, erasure and Poisson basics, antisqueezing-fraction
+limits, and Gaussian moment propagation are independent of the Fock
+simulator; the tests play them against it as cross-checks in both
+directions.  The squeeze-to-match solver is the exception: it antisqueezes
+Fock states with circuits.squeeze_op and refits them with
+catfit.fit_squeezed_cat.
 """
 
 from __future__ import annotations
@@ -211,8 +213,7 @@ def squeeze_to_match(
     else:
         raise ValueError("could not bracket the displacement target")
 
-    mid = 0.5 * (lo + hi)
-    fit_mid = fit_after(mid)
+    # the bracket is at least 0.4 wide, so the loop sets mid and fit_mid
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         fit_mid = fit_after(mid)
@@ -264,10 +265,6 @@ def vacuum_moments(n_modes: int) -> GaussianMoments:
     return GaussianMoments(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
-def _symplectic_identity(n_modes: int) -> np.ndarray:
-    return np.eye(2 * n_modes)
-
-
 def _squeeze_block(r: float, theta: float) -> np.ndarray:
     ch, sh = math.cosh(r), math.sinh(r)
     return np.array([
@@ -287,8 +284,9 @@ def gaussian_propagate(moments: GaussianMoments, element) -> GaussianMoments:
     """Apply one circuit element, given as a tagged tuple.
 
     Supported: ("displace", mode, alpha), ("phase", mode, phi),
-    ("squeeze", mode, Squeeze), ("beamsplit", mode_a, mode_b, theta).
-    The symplectic matrices mirror the Fock-side circuit convention.
+    ("squeeze", mode, Squeeze), ("beamsplit", mode_a, mode_b, theta), the
+    tuples circuits.apply_element takes.  The symplectic matrices mirror
+    the Fock-side circuit convention.
     """
     name = element[0]
     n = moments.n_modes
@@ -300,7 +298,7 @@ def gaussian_propagate(moments: GaussianMoments, element) -> GaussianMoments:
         mean[2 * mode] += 2.0 * alpha.real
         mean[2 * mode + 1] += 2.0 * alpha.imag
         return GaussianMoments(mean, moments.cov)
-    big = _symplectic_identity(n)
+    big = np.eye(2 * n)
     if name == "phase":
         _, mode, phi = element
         _check_mode(mode, n)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, LeakageWarning, ModeLayout, inner
+from .fock import FockState, LeakageWarning, inner
 from .kitten import KittenState
 from .states import CatSpec, Displacement, Squeeze, cat_state
 
@@ -92,13 +92,6 @@ def _family_fidelity(target: FockState, total: float, phi: float, s: float) -> f
     return float(abs(inner(target, cand)) ** 2 / cand.norm() ** 2)
 
 
-def _check_input(target: FockState, total: float):
-    if target.layout.n_modes != 1:
-        raise ValueError("fit expects a single-mode state")
-    if total <= 0.0:
-        raise ValueError("cannot fit a zero-photon input")
-
-
 def fit_squeezed_cat(kitten) -> CatFitResult:
     """Best squeezed-cat approximation at the kitten's photon number.
 
@@ -108,7 +101,10 @@ def fit_squeezed_cat(kitten) -> CatFitResult:
     throughout, so repeated runs are bit-identical.
     """
     target, total = _unwrap(kitten)
-    _check_input(target, total)
+    if target.layout.n_modes != 1:
+        raise ValueError("fit expects a single-mode state")
+    if total <= 0.0:
+        raise ValueError("cannot fit a zero-photon input")
     phi = _parity_phase(target)
 
     def objective(s: float) -> float:
@@ -150,16 +146,3 @@ def fit_squeezed_cat(kitten) -> CatFitResult:
         plain_cat_fidelity=plain,
     )
 
-
-def fit_plain_cat(kitten) -> float:
-    """Fidelity against the unsqueezed cat spending the whole photon
-    budget on displacement: |alpha|^2 = N, the s = 0 family point."""
-    target, total = _unwrap(kitten)
-    _check_input(target, total)
-    phi = _parity_phase(target)
-    return _family_fidelity(target, total, phi, 0.0)
-
-
-def squeeze_fraction_report(kitten) -> float:
-    """Fraction of the photon budget drawn from squeezing at the optimum."""
-    return fit_squeezed_cat(kitten).squeeze_fraction

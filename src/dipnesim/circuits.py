@@ -26,27 +26,12 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from .fock import FockState, ModeLayout, _warn_leak, marginal_number_distribution, tensor
+from .fock import FockState, _warn_leak, marginal_number_distribution, tensor
 from .states import Squeeze
 
 # above this per-mode dimension, dense expm of the mode operator is replaced
 # by sparse expm_multiply on the state block
 _DENSE_EXPM_MAX = 400
-
-
-@dataclass(frozen=True)
-class BeamsplitterConvention:
-    """Phase convention record; the library supports only this one."""
-
-    reflection_phase: complex = 1j
-    transmission_phase: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if self.reflection_phase != 1j or self.transmission_phase != 1.0 + 0.0j:
-            raise ValueError("beamsplitter convention is fixed: reflection +i, transmission 1")
-
-
-CONVENTION = BeamsplitterConvention()
 
 
 @dataclass(frozen=True)
@@ -128,15 +113,16 @@ def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockS
 def _apply_mode_generator(state: FockState, mode: int, build, what: str) -> FockState:
     """Exponentiate a single-mode generator and apply it along one axis.
 
-    ``build(d)`` returns the dense d x d anti-Hermitian generator.  Dense
-    scaling-and-squaring below _DENSE_EXPM_MAX, sparse expm_multiply above.
+    ``build(a)`` returns the dense anti-Hermitian generator in terms of the
+    mode's d x d lowering operator a.  Dense scaling-and-squaring below
+    _DENSE_EXPM_MAX, sparse expm_multiply above.
     """
     state.layout._check_mode(mode)
     d = state.layout.dims[mode]
     arr = np.moveaxis(state.nd, mode, 0)
     shape = arr.shape
     block = arr.reshape(d, -1)
-    gen = build(d)
+    gen = build(np.diag(np.sqrt(np.arange(1.0, d)), 1))
     if d <= _DENSE_EXPM_MAX:
         block = scipy.linalg.expm(gen) @ block
     else:
@@ -153,8 +139,7 @@ def displace(state: FockState, mode: int, alpha: complex) -> FockState:
     if alpha == 0:
         return state
 
-    def build(d):
-        a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    def build(a):
         return alpha * a.conj().T - np.conj(alpha) * a
 
     return _apply_mode_generator(state, mode, build, f"displace(alpha={alpha:.4g})")
@@ -166,12 +151,30 @@ def squeeze_op(state: FockState, mode: int, squeeze: Squeeze) -> FockState:
         return state
     xi = squeeze.r * cmath.exp(1j * squeeze.theta)
 
-    def build(d):
-        a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    def build(a):
         ad = a.conj().T
         return (np.conj(xi) * (a @ a) - xi * (ad @ ad)) / 2
 
     return _apply_mode_generator(state, mode, build, f"squeeze_op(r={squeeze.r:.4g})")
+
+
+def apply_element(state: FockState, element) -> FockState:
+    """Apply one circuit element, given as a tagged tuple.
+
+    Supported: ("displace", mode, alpha), ("phase", mode, phi),
+    ("squeeze", mode, Squeeze), ("beamsplit", mode_a, mode_b, theta); the
+    same tuples analytics.gaussian_propagate takes.
+    """
+    name = element[0]
+    if name == "displace":
+        return displace(state, element[1], element[2])
+    if name == "phase":
+        return phase_shift(state, element[1], element[2])
+    if name == "squeeze":
+        return squeeze_op(state, element[1], element[2])
+    if name == "beamsplit":
+        return beamsplit(state, element[1], element[2], element[3])
+    raise ValueError(f"unknown circuit element {name!r}")
 
 
 def phase_to_dide(state: FockState, measured_mode: int = 0, lo_mode: int = 1) -> FockState:

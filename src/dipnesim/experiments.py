@@ -26,17 +26,17 @@ from .analytics import (
     squeeze_to_match,
     vacuum_moments,
 )
-from .catfit import fit_squeezed_cat
+from .catfit import CatFitResult, fit_squeezed_cat
 from .circuits import (
     GadgetSpec,
-    beamsplit,
+    apply_element,
     displace,
     phase_shift,
     phase_to_dide,
     squeeze_op,
 )
 from .fock import FockState, ModeLayout, basis_state, tensor, vacuum_state
-from .kitten import KittenSpec, kitten_direct, kitten_probability
+from .kitten import KittenSpec, KittenState, kitten_direct
 from .measure import joint_number_distribution, l_intf, mean_quadrature
 from .states import Squeeze, coherent
 
@@ -113,10 +113,6 @@ class ResultTable:
 # ---------------------------------------------------------------- config
 
 
-def _as_float(v) -> float:
-    return float(v)
-
-
 def _as_int(v) -> int:
     if isinstance(v, bool):
         raise ValueError(f"expected an integer, got {v!r}")
@@ -146,16 +142,12 @@ def _as_floats(v) -> tuple[float, ...]:
 
 
 def _as_ints(v) -> tuple[int, ...]:
-    return tuple(_parse_int_list(v))
-
-
-def _parse_int_list(v):
     if isinstance(v, (tuple, list, np.ndarray)):
-        return [_as_int(x) for x in v]
+        return tuple(_as_int(x) for x in v)
     parts = [p.strip() for p in str(v).split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list value")
-    return [_as_int(p) for p in parts]
+    return tuple(_as_int(p) for p in parts)
 
 
 def _choice(*options: str) -> Callable[[object], str]:
@@ -176,39 +168,34 @@ class _Key:
     default: object
 
 
+# kitten and catfit are two column projections of one sweep
+_KITTEN_SWEEP = {
+    "squeeze_min": _Key(float, 1.0),
+    "squeeze_max": _Key(float, 20.0),
+    "squeeze_steps": _Key(_as_int, 20),
+    "infinite": _Key(_as_bool, False),
+    "k_list": _Key(_as_ints, (1, 3, 5, 7, 9)),
+    "theta_sub": _Key(float, math.pi / 5),
+    "cutoff": _Key(_as_int, 1000),
+}
+
 SCHEMAS: dict[str, dict[str, _Key]] = {
     "interference": {
-        "theta_split": _Key(_as_float, math.pi / 5),
-        "theta_recomb": _Key(_as_float, math.pi / 10),
-        "phase": _Key(_as_float, 0.0),
+        "theta_split": _Key(float, math.pi / 5),
+        "theta_recomb": _Key(float, math.pi / 10),
+        "phase": _Key(float, 0.0),
         "family": _Key(_choice(*INTERFERENCE_FAMILIES), "vacuum"),
         "fraction_count": _Key(_as_int, 21),
-        "displacement_photons": _Key(_as_float, 1.0),
+        "displacement_photons": _Key(float, 1.0),
         "cutoff": _Key(_as_int, 30),
         "erasure_cutoff": _Key(_as_int, 0),
     },
-    "kitten": {
-        "squeeze_min": _Key(_as_float, 1.0),
-        "squeeze_max": _Key(_as_float, 20.0),
-        "squeeze_steps": _Key(_as_int, 20),
-        "infinite": _Key(_as_bool, False),
-        "k_list": _Key(_as_ints, (1, 3, 5, 7, 9)),
-        "theta_sub": _Key(_as_float, math.pi / 5),
-        "cutoff": _Key(_as_int, 1000),
-    },
-    "catfit": {
-        "squeeze_min": _Key(_as_float, 1.0),
-        "squeeze_max": _Key(_as_float, 20.0),
-        "squeeze_steps": _Key(_as_int, 20),
-        "infinite": _Key(_as_bool, False),
-        "k_list": _Key(_as_ints, (1, 3, 5, 7, 9)),
-        "theta_sub": _Key(_as_float, math.pi / 5),
-        "cutoff": _Key(_as_int, 1000),
-    },
+    "kitten": _KITTEN_SWEEP,
+    "catfit": _KITTEN_SWEEP,
     "numberdiff": {
         "k": _Key(_as_int, 1),
-        "squeeze_photons": _Key(_as_float, 10.0),
-        "theta_sub": _Key(_as_float, math.pi / 5),
+        "squeeze_photons": _Key(float, 10.0),
+        "theta_sub": _Key(float, math.pi / 5),
         "cutoff": _Key(_as_int, 100),
         "joint_cutoff": _Key(_as_int, 160),
         "lo_rule": _Key(_choice("sqrt-plus-2", "sqrt-of-plus-2"), "sqrt-plus-2"),
@@ -216,16 +203,16 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
     "match": {
         "source_k": _Key(_as_ints, (1, 3, 5, 7, 9)),
         "target_k": _Key(_as_ints, (1, 3, 5, 7, 9)),
-        "squeeze_photons": _Key(_as_float, math.inf),
-        "theta_sub": _Key(_as_float, math.pi / 5),
+        "squeeze_photons": _Key(float, math.inf),
+        "theta_sub": _Key(float, math.pi / 5),
         "cutoff": _Key(_as_int, 300),
         "work_cutoff": _Key(_as_int, 600),
     },
     "gaussdrive": {
         "d0_list": _Key(_as_floats, (1.0,)),
         "r0_photons": _Key(_as_floats, (0.0, 0.1)),
-        "r_min": _Key(_as_float, 0.0),
-        "r_max": _Key(_as_float, 6.0),
+        "r_min": _Key(float, 0.0),
+        "r_max": _Key(float, 6.0),
         "r_steps": _Key(_as_int, 25),
     },
     "oracle-check": {
@@ -336,11 +323,11 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
     if budget < 0.0:
         raise ValueError("displacement_photons must be nonnegative")
 
+    core0, core1 = _interference_cores(config["family"], cutoff)
     rows = []
     max_leak = 0.0
     max_guard = 0.0
     for fraction in np.linspace(0.0, 1.0, count):
-        core0, core1 = _interference_cores(config["family"], cutoff)
         alpha0 = math.sqrt(fraction * budget)
         alpha1 = math.sqrt((1.0 - fraction) * budget)
         input0 = displace(core0, 0, alpha0)
@@ -367,17 +354,22 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
     )
 
 
+def _linear_sweep(config: ExperimentConfig, name: str) -> list[float]:
+    """The grid from {name}_min to {name}_max in {name}_steps points."""
+    lo, hi, steps = config[f"{name}_min"], config[f"{name}_max"], config[f"{name}_steps"]
+    if steps < 1:
+        raise ValueError(f"{name}_steps must be at least 1")
+    if lo < 0.0 or hi < lo:
+        raise ValueError(f"need 0 <= {name}_min <= {name}_max")
+    if steps == 1:
+        return [lo]
+    return [float(x) for x in np.linspace(lo, hi, steps)]
+
+
 def _squeeze_sweep(config: ExperimentConfig) -> list[float]:
     if config["infinite"]:
         return [math.inf]
-    lo, hi, steps = config["squeeze_min"], config["squeeze_max"], config["squeeze_steps"]
-    if steps < 1:
-        raise ValueError("squeeze_steps must be at least 1")
-    if lo < 0.0 or hi < lo:
-        raise ValueError("need 0 <= squeeze_min <= squeeze_max")
-    if steps == 1:
-        return [lo]
-    return [float(s) for s in np.linspace(lo, hi, steps)]
+    return _linear_sweep(config, "squeeze")
 
 
 def _check_kitten_cutoff(config: ExperimentConfig, sweep: list[float]) -> None:
@@ -394,9 +386,10 @@ def _check_kitten_cutoff(config: ExperimentConfig, sweep: list[float]) -> None:
         )
 
 
-def run_kitten(config: ExperimentConfig) -> ResultTable:
-    """Herald probability, photon content, and cat quality of subtracted
-    squeezed vacuum across a squeezing sweep."""
+def _kitten_table(config: ExperimentConfig, columns: tuple[str, ...], project) -> ResultTable:
+    """Herald and fit each (squeeze_photons, k) point of the sweep; the
+    row is the point followed by ``project(k, kitten, fit)``.  At zero
+    squeezing there is nothing to herald or fit, and both are None."""
     sweep = _squeeze_sweep(config)
     _check_kitten_cutoff(config, sweep)
     theta, cutoff = config["theta_sub"], config["cutoff"]
@@ -405,88 +398,73 @@ def run_kitten(config: ExperimentConfig) -> ResultTable:
     max_leak = 0.0
     for photons in sweep:
         for k in config["k_list"]:
-            if photons == 0.0:
-                prob = 1.0 if k == 0 else 0.0
-                mean = 0.0 if k == 0 else math.nan
-                rows.append((photons, k, prob, mean, math.nan, math.nan, math.nan))
-                continue
-            kit = kitten_direct(KittenSpec(photons, theta, k, cutoff))
-            max_leak = max(max_leak, kit.state.leakage)
-            fit = fit_squeezed_cat(kit)
-            rows.append(
-                (
-                    photons,
-                    k,
-                    kit.probability,
-                    kit.mean_photons,
-                    fit.infidelity,
-                    1.0 - fit.plain_cat_fidelity,
-                    fit.squeeze_fraction,
-                )
-            )
+            kit = fit = None
+            if photons != 0.0:
+                kit = kitten_direct(KittenSpec(photons, theta, k, cutoff))
+                max_leak = max(max_leak, kit.state.leakage)
+                fit = fit_squeezed_cat(kit)
+            rows.append((photons, k) + project(k, kit, fit))
 
     rows.sort(key=lambda r: (r[0], r[1]))
     extras = [("max_leakage", _fmt(max_leak))]
     return ResultTable(
-        columns=(
-            "squeeze_photons",
-            "k",
-            "probability",
-            "mean_n",
-            "infidelity_sqcat",
-            "infidelity_plaincat",
-            "squeeze_fraction",
-        ),
+        columns=("squeeze_photons", "k") + columns,
         rows=tuple(rows),
         metadata=_base_metadata(config, extras),
+    )
+
+
+def _kitten_columns(k: int, kit: KittenState | None, fit: CatFitResult | None) -> tuple:
+    if kit is None:
+        prob, mean = (1.0, 0.0) if k == 0 else (0.0, math.nan)
+        return (prob, mean, math.nan, math.nan, math.nan)
+    return (
+        kit.probability,
+        kit.mean_photons,
+        fit.infidelity,
+        1.0 - fit.plain_cat_fidelity,
+        fit.squeeze_fraction,
+    )
+
+
+def run_kitten(config: ExperimentConfig) -> ResultTable:
+    """Herald probability, photon content, and cat quality of subtracted
+    squeezed vacuum across a squeezing sweep."""
+    columns = (
+        "probability",
+        "mean_n",
+        "infidelity_sqcat",
+        "infidelity_plaincat",
+        "squeeze_fraction",
+    )
+    return _kitten_table(config, columns, _kitten_columns)
+
+
+def _catfit_columns(k: int, kit: KittenState, fit: CatFitResult) -> tuple:
+    return (
+        fit.fidelity,
+        fit.plain_cat_fidelity,
+        fit.squeeze_fraction,
+        fit.alpha,
+        fit.r,
+        fit.phi,
     )
 
 
 def run_catfit(config: ExperimentConfig) -> ResultTable:
     """Full fit parameters (not just infidelities) for the same sweep
     run_kitten covers."""
-    sweep = _squeeze_sweep(config)
-    _check_kitten_cutoff(config, sweep)
-    if any(s == 0.0 for s in sweep):
+    if any(s == 0.0 for s in _squeeze_sweep(config)):
         raise ValueError("catfit requires positive squeezing")
-    theta, cutoff = config["theta_sub"], config["cutoff"]
-
-    rows = []
-    max_leak = 0.0
-    for photons in sweep:
-        for k in config["k_list"]:
-            kit = kitten_direct(KittenSpec(photons, theta, k, cutoff))
-            max_leak = max(max_leak, kit.state.leakage)
-            fit = fit_squeezed_cat(kit)
-            rows.append(
-                (
-                    photons,
-                    k,
-                    fit.fidelity,
-                    fit.plain_cat_fidelity,
-                    fit.squeeze_fraction,
-                    fit.alpha,
-                    fit.r,
-                    fit.phi,
-                )
-            )
-
-    rows.sort(key=lambda r: (r[0], r[1]))
-    extras = [("max_leakage", _fmt(max_leak))]
-    return ResultTable(
-        columns=(
-            "squeeze_photons",
-            "k",
-            "fidelity",
-            "plain_fidelity",
-            "squeeze_fraction",
-            "alpha",
-            "r",
-            "phi",
-        ),
-        rows=tuple(rows),
-        metadata=_base_metadata(config, extras),
+    columns = (
+        "fidelity",
+        "plain_fidelity",
+        "squeeze_fraction",
+        "alpha",
+        "r",
+        "phi",
     )
+    return _kitten_table(config, columns, _catfit_columns)
 
 
 def run_numberdiff(config: ExperimentConfig) -> ResultTable:
@@ -571,15 +549,7 @@ def run_match(config: ExperimentConfig) -> ResultTable:
 def run_gaussdrive(config: ExperimentConfig) -> ResultTable:
     """Squeezing-photon fraction under antisqueezed driving, exact next
     to its strong-drive limit."""
-    if config["r_steps"] < 1:
-        raise ValueError("r_steps must be at least 1")
-    if config["r_min"] < 0.0 or config["r_max"] < config["r_min"]:
-        raise ValueError("need 0 <= r_min <= r_max")
-    r_values = (
-        [config["r_min"]]
-        if config["r_steps"] == 1
-        else [float(r) for r in np.linspace(config["r_min"], config["r_max"], config["r_steps"])]
-    )
+    r_values = _linear_sweep(config, "r")
     rows = []
     for d0 in config["d0_list"]:
         for photons in config["r0_photons"]:
@@ -639,19 +609,6 @@ def _enumerated_circuits(seed: int, count: int, max_modes: int):
         yield f"g{i:03d}", n_modes, elements
 
 
-def _apply_element_fock(state: FockState, element) -> FockState:
-    name = element[0]
-    if name == "displace":
-        return displace(state, element[1], element[2])
-    if name == "phase":
-        return phase_shift(state, element[1], element[2])
-    if name == "squeeze":
-        return squeeze_op(state, element[1], element[2])
-    if name == "beamsplit":
-        return beamsplit(state, element[1], element[2], element[3])
-    raise ValueError(f"unknown circuit element {name!r}")
-
-
 def run_oracle_check(config: ExperimentConfig) -> ResultTable:
     """Moment propagation against the Fock simulator over enumerated
     Gaussian circuits, plus the equal-count amplitude against brute
@@ -671,7 +628,7 @@ def run_oracle_check(config: ExperimentConfig) -> ResultTable:
         state = basis_state(ModeLayout((cutoff,) * n_modes), (0,) * n_modes)
         for element in elements:
             moments = gaussian_propagate(moments, element)
-            state = _apply_element_fock(state, element)
+            state = apply_element(state, element)
         photon_err = 0.0
         quad_err = 0.0
         for mode in range(n_modes):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,14 +166,6 @@ def basis_state(layout: ModeLayout, occupation) -> FockState:
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[layout.index(occupation)] = 1.0
     return FockState(layout, amps)
-
-
-def basis_index(layout: ModeLayout, occupation) -> int:
-    return layout.index(occupation)
-
-
-def basis_occupation(layout: ModeLayout, index: int) -> tuple[int, ...]:
-    return layout.occupation(index)
 
 
 def apply_annihilation(state: FockState, mode: int) -> FockState:

@@ -22,18 +22,20 @@ from .fock import FockState, LeakageWarning, ModeLayout, tensor, vacuum_state
 from .measure import measure_count
 from .states import (
     Squeeze,
+    infinite_squeeze_log_even,
     r_from_squeeze_photons,
     squeezed_vacuum,
     squeezed_vacuum_log_even,
 )
-
-LN2 = math.log(2.0)
 
 # Extra levels kept beyond the cutoff when summing the amplitude tail.
 TAIL_WINDOW = 600
 
 # Relative tail mass above which the infinite-limit state is rejected.
 TAIL_LIMIT = 1e-10
+
+# Levels summed for a herald probability before giving up on convergence.
+MAX_HORIZON = 64000
 
 
 @dataclass(frozen=True)
@@ -80,24 +82,21 @@ class KittenState:
     mean_photons: float
 
 
-def _log_source_even(spec: KittenSpec, m: np.ndarray) -> np.ndarray:
-    """log |C_{2m}| of the squeezed source, finite or limiting."""
-    if spec.infinite:
-        return 0.5 * gammaln(2 * m + 1) - m * LN2 - gammaln(m + 1)
-    r = r_from_squeeze_photons(spec.squeeze_photons)
-    return squeezed_vacuum_log_even(r, m)
-
-
 def _log_kept_amplitudes(spec: KittenSpec, j_max: int):
     """Unnormalized log amplitudes of the kept mode after heralding k.
 
     Returns (levels, log_amp) on the support j = k (mod 2), j <= j_max.
-    A term sqrt(k!) i^k / sin(theta)^k common to every level is dropped;
-    it cancels on normalization.
+    The factor i^k sin(theta)^k / sqrt(k!) common to every level is
+    dropped; it cancels on normalization.
     """
     j = np.arange(spec.k % 2, j_max + 1, 2)
     n = j + spec.k
-    log_c = _log_source_even(spec, n // 2)
+    # log |C_n| of the squeezed source, finite or limiting
+    if spec.infinite:
+        log_c = infinite_squeeze_log_even(n // 2)
+    else:
+        r = r_from_squeeze_photons(spec.squeeze_photons)
+        log_c = squeezed_vacuum_log_even(r, n // 2)
     log_amp = (
         0.5 * (gammaln(n + 1) - gammaln(j + 1))
         + j * math.log(math.cos(spec.theta_sub))
@@ -164,23 +163,21 @@ def kitten_probability(spec: KittenSpec) -> float:
         raise ValueError("herald probability is undefined at infinite squeezing")
     if spec.squeeze_photons == 0.0:
         return 1.0 if spec.k == 0 else 0.0
-    log_sin = math.log(math.sin(spec.theta_sub))
-    log_cos = math.log(math.cos(spec.theta_sub))
+    # log of the factor |sin(theta)^k / sqrt(k!)| _log_kept_amplitudes drops
+    log_const = spec.k * math.log(math.sin(spec.theta_sub)) - 0.5 * gammaln(spec.k + 1)
     horizon = 2000
     while True:
-        m = np.arange(spec.k % 2, horizon, 2)
-        n = m + spec.k
-        log_amp = (
-            0.5 * (gammaln(n + 1) - gammaln(m + 1) - gammaln(spec.k + 1))
-            + m * log_cos
-            + spec.k * log_sin
-            + _log_source_even(spec, n // 2)
-        )
+        _, log_amp = _log_kept_amplitudes(spec, horizon - 1)
         terms = np.exp(2.0 * (log_amp - log_amp.max()))
-        if terms[-1] <= terms.max() * 1e-20 or horizon >= 64000:
+        if terms[-1] <= terms.max() * 1e-20:
             break
+        if horizon >= MAX_HORIZON:
+            raise ValueError(
+                f"herald probability did not converge within {MAX_HORIZON} levels "
+                f"(last term {terms[-1] / terms.max():.3e} of the largest)"
+            )
         horizon *= 2
-    return float(terms.sum() * math.exp(2.0 * log_amp.max()))
+    return float(terms.sum() * math.exp(2.0 * (log_amp.max() + log_const)))
 
 
 def peak_estimate(k: int, theta_sub: float) -> float:

@@ -205,6 +205,12 @@ class LogCoeffs:
         )
 
 
+def infinite_squeeze_log_even(m: np.ndarray) -> np.ndarray:
+    """log |C_{2m}| = log(sqrt((2m)!) / (2^m m!)) of the infinite-squeezing
+    limit, up to its overall scale, for an array of m."""
+    return 0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1)
+
+
 def infinite_squeeze_limit_coeffs(max_m: int, theta: float = 0.0) -> LogCoeffs:
     """Limit of squeezed-vacuum amplitudes as r grows, up to overall scale.
 
@@ -215,7 +221,7 @@ def infinite_squeeze_limit_coeffs(max_m: int, theta: float = 0.0) -> LogCoeffs:
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
     m = np.arange(max_m + 1)
-    logmag = 0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1)
+    logmag = infinite_squeeze_log_even(m)
     phase = ((m % 2) * math.pi + (theta % TWO_PI) * m) % TWO_PI
     return LogCoeffs(occupations=2 * m, log_magnitude=logmag, phase=phase)
 

@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 from dipnesim import (
-    FockState,
     KittenSpec,
     ModeLayout,
     Squeeze,
+    apply_element,
     basis_state,
     beamsplit,
     coherent,
-    displace,
     fit_squeezed_cat,
     kitten_direct,
     mean_quadrature,
-    phase_shift,
-    squeeze_op,
 )
 from dipnesim.analytics import (
     GaussianMoments,
@@ -262,8 +259,32 @@ class TestGaussianMoments:
         assert g.mean[3] == pytest.approx(1.6 / math.sqrt(2))
 
     def test_unknown_element_rejected(self):
+        element = ("rotate", 0, 0.1)
         with pytest.raises(ValueError, match="unknown"):
-            gaussian_propagate(vacuum_moments(1), ("rotate", 0, 0.1))
+            gaussian_propagate(vacuum_moments(1), element)
+        with pytest.raises(ValueError, match="unknown"):
+            apply_element(basis_state(ModeLayout((5,)), (0,)), element)
+
+    @pytest.mark.parametrize("element", [
+        ("displace", 1, 0.6 - 0.3j),
+        ("phase", 0, 0.9),
+        ("squeeze", 0, Squeeze(0.3, 0.8)),
+        ("beamsplit", 0, 1, 0.6),
+    ], ids=lambda el: el[0])
+    def test_each_element_matches_fock(self, element):
+        # displaced inputs, so phase and beamsplit act on nonzero means
+        g = vacuum_moments(2)
+        st = basis_state(ModeLayout((40, 40)), (0, 0))
+        for el in [("displace", 0, 0.7), ("displace", 1, 0.4j), element]:
+            g = gaussian_propagate(g, el)
+            st = apply_element(st, el)
+        for mode in (0, 1):
+            assert mean_photons_from_moments(g, mode) == pytest.approx(
+                st.mean_photons(mode), abs=1e-10
+            )
+            qx, qp = mean_quadrature(st, mode)
+            assert g.mean[2 * mode] == pytest.approx(qx, abs=1e-10)
+            assert g.mean[2 * mode + 1] == pytest.approx(qp, abs=1e-10)
 
     def test_mode_range_checked(self):
         with pytest.raises(ValueError):
@@ -287,7 +308,7 @@ class TestGaussianMoments:
         st = basis_state(ModeLayout((40, 40)), (0, 0))
         for el in elements:
             g = gaussian_propagate(g, el)
-            st = _apply_fock(st, el)
+            st = apply_element(st, el)
         for mode in (0, 1):
             assert mean_photons_from_moments(g, mode) == pytest.approx(
                 st.mean_photons(mode), abs=1e-12
@@ -319,7 +340,7 @@ class TestGaussianMoments:
             elements.append(el)
         for el in elements:
             g = gaussian_propagate(g, el)
-            st = _apply_fock(st, el)
+            st = apply_element(st, el)
         for mode in range(3):
             assert mean_photons_from_moments(g, mode) == pytest.approx(
                 st.mean_photons(mode), abs=1e-8
@@ -406,15 +427,3 @@ class TestSqueezeToMatch:
         with pytest.raises(ValueError, match="displacement"):
             squeeze_to_match(flat, 1.0, work_cutoff=120)
 
-
-def _apply_fock(state: FockState, element) -> FockState:
-    name = element[0]
-    if name == "displace":
-        return displace(state, element[1], element[2])
-    if name == "phase":
-        return phase_shift(state, element[1], element[2])
-    if name == "squeeze":
-        return squeeze_op(state, element[1], element[2])
-    if name == "beamsplit":
-        return beamsplit(state, element[1], element[2], element[3])
-    raise ValueError(name)

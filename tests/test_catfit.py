@@ -9,14 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dipnesim.catfit import (
-    CatFitResult,
-    fit_plain_cat,
-    fit_squeezed_cat,
-    squeeze_fraction_report,
-)
-from dipnesim.fock import FockState, ModeLayout, basis_state, vacuum_state
+from dipnesim.catfit import CatFitResult, fit_squeezed_cat
+from dipnesim.fock import FockState, ModeLayout, basis_state, inner, vacuum_state
 from dipnesim.kitten import KittenSpec, KittenState, kitten_direct
 from dipnesim.states import CatSpec, Displacement, Squeeze, cat_state
 
@@ -46,7 +43,7 @@ class TestSelfFit:
     def test_plain_cat_recovered(self):
         alpha = 1.4
         cat = cat_state(CatSpec(Displacement(alpha), math.pi, Squeeze(0.0, 0.0)), 80)
-        assert fit_plain_cat(wrap(cat, alpha**2)) >= 1.0 - 1e-9
+        assert fit_squeezed_cat(wrap(cat, alpha**2)).plain_cat_fidelity >= 1.0 - 1e-9
 
     def test_squeezed_vacuum_pushes_fraction_to_one(self):
         kit = kitten_direct(KittenSpec(5.0, THETA, 0, 80))
@@ -72,15 +69,20 @@ class TestKittenFits:
 
     def test_plain_cat_level(self):
         kit = kitten_direct(KittenSpec(10.0, THETA, 3, 140))
-        plain = fit_plain_cat(kit)
+        plain = fit_squeezed_cat(kit).plain_cat_fidelity
         assert 0.85 < plain < 0.95
 
     def test_plain_never_beats_family_best(self):
         kit = kitten_direct(KittenSpec(8.0, THETA, 2, 120))
         res = fit_squeezed_cat(kit)
         assert res.fidelity >= res.plain_cat_fidelity - 1e-12
+        # the plain cat spends the whole photon budget on displacement
+        plain = cat_state(
+            CatSpec(Displacement(math.sqrt(kit.mean_photons)), 0.0, Squeeze(0.0, math.pi)),
+            kit.state.layout,
+        )
         assert res.plain_cat_fidelity == pytest.approx(
-            fit_plain_cat(kit), abs=1e-14
+            abs(inner(kit.state, plain)) ** 2 / plain.norm() ** 2, abs=1e-14
         )
 
     def test_even_parity_detected(self):
@@ -110,10 +112,6 @@ class TestContract:
         res_b = fit_squeezed_cat(kit)
         assert res_a.squeeze_fraction == res_b.squeeze_fraction
         assert res_a.fidelity == pytest.approx(res_b.fidelity, abs=1e-13)
-
-    def test_fraction_report_matches_fit(self):
-        kit = kitten_direct(KittenSpec(6.0, THETA, 1, 100))
-        assert squeeze_fraction_report(kit) == fit_squeezed_cat(kit).squeeze_fraction
 
     def test_accepts_bare_state(self):
         kit = kitten_direct(KittenSpec(6.0, THETA, 1, 100))
@@ -147,4 +145,17 @@ class TestErrors:
 
     def test_plain_cat_zero_photon_rejected(self):
         with pytest.raises(ValueError, match="zero-photon"):
-            fit_plain_cat(vacuum_state(ModeLayout((30,))))
+            fit_squeezed_cat(vacuum_state(ModeLayout((30,)))).plain_cat_fidelity
+
+
+class TestKittenProperties:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        photons=st.floats(min_value=1.0, max_value=12.0),
+        k=st.integers(min_value=0, max_value=5),
+    )
+    def test_fidelity_order_and_parity(self, photons, k):
+        cutoff = math.ceil(21.0 * (photons + 1.0))
+        res = fit_squeezed_cat(kitten_direct(KittenSpec(photons, THETA, k, cutoff)))
+        assert 0.0 <= res.plain_cat_fidelity <= res.fidelity <= 1.0 + 1e-12
+        assert res.phi == (math.pi if k % 2 else 0.0)

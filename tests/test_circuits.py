@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipnesim.circuits import (
-    BeamsplitterConvention,
     GadgetSpec,
     beamsplit,
     dide_to_phase,
@@ -328,11 +327,3 @@ class TestSeparationInvariant:
         disp_term = abs(math.cos(theta) * alpha1 + 1j * math.sin(theta) * alpha0) ** 2
         assert lhs == pytest.approx(core_term + disp_term, abs=1e-8)
 
-
-class TestConvention:
-    def test_fixed_convention(self):
-        conv = BeamsplitterConvention()
-        assert conv.reflection_phase == 1j
-        assert conv.transmission_phase == 1.0
-        with pytest.raises(ValueError):
-            BeamsplitterConvention(reflection_phase=-1j)

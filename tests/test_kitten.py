@@ -165,6 +165,20 @@ class TestHeraldDistribution:
         with pytest.raises(ValueError, match="undefined"):
             kitten_probability(KittenSpec(math.inf, THETA, 1, 100))
 
+    def test_no_count_closed_form(self):
+        # P(0) = 1 / (cosh r sqrt(1 - tanh^2 r cos^4 theta))
+        r = math.asinh(math.sqrt(10.0))
+        expected = 1.0 / (
+            math.cosh(r) * math.sqrt(1.0 - math.tanh(r) ** 2 * math.cos(THETA) ** 4)
+        )
+        p0 = kitten_probability(KittenSpec(10.0, THETA, 0, 10))
+        assert p0 == pytest.approx(expected, rel=1e-13)
+
+    def test_unconverged_sum_raises(self):
+        # 64000 levels hold only part of this herald distribution
+        with pytest.raises(ValueError, match="did not converge"):
+            kitten_probability(KittenSpec(1e6, 0.01, 0, 10))
+
     def test_odd_cumulative_peak_near_thirty_percent(self):
         # scanning the squeezing strength, the chance of an odd herald
         # (k = 1..9) tops out just under 0.3 at this subtraction angle
