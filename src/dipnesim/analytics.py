@@ -4,8 +4,9 @@ Interference-loss prediction, the equal-photon-count amplitude and its
 brute-force twin, erasure and Poisson basics, antisqueezing-fraction
 limits, and Gaussian moment propagation are independent of the Fock
 simulator; the tests play them against it as cross-checks in both
-directions.  The squeeze-to-match solver is the exception: it antisqueezes
-Fock states with circuits.squeeze_op and refits them with
+directions.  The squeeze-to-match solver is the exception: it takes the
+source's fitted displacement from its caller, then antisqueezes the source
+with circuits.squeeze_op and refits each antisqueezed state with
 catfit.fit_squeezed_cat.
 """
 
@@ -177,27 +178,30 @@ def _antisqueezed(state: FockState, r: float, work_cutoff: int) -> FockState:
 
 def squeeze_to_match(
     source: KittenState,
+    source_alpha: float,
     target_displacement: float,
     work_cutoff: int = 1000,
 ) -> MatchResult:
     """Antisqueezing that brings the source's fitted displacement to the
     target.
 
-    Bisection on the monotone displacement-versus-r map, to 1e-6 in the
-    displacement.  Negative r_required (plain squeezing) is a valid
-    answer when the target sits below the source's own displacement.
+    ``source_alpha`` is the source's own fitted displacement,
+    ``fit_squeezed_cat(source).alpha``; callers that fit the source anyway
+    pass that value rather than having it refitted here.  Bisection on the
+    monotone displacement-versus-r map, to 1e-6 in the displacement.
+    Negative r_required (plain squeezing) is a valid answer when the
+    target sits below the source's own displacement.
     """
     if target_displacement <= 0.0:
         raise ValueError("target displacement must be positive")
-    base_alpha = fit_squeezed_cat(source).alpha
-    if base_alpha <= 1e-9:
+    if source_alpha <= 1e-9:
         raise ValueError("source has no fitted displacement to match")
     state = source.state if isinstance(source, KittenState) else source
 
     def fit_after(r: float):
         return fit_squeezed_cat(_antisqueezed(state, r, work_cutoff))
 
-    guess = math.log(target_displacement / base_alpha)
+    guess = math.log(target_displacement / source_alpha)
     lo, hi = guess - 0.2, guess + 0.2
     f_lo = fit_after(lo).alpha - target_displacement
     f_hi = fit_after(hi).alpha - target_displacement

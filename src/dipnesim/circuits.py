@@ -113,19 +113,22 @@ def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockS
 def _apply_mode_generator(state: FockState, mode: int, build, what: str) -> FockState:
     """Exponentiate a single-mode generator and apply it along one axis.
 
-    ``build(a)`` returns the dense anti-Hermitian generator in terms of the
-    mode's d x d lowering operator a.  Dense scaling-and-squaring below
-    _DENSE_EXPM_MAX, sparse expm_multiply above.
+    ``build(a)`` returns the anti-Hermitian generator in terms of the mode's
+    d x d lowering operator a.  Up to _DENSE_EXPM_MAX, a is a dense array and
+    the generator goes through dense scaling-and-squaring; above it, a is a
+    sparse CSR matrix, so the generator is built sparse (never as dense
+    d x d products) and applied with expm_multiply.
     """
     state.layout._check_mode(mode)
     d = state.layout.dims[mode]
     arr = np.moveaxis(state.nd, mode, 0)
     shape = arr.shape
     block = arr.reshape(d, -1)
-    gen = build(np.diag(np.sqrt(np.arange(1.0, d)), 1))
+    ladder = np.sqrt(np.arange(1.0, d))
     if d <= _DENSE_EXPM_MAX:
-        block = scipy.linalg.expm(gen) @ block
+        block = scipy.linalg.expm(build(np.diag(ladder, 1))) @ block
     else:
+        gen = build(scipy.sparse.diags(ladder, 1, format="csr"))
         block = expm_multiply(scipy.sparse.csr_matrix(gen), block)
     out = np.moveaxis(block.reshape(shape), 0, mode)
     result = FockState(state.layout, out.reshape(-1), state.leakage)

@@ -531,7 +531,7 @@ def run_match(config: ExperimentConfig) -> ResultTable:
     for ks_ in config["source_k"]:
         for kt in config["target_k"]:
             res = squeeze_to_match(
-                kits[ks_], alphas[kt], work_cutoff=config["work_cutoff"]
+                kits[ks_], alphas[ks_], alphas[kt], work_cutoff=config["work_cutoff"]
             )
             rows.append((ks_, kt, res.r_required, res.excess_fraction))
 

@@ -247,6 +247,24 @@ def cat_norm_squared(spec: CatSpec) -> float:
     return 2.0 * (1.0 + ph.real) + 2.0 * ph.real * math.expm1(-2.0 * abs(gamma) ** 2)
 
 
+def _checked_norm_squared(spec: CatSpec) -> float:
+    """cat_norm_squared, raising where the two branches cancel exactly."""
+    norm_sq = cat_norm_squared(spec)
+    if norm_sq <= 1e-280:
+        raise ValueError(
+            "degenerate cat: the two branches cancel exactly "
+            f"(alpha={spec.alpha.alpha}, phi={spec.phi})"
+        )
+    return norm_sq
+
+
+def _parity_filter(phi: float, dim: int) -> np.ndarray:
+    """Level weights 1 + e^{i phi} (-1)^n that add e^{i phi} D(-alpha)S|0>
+    to D(alpha)S|0>; exactly 2 and 0 at phi = 0, pi."""
+    ph = _unit_phase(phi)
+    return np.where(np.arange(dim) % 2 == 0, 1.0 + ph, 1.0 - ph)
+
+
 def cat_state(spec: CatSpec, layout) -> FockState:
     """Normalized (D(alpha) + e^{i phi} D(-alpha)) S(xi) |0>.
 
@@ -255,19 +273,11 @@ def cat_state(spec: CatSpec, layout) -> FockState:
     squeezed state.
     """
     layout = _as_layout(layout)
-    norm_sq = cat_norm_squared(spec)
-    if norm_sq <= 1e-280:
-        raise ValueError(
-            "degenerate cat: the two branches cancel exactly "
-            f"(alpha={spec.alpha.alpha}, phi={spec.phi})"
-        )
+    norm_sq = _checked_norm_squared(spec)
     base = _squeezed_coherent_batch(
         spec.alpha.alpha, spec.squeeze.r, spec.squeeze.theta, layout.dim
     )
-    ph = _unit_phase(spec.phi)
-    n = np.arange(layout.dim)
-    factor = np.where(n % 2 == 0, 1.0 + ph, 1.0 - ph)
-    amps = base * factor / math.sqrt(norm_sq)
+    amps = base * _parity_filter(spec.phi, layout.dim) / math.sqrt(norm_sq)
     return _finish(
         amps,
         layout,

@@ -397,7 +397,7 @@ class TestSqueezeToMatch:
 
     def test_diagonal_needs_no_squeezing(self, kitten):
         fit = fit_squeezed_cat(kitten)
-        res = squeeze_to_match(kitten, fit.alpha, work_cutoff=200)
+        res = squeeze_to_match(kitten, fit.alpha, fit.alpha, work_cutoff=200)
         assert isinstance(res, MatchResult)
         assert abs(res.r_required) < 1e-6
         assert res.excess_fraction == pytest.approx(fit.squeeze_fraction, abs=1e-6)
@@ -405,7 +405,7 @@ class TestSqueezeToMatch:
     def test_reaches_higher_target(self, kitten):
         fit = fit_squeezed_cat(kitten)
         target = fit.alpha * 1.3
-        res = squeeze_to_match(kitten, target, work_cutoff=200)
+        res = squeeze_to_match(kitten, fit.alpha, target, work_cutoff=200)
         assert res.r_required > 0.0
         achieved = fit_squeezed_cat(
             _antisqueezed(kitten.state, res.r_required, 200)
@@ -415,15 +415,15 @@ class TestSqueezeToMatch:
 
     def test_lower_target_squeezes(self, kitten):
         fit = fit_squeezed_cat(kitten)
-        res = squeeze_to_match(kitten, fit.alpha * 0.8, work_cutoff=200)
+        res = squeeze_to_match(kitten, fit.alpha, fit.alpha * 0.8, work_cutoff=200)
         assert res.r_required < 0.0
 
     def test_target_validation(self, kitten):
         with pytest.raises(ValueError):
-            squeeze_to_match(kitten, 0.0)
+            squeeze_to_match(kitten, 1.0, 0.0)
 
     def test_displacement_free_source_rejected(self):
         flat = kitten_direct(KittenSpec(3.0, math.pi / 5, 0, 60))
         with pytest.raises(ValueError, match="displacement"):
-            squeeze_to_match(flat, 1.0, work_cutoff=120)
+            squeeze_to_match(flat, fit_squeezed_cat(flat).alpha, 1.0, work_cutoff=120)
 

@@ -5,38 +5,100 @@ fits check the fidelity and squeeze-fraction levels; the budget split
 and determinism are exact assertions.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipnesim.catfit import CatFitResult, fit_squeezed_cat
-from dipnesim.fock import FockState, ModeLayout, basis_state, inner, vacuum_state
+from dipnesim.catfit import (
+    S_TOLERANCE,
+    CatFitResult,
+    _budget_split,
+    _family_fidelities,
+    _parity_phase,
+    _unwrap,
+    fit_squeezed_cat,
+)
+from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, inner, vacuum_state
 from dipnesim.kitten import KittenSpec, KittenState, kitten_direct
 from dipnesim.states import CatSpec, Displacement, Squeeze, cat_state
 
 THETA = math.pi / 5
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# (alpha, r, phi) of exact family members
+FAMILY_MEMBERS = [(1.2, 0.35, 0.0), (1.5, 0.30, math.pi), (2.0, 0.15, 0.0)]
 
 
 def wrap(state: FockState, budget: float) -> KittenState:
     return KittenState(state, math.nan, budget)
 
 
+def member(alpha: float, r: float, phi: float) -> KittenState:
+    cat = cat_state(CatSpec(Displacement(alpha), phi, Squeeze(r, math.pi)), 80)
+    return wrap(cat, alpha**2 + math.sinh(r) ** 2)
+
+
+def serial_family_fidelity(target: FockState, total: float, phi: float, s: float) -> float:
+    """Fidelity of the candidate at fraction s, built alone by cat_state."""
+    alpha, r = _budget_split(s, total, phi)
+    spec = CatSpec(Displacement(alpha), phi, Squeeze(r, math.pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LeakageWarning)
+        cand = cat_state(spec, target.layout)
+    return float(abs(inner(target, cand)) ** 2 / cand.norm() ** 2)
+
+
+def serial_fit(kitten) -> CatFitResult:
+    """Reference fit: one cat_state probe per fraction, a 64-point grid and
+    then golden-section refinement to S_TOLERANCE (88 probes in all)."""
+    target, total = _unwrap(kitten)
+    phi = _parity_phase(target)
+
+    def objective(s: float) -> float:
+        return serial_family_fidelity(target, total, phi, s)
+
+    grid = np.linspace(0.0, 1.0, 64)
+    values = [objective(float(s)) for s in grid]
+    best = int(np.argmax(values))
+    best_s, best_f = float(grid[best]), values[best]
+    plain = values[0]
+
+    a, b = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, 63)])
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > S_TOLERANCE:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = objective(d)
+        if max(fc, fd) > best_f:
+            if fc > fd:
+                best_f, best_s = fc, c
+            else:
+                best_f, best_s = fd, d
+
+    alpha, r = _budget_split(best_s, total, phi)
+    return CatFitResult(best_f, 1.0 - best_f, best_s, alpha, r, phi, plain)
+
+
 class TestSelfFit:
-    @pytest.mark.parametrize("alpha,r,phi", [
-        (1.2, 0.35, 0.0),
-        (1.5, 0.30, math.pi),
-        (2.0, 0.15, 0.0),
-    ])
+    @pytest.mark.parametrize("alpha,r,phi", FAMILY_MEMBERS)
     def test_exact_family_member_recovered(self, alpha, r, phi):
-        cat = cat_state(CatSpec(Displacement(alpha), phi, Squeeze(r, math.pi)), 80)
-        budget = alpha**2 + math.sinh(r) ** 2
-        res = fit_squeezed_cat(wrap(cat, budget))
+        kit = member(alpha, r, phi)
+        res = fit_squeezed_cat(kit)
         assert res.fidelity >= 1.0 - 1e-9
         assert res.squeeze_fraction == pytest.approx(
-            math.sinh(r) ** 2 / budget, abs=1e-4
+            math.sinh(r) ** 2 / kit.mean_photons, abs=1e-4
         )
         assert res.phi == phi
 
@@ -103,6 +165,13 @@ class TestContract:
         kit = kitten_direct(KittenSpec(6.0, THETA, 2, 100))
         assert fit_squeezed_cat(kit) == fit_squeezed_cat(kit)
 
+    def test_bitwise_repeatable_at_production_cutoff(self):
+        kit = kitten_direct(KittenSpec(10.0, THETA, 3, 1000))
+        first, second = fit_squeezed_cat(kit), fit_squeezed_cat(kit)
+        assert [v.hex() for v in dataclasses.astuple(first)] == [
+            v.hex() for v in dataclasses.astuple(second)
+        ]
+
     def test_global_phase_invariant(self):
         kit = kitten_direct(KittenSpec(10.0, THETA, 3, 140))
         rotated = FockState(
@@ -147,6 +216,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="zero-photon"):
             fit_squeezed_cat(vacuum_state(ModeLayout((30,)))).plain_cat_fidelity
 
+    def test_underflowing_candidate_rejected(self):
+        # the s = 0 candidate, a plain cat of alpha = 40, starts its
+        # recurrence at exp(-800) and underflows to the zero vector
+        cat = cat_state(CatSpec(Displacement(20.0), 0.0, Squeeze(0.05, math.pi)), 2600)
+        with pytest.raises(ValueError, match="squeeze fraction 0 of a 1600-photon budget"):
+            fit_squeezed_cat(wrap(cat, 1600.0))
+
 
 class TestKittenProperties:
     @settings(max_examples=12, deadline=None)
@@ -159,3 +235,38 @@ class TestKittenProperties:
         res = fit_squeezed_cat(kitten_direct(KittenSpec(photons, THETA, k, cutoff)))
         assert 0.0 <= res.plain_cat_fidelity <= res.fidelity <= 1.0 + 1e-12
         assert res.phi == (math.pi if k % 2 else 0.0)
+
+
+ORACLE_KITTENS = [(photons, k) for photons in (1.0, 10.0, 20.0) for k in (0, 1, 3, 9)]
+
+
+class TestSerialOracle:
+    """The batched fit against one cat_state probe per fraction."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [("kitten", photons, k) for photons, k in ORACLE_KITTENS]
+        + [("member",) + m for m in FAMILY_MEMBERS],
+        ids=[f"kitten-S{photons:g}-k{k}" for photons, k in ORACLE_KITTENS]
+        + [f"member-{a}-{r}-{phi:.3g}" for a, r, phi in FAMILY_MEMBERS],
+    )
+    def test_matches_serial_fit(self, case):
+        if case[0] == "kitten":
+            kit = kitten_direct(KittenSpec(case[1], THETA, case[2], 1000))
+        else:
+            kit = member(*case[1:])
+        got, want = fit_squeezed_cat(kit), serial_fit(kit)
+        assert abs(got.fidelity - want.fidelity) <= 1e-11
+        assert abs(got.squeeze_fraction - want.squeeze_fraction) <= 1e-6
+        assert got.phi == want.phi
+        assert abs(got.plain_cat_fidelity - want.plain_cat_fidelity) <= 1e-13
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_grid_fidelities_match_cat_state(self, k):
+        kit = kitten_direct(KittenSpec(10.0, THETA, k, 140))
+        target, total = _unwrap(kit)
+        phi = _parity_phase(target)
+        grid = np.linspace(0.0, 1.0, 64)
+        got = _family_fidelities(target, total, phi, grid)
+        want = [serial_family_fidelity(target, total, phi, float(s)) for s in grid]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)

@@ -156,6 +156,24 @@ class TestDisplaceSqueeze:
         want = squeezed_vacuum(Squeeze(0.4), 500)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-8)
 
+    @pytest.mark.parametrize("op", ["displace", "squeeze"])
+    def test_sparse_generator_matches_dense_expm(self, op):
+        # d = 450 is above the dense limit, so the generator is built sparse
+        cutoff = 449
+        a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+        ad = a.conj().T
+        psi = squeezed_coherent(1.1 - 0.4j, Squeeze(0.2, 0.9), cutoff)
+        if op == "displace":
+            alpha = 0.9 + 0.5j
+            got = displace(psi, 0, alpha)
+            gen = alpha * ad - np.conj(alpha) * a
+        else:
+            xi = 0.35 * cmath.exp(0.6j)
+            got = squeeze_op(psi, 0, Squeeze(0.35, 0.6))
+            gen = (np.conj(xi) * (a @ a) - xi * (ad @ ad)) / 2
+        want = scipy.linalg.expm(gen) @ psi.amplitudes
+        np.testing.assert_allclose(got.amplitudes, want, rtol=0, atol=1e-10)
+
 
 class TestTranslations:
     def test_phase_to_dide_map(self):
