@@ -12,6 +12,12 @@ so the unitary is applied sector by sector; each sector generator is a real
 symmetric tridiagonal matrix, and clipped sectors (where a cutoff truncates
 the sector) are exponentiated after clipping, which keeps every element
 exactly unitary on the truncated space.
+
+interference_gadget applies the pickoff gadget to a dense 4-mode state.  It
+is the test oracle for measure.l_intf, which reads the same circuit out from
+single-mode marginals through two cached gathers over the same sectors and
+truncated unitaries: _bs_vacuum_split (a split against vacuum) and
+_bs_number_readout (the exit photon number in the Heisenberg picture).
 """
 
 from __future__ import annotations
@@ -85,6 +91,66 @@ def _bs_sector(da: int, db: int, total: int):
     off = np.sqrt((js[:-1] + 1.0) * (total - js[:-1]))
     lam, vec = scipy.linalg.eigh_tridiagonal(np.zeros(js.size), off)
     return js, lam, vec
+
+
+def _bs_sector_unitary(da: int, db: int, total: int, theta: float):
+    """Mode-a occupations and beamsplit's truncated unitary U_N in one sector."""
+    js, lam, vec = _bs_sector(da, db, total)
+    if lam is None:
+        return js, np.ones((1, 1), dtype=np.complex128)
+    return js, (vec * np.exp(1j * theta * lam)) @ vec.T
+
+
+def _frozen(*parts) -> tuple:
+    out = tuple(np.concatenate(p) for p in parts)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _bs_vacuum_split(da: int, db: int, theta: float):
+    """B(theta) on (mode-a state) (x) vacuum, as one gather.
+
+    Occupation N of mode a sits in sector N as |N, 0>, the last state of the
+    sector, so it maps to the last column of U_N.  For a mode-a amplitude
+    vector c, the da x db output has flat amplitudes out.flat[idx] = u * c[src].
+    Returns read-only (idx, src, u).
+    """
+    idx, src, u = [], [], []
+    for total in range(da):
+        js, unitary = _bs_sector_unitary(da, db, total, theta)
+        idx.append(js * db + (total - js))
+        src.append(np.full(js.size, total))
+        u.append(unitary[:, -1])
+    return _frozen(idx, src, u)
+
+
+@lru_cache(maxsize=16)
+def _bs_number_readout(da: int, db: int, theta: float):
+    """Photon number of mode b after B(theta), in the Heisenberg picture.
+
+    Per number sector N, H_N = U_N^dag diag(N - js) U_N.  The entries of all
+    sectors are flattened against flat indices into a da x da matrix of mode
+    a and a db x db matrix of mode b, so that for Hermitian rho_a and rho_b
+
+        Tr[(rho_a (x) rho_b) B^dag n_b B] = sum(rho_a.flat[ia] * rho_b.flat[ib] * h).real.
+
+    Only the upper triangle of each sector is kept, with its off-diagonal
+    entries doubled: the lower triangle adds the complex conjugate.
+    Returns read-only (ia, ib, h).
+    """
+    ia, ib, h = [], [], []
+    for total in range(da + db - 1):
+        js, unitary = _bs_sector_unitary(da, db, total, theta)
+        ks = total - js
+        heis = unitary.conj().T @ (ks[:, None] * unitary)
+        p, q = np.triu_indices(js.size)
+        ia.append(js[p] * da + js[q])
+        ib.append(ks[p] * db + ks[q])
+        # Tr[rho H] pairs rho[x, y] with H[y, x]
+        h.append(np.where(p == q, 1.0, 2.0) * heis[q, p])
+    return _frozen(ia, ib, h)
 
 
 def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockState:

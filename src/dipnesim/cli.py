@@ -2,13 +2,16 @@
 
     dipne-sim <experiment> [--config FILE] [--out FILE] [--json] [--key value ...]
 
-Exit codes: 0 success, 2 config error, 3 oracle-check tolerance breach.
+Exit codes: 0 success, 2 config error, 3 oracle-check tolerance breach,
+4 numerical failure (LinAlgError, FloatingPointError or MemoryError).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .experiments import (
     EXPERIMENTS,
@@ -55,6 +58,10 @@ def main(argv: list[str] | None = None) -> int:
         params.update(_pair_overrides(extra))
         config = make_config(args.experiment, params)
         table = run_experiment(config)
+    # before ValueError, which LinAlgError subclasses
+    except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
+        print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

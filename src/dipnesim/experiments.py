@@ -188,7 +188,6 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
         "fraction_count": _Key(_as_int, 21),
         "displacement_photons": _Key(float, 1.0),
         "cutoff": _Key(_as_int, 30),
-        "erasure_cutoff": _Key(_as_int, 0),
     },
     "kitten": _KITTEN_SWEEP,
     "catfit": _KITTEN_SWEEP,
@@ -315,7 +314,6 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
     pi_shift = phase > 1.0
     spec = GadgetSpec(config["theta_split"], config["theta_recomb"], pi_shift)
     cutoff = config["cutoff"]
-    erasure_cutoff = config["erasure_cutoff"] or None
     count = config["fraction_count"]
     if count < 2:
         raise ValueError("fraction_count must be at least 2")
@@ -327,6 +325,7 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
     rows = []
     max_leak = 0.0
     max_guard = 0.0
+    max_clipped = 0.0
     for fraction in np.linspace(0.0, 1.0, count):
         alpha0 = math.sqrt(fraction * budget)
         alpha1 = math.sqrt((1.0 - fraction) * budget)
@@ -336,7 +335,9 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
         max_guard = max(
             max_guard, input0.guard_band_mass(), input1.guard_band_mass()
         )
-        sim = l_intf(input0, input1, spec, erasure_cutoff=erasure_cutoff)
+        diagnostics = {}
+        sim = l_intf(input0, input1, spec, diagnostics)
+        max_clipped = max(max_clipped, diagnostics["clipped_sector_mass"])
         theory = interference_loss_theory(
             alpha0, alpha1, spec.theta_split, spec.theta_interfere, pi_shift
         )
@@ -346,6 +347,7 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
     extras = [
         ("max_leakage", _fmt(max_leak)),
         ("max_input_guard_mass", _fmt(max_guard)),
+        ("max_clipped_sector_mass", _fmt(max_clipped)),
     ]
     return ResultTable(
         columns=("fraction", "L_intf_sim", "L_intf_theory", "abs_error"),

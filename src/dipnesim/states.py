@@ -175,6 +175,18 @@ def _squeezed_coherent_batch(alphas, rs, theta: float, dim: int) -> np.ndarray:
     return out
 
 
+def _require_representable(amps: np.ndarray, alpha: complex, r: float, layout: ModeLayout) -> None:
+    """Raise where the recurrence of _squeezed_coherent_batch under- or
+    overflowed: its first amplitude is exp(-|alpha|^2/2 ...), which is 0.0 in
+    floating point once |alpha|^2 passes ~1400."""
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
+        raise ValueError(
+            f"alpha={alpha:.6g}, r={r:.6g} has truncated norm^2 {norm_sq} at cutoff "
+            f"{layout.cutoffs[0]}: the amplitude recurrence under- or overflows"
+        )
+
+
 def squeezed_coherent(alpha, squeeze: Squeeze, layout) -> FockState:
     """Displaced squeezed state D(alpha) S(xi) |0>."""
     layout = _as_layout(layout)
@@ -182,6 +194,7 @@ def squeezed_coherent(alpha, squeeze: Squeeze, layout) -> FockState:
     if squeeze.r == 0.0:
         return coherent(a, layout)
     amps = _squeezed_coherent_batch(a, squeeze.r, squeeze.theta, layout.dim)
+    _require_representable(amps, a, squeeze.r, layout)
     return _finish(amps, layout, f"squeezed_coherent(alpha={a:.4g}, r={squeeze.r:.4g})")
 
 
@@ -278,6 +291,7 @@ def cat_state(spec: CatSpec, layout) -> FockState:
         spec.alpha.alpha, spec.squeeze.r, spec.squeeze.theta, layout.dim
     )
     amps = base * _parity_filter(spec.phi, layout.dim) / math.sqrt(norm_sq)
+    _require_representable(amps, spec.alpha.alpha, spec.squeeze.r, layout)
     return _finish(
         amps,
         layout,

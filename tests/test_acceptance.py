@@ -60,13 +60,12 @@ def test_01_interference_collapse():
         for i, a in enumerate(names)
         for b in names[i + 1 :]
     )
-    # tight-tolerance spot check at the largest displacement product;
-    # the trimmed erasure workspace changes L_intf by < 1e-15 here
+    # tight-tolerance spot check at the largest displacement product
     worst60 = 0.0
     for fam in INTERFERENCE_FAMILIES:
         cfg = make_config(
             "interference",
-            {"family": fam, "fraction_count": 3, "cutoff": 60, "erasure_cutoff": 24},
+            {"family": fam, "fraction_count": 3, "cutoff": 60},
         )
         worst60 = max(worst60, max(run_experiment(cfg).column("abs_error")))
     ok = worst_pair <= 1e-3 and worst_theory <= 1e-3 and worst60 <= 1e-6

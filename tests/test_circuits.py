@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from dipnesim.circuits import (
     GadgetSpec,
+    _bs_number_readout,
+    _bs_vacuum_split,
     beamsplit,
     dide_to_phase,
     displace,
@@ -97,6 +99,49 @@ class TestBeamsplit:
         assert after == pytest.approx(before, abs=1e-10)
         back = beamsplit(out, 0, 2, -theta)
         np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-10)
+
+
+class TestSectorGathers:
+    @pytest.mark.parametrize("cutoffs", [(3, 7), (6, 6), (8, 2)])
+    def test_vacuum_split_matches_beamsplit(self, cutoffs):
+        rng = np.random.default_rng(5)
+        d = cutoffs[0] + 1
+        psi = FockState(ModeLayout((cutoffs[0],)), rng.normal(size=d) + 1j * rng.normal(size=d))
+        idx, src, u = _bs_vacuum_split(cutoffs[0] + 1, cutoffs[1] + 1, 0.7)
+        got = np.zeros((cutoffs[0] + 1) * (cutoffs[1] + 1), dtype=np.complex128)
+        got[idx] = u * psi.amplitudes[src]
+        want = beamsplit(tensor(psi, vacuum_state(ModeLayout((cutoffs[1],)))), 0, 1, 0.7)
+        np.testing.assert_allclose(got, want.amplitudes, atol=1e-13)
+
+    @pytest.mark.parametrize("cutoffs", [(3, 7), (6, 6), (8, 2)])
+    def test_readout_matches_beamsplit_on_product_states(self, cutoffs):
+        # the Heisenberg readout against <n_b> after beamsplit, clipped
+        # sectors included; rho_a is mixed, so it is a sum of pure terms
+        rng = np.random.default_rng(11)
+        theta = 0.7
+        pure = []
+        for d in (c + 1 for c in cutoffs):
+            vecs = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+            pure.append([v / np.linalg.norm(v) for v in vecs])
+        weights = (0.3, 0.7)
+        rho_a = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, pure[0]))
+        rho_b = np.outer(pure[1][0], pure[1][0].conj())
+        ia, ib, h = _bs_number_readout(cutoffs[0] + 1, cutoffs[1] + 1, theta)
+        got = np.sum(rho_a.ravel()[ia] * rho_b.ravel()[ib] * h).real
+        want = 0.0
+        for w, v in zip(weights, pure[0]):
+            pair = tensor(
+                FockState(ModeLayout((cutoffs[0],)), v), FockState(ModeLayout((cutoffs[1],)), pure[1][0])
+            )
+            want += w * beamsplit(pair, 0, 1, theta).mean_photons(1)
+        assert got == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("gather", [_bs_number_readout, _bs_vacuum_split])
+    def test_cached_per_key(self, gather):
+        first = gather(5, 7, 0.3)
+        assert gather(5, 7, 0.3) is first
+        assert gather(5, 7, 0.31) is not first
+        assert not any(arr.flags.writeable for arr in first)
 
 
 class TestPhaseShift:

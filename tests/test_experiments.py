@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dipnesim import cli
 from dipnesim.cli import main
 from dipnesim.experiments import (
     EXPERIMENTS,
@@ -145,6 +146,20 @@ class TestInterferenceRun:
         )
         table = run_experiment(cfg)
         assert max(table.column("abs_error")) < 1e-10
+
+    def test_cutoff_120_matches_theory(self):
+        # 121^4 amplitudes would exceed MAX_JOINT_DIM as one gadget state
+        cfg = make_config(
+            "interference",
+            {"fraction_count": 3, "cutoff": 120, "family": "photon-both"},
+        )
+        table = run_experiment(cfg)
+        assert max(table.column("abs_error")) <= 1e-9
+        assert 0.0 <= float(table.meta("max_clipped_sector_mass")) < 1e-100
+
+    def test_erasure_cutoff_key_removed(self):
+        with pytest.raises(ValueError, match="unknown keys for interference: erasure_cutoff"):
+            make_config("interference", {"erasure_cutoff": 24})
 
 
 class TestKittenRun:
@@ -399,6 +414,22 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["r_max"] == "3.0"
+
+    @pytest.mark.parametrize(
+        "exc",
+        [np.linalg.LinAlgError("singular"), FloatingPointError("overflow"), MemoryError("too big")],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_numerical_failure_exit(self, exc, monkeypatch, capsys):
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        code = main(["gaussdrive", "--r_steps", "2"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert type(exc).__name__ in err and str(exc) in err
 
     def test_experiment_names_complete(self):
         assert set(EXPERIMENTS) == {

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dipnesim.circuits import GadgetSpec, beamsplit
+from dipnesim.circuits import GadgetSpec, beamsplit, displace, interference_gadget
+from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
 from dipnesim.fock import ModeLayout, basis_state, tensor, vacuum_state
 from dipnesim.measure import (
     BitValue,
@@ -22,6 +23,28 @@ from dipnesim.states import Squeeze, coherent, squeezed_vacuum
 
 def coherent_pair(alpha_a, alpha_b, cutoff):
     return tensor(coherent(alpha_a, cutoff), coherent(alpha_b, cutoff))
+
+
+def dense_erasure_photons(input0, input1, spec):
+    # oracle: the whole 4-mode gadget state, erasure modes at cutoff max(c0, c1)
+    erasure = vacuum_state(ModeLayout((max(input0.layout.cutoffs[0], input1.layout.cutoffs[0]),)))
+    e0, e1 = spec.erasure_modes
+    s0, s1 = (m for m in range(4) if m not in spec.erasure_modes)
+    parts = {s0: input0, s1: input1, e0: erasure, e1: erasure}
+    joint = parts[0]
+    for m in range(1, 4):
+        joint = tensor(joint, parts[m])
+    out = interference_gadget(joint, spec)
+    return out.mean_photons(e0) + out.mean_photons(e1)
+
+
+def dense_l_intf(input0, input1, spec):
+    vac0, vac1 = vacuum_state(input0.layout), vacuum_state(input1.layout)
+    return (
+        dense_erasure_photons(input0, input1, spec)
+        - dense_erasure_photons(input0, vac1, spec)
+        - dense_erasure_photons(vac0, input1, spec)
+    )
 
 
 class TestJointDistribution:
@@ -211,6 +234,35 @@ class TestLIntf:
         bumped0 = displace(basis_state(ModeLayout((18,)), (1,)), 0, a0)
         got = l_intf(bumped0, coherent(a1, 18), spec)
         assert got == pytest.approx(plain, abs=1e-6)
+
+    @pytest.mark.parametrize("family", INTERFERENCE_FAMILIES)
+    @pytest.mark.parametrize("pi_shift", [False, True])
+    @pytest.mark.parametrize(
+        "cutoffs,erasure_modes", [((10, 10), (2, 3)), ((8, 13), (0, 3)), ((14, 6), (3, 1))]
+    )
+    def test_matches_dense_gadget(self, family, pi_shift, cutoffs, erasure_modes):
+        spec = GadgetSpec(0.9, 0.4, pi_shift, erasure_modes)
+        core0 = _interference_cores(family, cutoffs[0])[0]
+        core1 = _interference_cores(family, cutoffs[1])[1]
+        input0 = displace(core0, 0, 0.6)
+        input1 = displace(core1, 0, 0.8)
+        got = l_intf(input0, input1, spec)
+        assert got == pytest.approx(dense_l_intf(input0, input1, spec), abs=1e-12)
+
+    def test_clipped_sector_mass(self):
+        # coherent inputs split into coherent marginals, so the larger
+        # recombination input holds a Poisson number of photons; the
+        # clipped sectors are those above the cutoff
+        from scipy.stats import poisson
+
+        spec = GadgetSpec(0.9, 0.4)
+        c, s = math.cos(spec.theta_split) ** 2, math.sin(spec.theta_split) ** 2
+        mean = max(0.36 * c + 0.64 * s, 0.64 * c + 0.36 * s)
+        diagnostics = {}
+        l_intf(coherent(0.8, 12), coherent(0.6, 12), spec, diagnostics)
+        assert diagnostics["clipped_sector_mass"] == pytest.approx(poisson.sf(12, mean), rel=0.1)
+        l_intf(coherent(0.8, 30), coherent(0.6, 30), spec, diagnostics)
+        assert 0.0 < diagnostics["clipped_sector_mass"] < 1e-40
 
     def test_requires_single_mode_inputs(self):
         with pytest.raises(ValueError, match="single-mode"):

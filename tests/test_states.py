@@ -132,6 +132,10 @@ class TestSqueezedCoherent:
         want = 1.5**2 + math.sinh(0.6) ** 2
         assert psi.mean_photons(0) == pytest.approx(want, abs=1e-9)
 
+    def test_underflowing_recurrence_raises(self):
+        with pytest.raises(ValueError, match=r"alpha=40.*r=0.0001 .*cutoff 2500"):
+            squeezed_coherent(40.0, Squeeze(1e-4, math.pi), 2500)
+
     @given(
         re=st.floats(-2, 2),
         im=st.floats(-1, 1),
@@ -207,6 +211,11 @@ class TestCatState:
     def test_degenerate_cat_raises(self):
         with pytest.raises(ValueError, match="degenerate"):
             cat_state(CatSpec(Displacement(0.0), math.pi, Squeeze(0.2)), 20)
+
+    def test_underflowing_recurrence_raises(self):
+        # the recurrence starts at exp(-|alpha|^2/2) = exp(-800), which is 0.0
+        with pytest.raises(ValueError, match=r"alpha=40.*r=0 .*cutoff 2600"):
+            cat_state(CatSpec(Displacement(40.0), 0.0, Squeeze(0.0, math.pi)), 2600)
 
     def test_matches_expm_superposition(self):
         dim = 61
