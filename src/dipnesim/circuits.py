@@ -13,6 +13,17 @@ symmetric tridiagonal matrix, and clipped sectors (where a cutoff truncates
 the sector) are exponentiated after clipping, which keeps every element
 exactly unitary on the truncated space.
 
+Displacement and squeezing exponentiate real generators only.  With
+R(phi) = diag(e^{i phi n}), R(phi) a R(-phi) = e^{-i phi} a holds on the
+truncated space, so
+
+    D(alpha) = R(arg alpha) exp(|alpha| (a+ - a)) R(-arg alpha)
+    S(r e^{i theta}) = R(theta/2) exp((r/2)(a^2 - a+^2)) R(-theta/2)
+
+are the same truncated-generator exponentials as the complex forms, while
+expm and expm_multiply see only a real matrix, which costs far less to
+exponentiate than a complex one of the same size.
+
 interference_gadget applies the pickoff gadget to a dense 4-mode state.  It
 is the test oracle for measure.l_intf, which reads the same circuit out from
 single-mode marginals through two cached gathers over the same sectors and
@@ -165,25 +176,28 @@ def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockS
     arr = arr.reshape(da, db, -1)
     out = np.empty_like(arr)
     for total in range(da + db - 1):
-        js, lam, vec = _bs_sector(da, db, total)
+        js, unitary = _bs_sector_unitary(da, db, total, theta)
         ks = total - js
-        if lam is None:
+        if js.size == 1:
             out[js, ks, :] = arr[js, ks, :]
         else:
-            unitary = (vec * np.exp(1j * theta * lam)) @ vec.T
             out[js, ks, :] = unitary @ arr[js, ks, :]
     out = np.moveaxis(out.reshape((da, db) + rest), (0, 1), (mode_a, mode_b))
     return FockState(state.layout, out.reshape(-1), state.leakage)
 
 
-def _apply_mode_generator(state: FockState, mode: int, build, what: str) -> FockState:
-    """Exponentiate a single-mode generator and apply it along one axis.
+def _apply_mode_generator(state: FockState, mode: int, phi: float, build, what: str) -> FockState:
+    """Apply R(phi) exp(G) R(-phi) along one axis, with G = build(a) real.
 
-    ``build(a)`` returns the anti-Hermitian generator in terms of the mode's
-    d x d lowering operator a.  Up to _DENSE_EXPM_MAX, a is a dense array and
-    the generator goes through dense scaling-and-squaring; above it, a is a
-    sparse CSR matrix, so the generator is built sparse (never as dense
-    d x d products) and applied with expm_multiply.
+    R(phi) = diag(e^{i phi n}) rotates the phase out of the generator:
+    R(phi) a R(-phi) = e^{-i phi} a holds on the truncated space too, so
+    D(alpha) and S(xi) are the same truncated-generator exponentials with a
+    real anti-symmetric G, and expm never sees a complex matrix.
+    ``build(a)`` returns G in terms of the mode's d x d lowering operator a.
+    Up to _DENSE_EXPM_MAX, a is a dense array, G goes through dense
+    scaling-and-squaring and the phases are folded into the d x d result;
+    above it, a is a sparse CSR matrix, so G is built sparse (never as dense
+    d x d products) and applied to the rotated block with expm_multiply.
     """
     state.layout._check_mode(mode)
     d = state.layout.dims[mode]
@@ -191,11 +205,13 @@ def _apply_mode_generator(state: FockState, mode: int, build, what: str) -> Fock
     shape = arr.shape
     block = arr.reshape(d, -1)
     ladder = np.sqrt(np.arange(1.0, d))
+    ph = np.exp(1j * phi * np.arange(d))
     if d <= _DENSE_EXPM_MAX:
-        block = scipy.linalg.expm(build(np.diag(ladder, 1))) @ block
+        unitary = scipy.linalg.expm(build(np.diag(ladder, 1)))
+        block = (ph[:, None] * unitary * ph.conj()) @ block
     else:
-        gen = build(scipy.sparse.diags(ladder, 1, format="csr"))
-        block = expm_multiply(scipy.sparse.csr_matrix(gen), block)
+        gen = scipy.sparse.csr_matrix(build(scipy.sparse.diags(ladder, 1, format="csr")))
+        block = ph[:, None] * expm_multiply(gen, ph.conj()[:, None] * block)
     out = np.moveaxis(block.reshape(shape), 0, mode)
     result = FockState(state.layout, out.reshape(-1), state.leakage)
     _warn_leak(result.guard_band_mass(), what)
@@ -203,28 +219,38 @@ def _apply_mode_generator(state: FockState, mode: int, build, what: str) -> Fock
 
 
 def displace(state: FockState, mode: int, alpha: complex) -> FockState:
-    """Apply D(alpha) = exp(alpha a+ - conj(alpha) a) to one mode."""
+    """Apply D(alpha) = exp(alpha a+ - conj(alpha) a) to one mode.
+
+    Computed as R(arg alpha) exp(|alpha| (a+ - a)) R(-arg alpha).
+    """
     alpha = complex(alpha)
     if alpha == 0:
         return state
+    mag = abs(alpha)
 
     def build(a):
-        return alpha * a.conj().T - np.conj(alpha) * a
+        return mag * (a.T - a)
 
-    return _apply_mode_generator(state, mode, build, f"displace(alpha={alpha:.4g})")
+    what = f"displace(alpha={alpha:.4g})"
+    return _apply_mode_generator(state, mode, cmath.phase(alpha), build, what)
 
 
 def squeeze_op(state: FockState, mode: int, squeeze: Squeeze) -> FockState:
-    """Apply S(xi) = exp((conj(xi) a^2 - xi a+^2)/2) to one mode."""
+    """Apply S(xi) = exp((conj(xi) a^2 - xi a+^2)/2) to one mode.
+
+    Computed as R(theta/2) exp((r/2)(a^2 - a+^2)) R(-theta/2) for
+    xi = r e^{i theta}.
+    """
     if squeeze.r == 0.0:
         return state
-    xi = squeeze.r * cmath.exp(1j * squeeze.theta)
+    r = squeeze.r
 
     def build(a):
-        ad = a.conj().T
-        return (np.conj(xi) * (a @ a) - xi * (ad @ ad)) / 2
+        a2 = a @ a
+        return (r / 2) * (a2 - a2.T)
 
-    return _apply_mode_generator(state, mode, build, f"squeeze_op(r={squeeze.r:.4g})")
+    what = f"squeeze_op(r={r:.4g})"
+    return _apply_mode_generator(state, mode, squeeze.theta / 2, build, what)
 
 
 def apply_element(state: FockState, element) -> FockState:

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dipnesim import circuits
 from dipnesim.circuits import (
     GadgetSpec,
     _bs_number_readout,
@@ -218,6 +219,58 @@ class TestDisplaceSqueeze:
             gen = (np.conj(xi) * (a @ a) - xi * (ad @ ad)) / 2
         want = scipy.linalg.expm(gen) @ psi.amplitudes
         np.testing.assert_allclose(got.amplitudes, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
+    @pytest.mark.parametrize("cutoff", [1, 2, 30, 60, 120, 399, 400])
+    def test_matches_unrotated_complex_generator(self, cutoff):
+        # oracle: dense expm of the complex generator, with no phase rotated
+        # out; d = 400 is the last dense dimension and d = 401 the first sparse
+        a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+        ad = a.conj().T
+        psi = squeezed_coherent(0.6 - 0.3j, Squeeze(0.2, 0.9), cutoff)
+        for alpha in (0.7 + 0.4j, -0.5 + 0.9j, -0.8 - 0.3j, 0.2 - 1.1j):
+            want = scipy.linalg.expm(alpha * ad - np.conj(alpha) * a) @ psi.amplitudes
+            got = displace(psi, 0, alpha)
+            np.testing.assert_allclose(got.amplitudes, want, rtol=0, atol=1e-13)
+        for theta in (0.3, 1.9, 3.5, 5.6):
+            xi = 0.35 * cmath.exp(1j * theta)
+            gen = (np.conj(xi) * (a @ a) - xi * (ad @ ad)) / 2
+            want = scipy.linalg.expm(gen) @ psi.amplitudes
+            got = squeeze_op(psi, 0, Squeeze(0.35, theta))
+            np.testing.assert_allclose(got.amplitudes, want, rtol=0, atol=1e-13)
+
+    def test_displace_tail_relative_accuracy(self):
+        # amplitudes near n = 60 are ~1e-47, so an operator with an absolute
+        # error floor (an eigenbasis expm, say) is off by orders of magnitude
+        alpha = 0.8 * cmath.exp(2.1j)
+        got = displace(vacuum_state(ModeLayout((120,))), 0, alpha).amplitudes[:61]
+        want = coherent(alpha, 120).amplitudes[:61]
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+
+    def test_squeeze_tail_relative_accuracy(self):
+        squeeze = Squeeze(0.4, 0.9)
+        got = squeeze_op(vacuum_state(ModeLayout((120,))), 0, squeeze).amplitudes[:61:2]
+        want = squeezed_vacuum(squeeze, 120).amplitudes[:61:2]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("cutoff", [60, 449])
+    def test_exponentials_see_real_generators(self, cutoff, monkeypatch):
+        # the phase stays out of the generator, so no complex matrix is exponentiated
+        seen = []
+
+        def spy(fn):
+            def wrapped(gen, *args, **kwargs):
+                seen.append(gen.dtype)
+                return fn(gen, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(circuits.scipy.linalg, "expm", spy(scipy.linalg.expm))
+        monkeypatch.setattr(circuits, "expm_multiply", spy(circuits.expm_multiply))
+        psi = coherent(0.5, cutoff)
+        squeeze_op(displace(psi, 0, -0.3 + 0.8j), 0, Squeeze(0.3, 2.2))
+        assert len(seen) == 2
+        assert not any(np.issubdtype(dtype, np.complexfloating) for dtype in seen)
 
 
 class TestTranslations:
