@@ -1,4 +1,4 @@
-"""Unitary circuit elements and composite gadgets on truncated Fock states.
+"""Unitary circuit elements on truncated Fock states.
 
 Beamsplitter convention, fixed across the library: reflection picks up +i,
 transmission is unchanged, so coherent amplitudes map as
@@ -24,11 +24,11 @@ are the same truncated-generator exponentials as the complex forms, while
 expm and expm_multiply see only a real matrix, which costs far less to
 exponentiate than a complex one of the same size.
 
-interference_gadget applies the pickoff gadget to a dense 4-mode state.  It
-is the test oracle for measure.l_intf, which reads the same circuit out from
-single-mode marginals through two cached gathers over the same sectors and
-truncated unitaries: _bs_vacuum_split (a split against vacuum) and
-_bs_number_readout (the exit photon number in the Heisenberg picture).
+GadgetSpec holds the pickoff gadget's parameters.  measure.l_intf reads that
+circuit out from single-mode marginals through two cached gathers over the
+same sectors and truncated unitaries as beamsplit: _bs_vacuum_split (a split
+against vacuum) and _bs_number_readout (the exit photon number in the
+Heisenberg picture).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from .fock import FockState, _warn_leak, marginal_number_distribution, tensor
+from .fock import FockState, _warn_leak
 from .states import Squeeze
 
 # above this per-mode dimension, dense expm of the mode operator is replaced
@@ -65,16 +65,11 @@ class GadgetSpec:
     theta_split: float
     theta_interfere: float
     pi_shift: bool = False
-    erasure_modes: tuple[int, int] = (2, 3)
 
     def __post_init__(self):
         for name, th in (("theta_split", self.theta_split), ("theta_interfere", self.theta_interfere)):
             if not 0.0 <= th < math.pi / 2:
                 raise ValueError(f"{name} must satisfy 0 <= angle < pi/2, got {th}")
-        e = tuple(int(m) for m in self.erasure_modes)
-        if len(e) != 2 or len(set(e)) != 2 or not all(0 <= m < 4 for m in e):
-            raise ValueError(f"erasure_modes must be two distinct indices in 0..3, got {e}")
-        object.__setattr__(self, "erasure_modes", e)
 
 
 def phase_shift(state: FockState, mode: int, phi: float) -> FockState:
@@ -281,62 +276,3 @@ def phase_to_dide(state: FockState, measured_mode: int = 0, lo_mode: int = 1) ->
     """
     out = beamsplit(state, measured_mode, lo_mode, math.pi / 4)
     return phase_shift(out, measured_mode, -math.pi / 2)
-
-
-def dide_to_phase(state: FockState, mode_a: int = 0, mode_b: int = 1) -> FockState:
-    """Inverse of phase_to_dide: +i phase shift on mode_a, then 50:50 beamsplit.
-
-    The beamsplitter runs at -pi/4 so that the composition with phase_to_dide
-    is the exact identity on the truncated space.
-    """
-    out = phase_shift(state, mode_a, math.pi / 2)
-    return beamsplit(out, mode_a, mode_b, -math.pi / 4)
-
-
-def _require_vacuum(state: FockState, mode: int) -> None:
-    dist = marginal_number_distribution(state, mode, _allow_unnormalized=True)
-    occupied = float(dist[1:].sum())
-    if occupied > 1e-10:
-        raise ValueError(f"erasure mode {mode} must start in vacuum, P(n>0) = {occupied:.6g}")
-
-
-def interference_gadget(state: FockState, spec: GadgetSpec) -> FockState:
-    """Symmetric pickoff-and-interfere circuit over four modes.
-
-    The two modes not listed in spec.erasure_modes are the system modes.
-    Each system mode is split at theta_split into its erasure mode, the
-    picked-off light optionally gets a pi phase, then each erasure mode is
-    recombined with the opposite system mode at theta_interfere.  All four
-    modes are kept so exit photon counts can be read off exactly.
-    """
-    if state.layout.n_modes != 4:
-        raise ValueError(f"gadget expects 4 modes, got {state.layout.n_modes}")
-    e0, e1 = spec.erasure_modes
-    s0, s1 = (m for m in range(4) if m not in spec.erasure_modes)
-    _require_vacuum(state, e0)
-    _require_vacuum(state, e1)
-    out = beamsplit(state, s0, e0, spec.theta_split)
-    out = beamsplit(out, s1, e1, spec.theta_split)
-    if spec.pi_shift:
-        out = phase_shift(out, e0, math.pi)
-        out = phase_shift(out, e1, math.pi)
-    out = beamsplit(out, s1, e0, spec.theta_interfere)
-    out = beamsplit(out, s0, e1, spec.theta_interfere)
-    return out
-
-
-def inject(system_state: FockState, prepared_state: FockState, theta_inject: float) -> FockState:
-    """Beamsplit each prepared mode into its matching system mode.
-
-    Returns the joint state with system modes first; theta_inject = pi/2
-    swaps the registers (up to reflection phases).
-    """
-    n = system_state.layout.n_modes
-    if prepared_state.layout.n_modes != n:
-        raise ValueError(
-            f"mode-count mismatch: system has {n}, prepared has {prepared_state.layout.n_modes}"
-        )
-    out = tensor(system_state, prepared_state)
-    for i in range(n):
-        out = beamsplit(out, i, n + i, theta_inject)
-    return out

@@ -2,8 +2,9 @@
 
     dipne-sim <experiment> [--config FILE] [--out FILE] [--json] [--key value ...]
 
-Exit codes: 0 success, 2 config error, 3 oracle-check tolerance breach,
-4 numerical failure (LinAlgError, FloatingPointError or MemoryError).
+Exit codes: 0 success, 2 config error or unwritable --out file,
+3 oracle-check tolerance breach, 4 numerical failure (LinAlgError,
+FloatingPointError or MemoryError).
 """
 
 from __future__ import annotations
@@ -58,6 +59,12 @@ def main(argv: list[str] | None = None) -> int:
         params.update(_pair_overrides(extra))
         config = make_config(args.experiment, params)
         table = run_experiment(config)
+        text = table.to_json() if args.json else table.to_csv()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     # before ValueError, which LinAlgError subclasses
     except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -65,13 +72,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    text = table.to_json() if args.json else table.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
     if args.experiment == "oracle-check":
         try:

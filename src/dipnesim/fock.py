@@ -1,12 +1,12 @@
-"""Truncated multimode Fock spaces: layouts, state vectors, ladder operators.
+"""Truncated multimode Fock spaces: layouts, state vectors, the annihilation operator.
 
 A mode with cutoff c holds occupations 0..c inclusive (dimension c+1).  Joint
 states are dense complex vectors over the mixed-radix basis with the LAST mode
 varying fastest (C order), so ``amplitudes.reshape(layout.dims)`` gives one
 axis per mode.
 
-Truncation bookkeeping: constructors and creation operators record probability
-dropped against a cutoff in ``FockState.leakage``; the guard-band diagnostic
+Truncation bookkeeping: constructors record probability dropped against a
+cutoff in ``FockState.leakage``; the guard-band diagnostic
 (`FockState.guard_band_mass`) measures how much probability sits in the top
 GUARD_BAND levels of any mode.  Operations emit a `LeakageWarning` when either
 exceeds LEAK_THRESHOLD, and production sweeps assert low guard mass.
@@ -20,8 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Joint dimensions above this will not fit in memory as dense vectors.
-MAX_JOINT_DIM = 200_000_000
+# Largest joint dimension, in amplitudes: 2**25 complex128 amplitudes are
+# 512 MiB per vector, and displace, squeeze_op and beamsplit hold up to about
+# 2.5 more vectors of temporaries, so a larger layout would risk an
+# out-of-memory kill where a ValueError belongs.
+MAX_JOINT_DIM = 2**25
 GUARD_BAND = 2
 LEAK_THRESHOLD = 1e-8
 
@@ -45,8 +48,8 @@ class ModeLayout:
         object.__setattr__(self, "cutoffs", cuts)
         if self.dim > MAX_JOINT_DIM:
             raise ValueError(
-                f"joint dimension {self.dim} exceeds MAX_JOINT_DIM={MAX_JOINT_DIM}; "
-                "reduce cutoffs or mode count"
+                f"cutoffs {cuts} give joint dimension {self.dim}, above "
+                f"MAX_JOINT_DIM={MAX_JOINT_DIM} amplitudes; reduce cutoffs or mode count"
             )
 
     @property
@@ -72,23 +75,6 @@ class ModeLayout:
                 raise ValueError(f"occupation {n} outside 0..{c}")
             idx = idx * (c + 1) + n
         return idx
-
-    def occupation(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple at a basis index."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside 0..{self.dim - 1}")
-        occ = []
-        for d in reversed(self.dims):
-            index, n = divmod(index, d)
-            occ.append(n)
-        return tuple(reversed(occ))
-
-    def drop(self, mode: int) -> "ModeLayout":
-        """Layout with one mode removed (used after a number measurement)."""
-        self._check_mode(mode)
-        if self.n_modes == 1:
-            raise ValueError("cannot drop the only mode of a layout")
-        return ModeLayout(self.cutoffs[:mode] + self.cutoffs[mode + 1 :])
 
     def _check_mode(self, mode: int) -> None:
         if not 0 <= mode < self.n_modes:
@@ -183,31 +169,6 @@ def apply_annihilation(state: FockState, mode: int) -> FockState:
     dst[mode] = slice(0, d - 1)
     out[tuple(dst)] = nd[tuple(src)] * weights.reshape(shape)
     return FockState(state.layout, out.reshape(-1), state.leakage)
-
-
-def apply_creation(state: FockState, mode: int) -> FockState:
-    """Apply the creation operator to one mode.  Does not renormalize.
-
-    The contribution that would exceed the cutoff is dropped and added to the
-    returned state's leakage (weight (c+1)|c_top|^2 for each top-level entry).
-    """
-    state.layout._check_mode(mode)
-    nd = state.nd
-    d = state.layout.dims[mode]
-    out = np.zeros_like(nd)
-    weights = np.sqrt(np.arange(1, d))
-    shape = [1] * nd.ndim
-    shape[mode] = d - 1
-    src = [slice(None)] * nd.ndim
-    dst = [slice(None)] * nd.ndim
-    src[mode] = slice(0, d - 1)
-    dst[mode] = slice(1, d)
-    out[tuple(dst)] = nd[tuple(src)] * weights.reshape(shape)
-    top = [slice(None)] * nd.ndim
-    top[mode] = slice(d - 1, d)
-    dropped = float(d * np.sum(np.abs(nd[tuple(top)]) ** 2))
-    _warn_leak(dropped, "apply_creation")
-    return FockState(state.layout, out.reshape(-1), state.leakage + dropped)
 
 
 def inner(a: FockState, b: FockState) -> complex:

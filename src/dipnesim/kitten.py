@@ -4,8 +4,8 @@ A weak beamsplitter (subtraction angle theta_sub) taps a squeezed-vacuum
 mode; counting k photons in the tap heralds a kitten state in the kept
 mode.  Everything here works in log space on the closed-form amplitudes,
 so the infinite-squeezing limit and four-digit cutoffs are cheap.  The
-two-mode simulation of the same circuit lives in kitten_by_subtraction
-and is used as a cross-check.
+two-mode simulation of the same circuit, kitten_by_subtraction in
+tests/oracles.py, is the cross-check.
 """
 
 from __future__ import annotations
@@ -17,16 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .circuits import beamsplit
-from .fock import FockState, LeakageWarning, ModeLayout, tensor, vacuum_state
-from .measure import measure_count
-from .states import (
-    Squeeze,
-    infinite_squeeze_log_even,
-    r_from_squeeze_photons,
-    squeezed_vacuum,
-    squeezed_vacuum_log_even,
-)
+from .fock import FockState, LeakageWarning, ModeLayout, vacuum_state
+from .states import infinite_squeeze_log_even, r_from_squeeze_photons, squeezed_vacuum_log_even
 
 # Extra levels kept beyond the cutoff when summing the amplitude tail.
 TAIL_WINDOW = 600
@@ -149,7 +141,7 @@ def kitten_direct(spec: KittenSpec) -> KittenState:
         )
 
     # renormalize within the cutoff: the kitten is a conditional state,
-    # same convention as measure_count posts; the cut mass goes to leakage
+    # so post-selection renormalizes; the cut mass goes to leakage
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[j[inside]] = np.sqrt(w[inside] / w[inside].sum())
     mean = float((j * w).sum() / w.sum())
@@ -202,43 +194,3 @@ def displacement_estimate(k: int, theta_sub: float) -> float:
     """Coherent displacement whose photon number sits at the envelope
     peak: sqrt(peak_estimate)."""
     return math.sqrt(peak_estimate(k, theta_sub))
-
-
-def kitten_by_subtraction(spec: KittenSpec, pickoff_cutoff: int | None = None) -> KittenState:
-    """Two-mode simulation of the subtraction circuit.
-
-    Squeezed vacuum meets vacuum on a theta_sub beamsplitter; the tap
-    mode is measured at k.  Exists as an independent cross-check of
-    kitten_direct; requires finite squeezing.  The source cutoff is
-    spec.cutoff + k, which is exact: a (n, 0) input only reaches kept
-    levels at or below n - k after a k count.  The pickoff matches it by
-    default so no photon-number sector is clipped.
-    """
-    if spec.infinite:
-        raise ValueError("two-mode simulation needs finite squeezing")
-    if spec.squeeze_photons == 0.0:
-        return kitten_direct(spec)
-    if pickoff_cutoff is None:
-        pickoff_cutoff = spec.cutoff + spec.k
-    r = r_from_squeeze_photons(spec.squeeze_photons)
-    # source truncation above cutoff + k cannot reach the kept window
-    # after a k count, so the leak warning would be noise here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakageWarning)
-        source = squeezed_vacuum(Squeeze(r, math.pi), spec.cutoff + spec.k)
-    joint = tensor(source, vacuum_state(ModeLayout((pickoff_cutoff,))))
-    out = beamsplit(joint, 0, 1, spec.theta_sub)
-    res = measure_count(out, 1, spec.k)
-    kept = res.post_state
-    # strip the herald's global i^k so amplitudes are real and positive
-    # like kitten_direct's, then drop the k guard levels
-    amps = kept.nd * (-1j) ** spec.k
-    layout = ModeLayout((spec.cutoff,))
-    head = amps[: layout.dim].copy()
-    tail = float(np.sum(np.abs(amps[layout.dim:]) ** 2))
-    head /= math.sqrt(1.0 - tail) if tail < 1.0 else 1.0
-    levels = np.arange(layout.dim)
-    mean = float(np.sum(levels * np.abs(head) ** 2))
-    return KittenState(
-        FockState(layout, head, leakage=tail), res.probability, mean
-    )

@@ -198,45 +198,14 @@ def squeezed_coherent(alpha, squeeze: Squeeze, layout) -> FockState:
     return _finish(amps, layout, f"squeezed_coherent(alpha={a:.4g}, r={squeeze.r:.4g})")
 
 
-@dataclass(frozen=True)
-class LogCoeffs:
-    """Amplitude sequence stored as log magnitude plus phase.
-
-    Used for the infinite-squeezing limit, where the sequence is not
-    square-summable: downstream weights must supply convergence before any
-    normalization makes sense.
-    """
-
-    occupations: np.ndarray
-    log_magnitude: np.ndarray
-    phase: np.ndarray
-
-    def normalize(self):
-        raise ValueError(
-            "infinite-squeezing coefficients are not square-summable; "
-            "apply convergent prefactors before normalizing"
-        )
-
-
 def infinite_squeeze_log_even(m: np.ndarray) -> np.ndarray:
     """log |C_{2m}| = log(sqrt((2m)!) / (2^m m!)) of the infinite-squeezing
-    limit, up to its overall scale, for an array of m."""
-    return 0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1)
+    limit, up to its overall scale, for an array of m.
 
-
-def infinite_squeeze_limit_coeffs(max_m: int, theta: float = 0.0) -> LogCoeffs:
-    """Limit of squeezed-vacuum amplitudes as r grows, up to overall scale.
-
-    C_{2m} is proportional to (-e^{i theta})^m sqrt((2m)!) / (2^m m!); the
-    ratio |C_{2m+2}/C_{2m}| tends to 1 from below, so the raw sequence cannot
-    be normalized.  Returned on levels 0, 2, ..., 2 max_m.
+    |C_{2m+2}/C_{2m}| tends to 1 from below, so the sequence is not
+    square-summable: callers supply convergent weights before normalizing.
     """
-    if max_m < 0:
-        raise ValueError("max_m must be >= 0")
-    m = np.arange(max_m + 1)
-    logmag = infinite_squeeze_log_even(m)
-    phase = ((m % 2) * math.pi + (theta % TWO_PI) * m) % TWO_PI
-    return LogCoeffs(occupations=2 * m, log_magnitude=logmag, phase=phase)
+    return 0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1)
 
 
 def _unit_phase(phi: float) -> complex:

@@ -148,7 +148,8 @@ class TestInterferenceRun:
         assert max(table.column("abs_error")) < 1e-10
 
     def test_cutoff_120_matches_theory(self):
-        # 121^4 amplitudes would exceed MAX_JOINT_DIM as one gadget state
+        # l_intf reads the gadget out from two-mode marginals, so no
+        # 121^4-amplitude state (above MAX_JOINT_DIM) is ever built
         cfg = make_config(
             "interference",
             {"fraction_count": 3, "cutoff": 120, "family": "photon-both"},
@@ -391,6 +392,13 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert target.read_text(encoding="utf-8").startswith("# experiment")
+
+    def test_unwritable_out_exit(self, tmp_path, capsys):
+        code = main(["gaussdrive", "--r_steps", "2", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "missing" in captured.err
 
     def test_config_error_exit(self, capsys):
         code = main(["kitten", "--no_such_key", "1"])

@@ -1,7 +1,8 @@
 """Tests for the heralded-kitten module.
 
 The closed-form builder is checked against the two-mode beamsplitter
-simulation (independent code path through circuits/measure), against
+simulation (tests/oracles.py: an independent code path through
+circuits.beamsplit and number post-selection), against
 the k = 0 analytic reduction, and against completeness of the herald
 distribution.
 """
@@ -12,11 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import kitten_by_subtraction
+
 from dipnesim.fock import LeakageWarning
 from dipnesim.kitten import (
     KittenSpec,
     displacement_estimate,
-    kitten_by_subtraction,
     kitten_direct,
     kitten_probability,
     peak_estimate,
