@@ -2,14 +2,16 @@
 
     dipne-sim <experiment> [--config FILE] [--out FILE] [--json] [--key value ...]
 
-Exit codes: 0 success, 2 config error or unwritable --out file,
-3 oracle-check tolerance breach, 4 numerical failure (LinAlgError,
-FloatingPointError or MemoryError).
+Exit codes: 0 success, 2 config error or unwritable --out file (opened
+before the run, and replaced only once the table is ready), 3 oracle-check
+tolerance breach, 4 numerical failure (LinAlgError, FloatingPointError or
+MemoryError).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -58,13 +60,19 @@ def main(argv: list[str] | None = None) -> int:
             params.update(read_config_file(args.config))
         params.update(_pair_overrides(extra))
         config = make_config(args.experiment, params)
-        table = run_experiment(config)
-        text = table.to_json() if args.json else table.to_csv()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        # open --out before the run, so an unwritable path fails fast; append
+        # mode leaves an existing file as it is until the table is ready
+        sink = (
+            open(args.out, "a", encoding="utf-8", newline="")
+            if args.out
+            else contextlib.nullcontext(sys.stdout)
+        )
+        with sink as fh:
+            table = run_experiment(config)
+            text = table.to_json() if args.json else table.to_csv()
+            if args.out:
+                fh.truncate(0)
+            fh.write(text)
     # before ValueError, which LinAlgError subclasses
     except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

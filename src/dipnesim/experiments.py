@@ -26,7 +26,7 @@ from .analytics import (
     squeeze_to_match,
     vacuum_moments,
 )
-from .catfit import CatFitResult, fit_squeezed_cat
+from .catfit import CatFitResult, fit_squeezed_cats
 from .circuits import (
     GadgetSpec,
     apply_element,
@@ -389,25 +389,27 @@ def _check_kitten_cutoff(config: ExperimentConfig, sweep: list[float]) -> None:
 
 
 def _kitten_table(config: ExperimentConfig, columns: tuple[str, ...], project) -> ResultTable:
-    """Herald and fit each (squeeze_photons, k) point of the sweep; the
-    row is the point followed by ``project(k, kitten, fit)``.  At zero
-    squeezing there is nothing to herald or fit, and both are None."""
+    """Herald each (squeeze_photons, k) point of the sweep, then fit them
+    all in one lockstep call; the row is the point followed by
+    ``project(k, kitten, fit)``.  At zero squeezing there is nothing to
+    herald or fit, and both are None."""
     sweep = _squeeze_sweep(config)
     _check_kitten_cutoff(config, sweep)
     theta, cutoff = config["theta_sub"], config["cutoff"]
 
-    rows = []
-    max_leak = 0.0
-    for photons in sweep:
-        for k in config["k_list"]:
-            kit = fit = None
-            if photons != 0.0:
-                kit = kitten_direct(KittenSpec(photons, theta, k, cutoff))
-                max_leak = max(max_leak, kit.state.leakage)
-                fit = fit_squeezed_cat(kit)
-            rows.append((photons, k) + project(k, kit, fit))
+    points = [(photons, k) for photons in sweep for k in config["k_list"]]
+    kits = [
+        kitten_direct(KittenSpec(photons, theta, k, cutoff)) if photons != 0.0 else None
+        for photons, k in points
+    ]
+    fits = iter(fit_squeezed_cats([kit for kit in kits if kit is not None]))
+    rows = [
+        (photons, k) + project(k, kit, None if kit is None else next(fits))
+        for (photons, k), kit in zip(points, kits)
+    ]
 
     rows.sort(key=lambda r: (r[0], r[1]))
+    max_leak = max((kit.state.leakage for kit in kits if kit is not None), default=0.0)
     extras = [("max_leakage", _fmt(max_leak))]
     return ResultTable(
         columns=("squeeze_photons", "k") + columns,
@@ -526,7 +528,7 @@ def run_match(config: ExperimentConfig) -> ResultTable:
     photons = config["squeeze_photons"]
     ks = sorted(set(config["source_k"]) | set(config["target_k"]))
     kits = {k: kitten_direct(KittenSpec(photons, theta, k, cutoff)) for k in ks}
-    alphas = {k: fit_squeezed_cat(kits[k]).alpha for k in ks}
+    alphas = {k: fit.alpha for k, fit in zip(ks, fit_squeezed_cats([kits[k] for k in ks]))}
     max_leak = max(kits[k].state.leakage for k in ks)
 
     rows = []

@@ -172,10 +172,14 @@ def apply_annihilation(state: FockState, mode: int) -> FockState:
 
 
 def inner(a: FockState, b: FockState) -> complex:
-    """Inner product <a|b>, conjugate-linear in the first argument."""
+    """Inner product <a|b>, conjugate-linear in the first argument.
+
+    Summed by einsum, not BLAS: a threaded vdot splits the sum by thread
+    count, so results would depend on OPENBLAS_NUM_THREADS.
+    """
     if a.layout != b.layout:
         raise ValueError("inner product requires identical layouts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return complex(np.einsum("i,i->", a.amplitudes.conj(), b.amplitudes))
 
 
 def fidelity(a: FockState, b: FockState) -> float:

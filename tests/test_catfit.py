@@ -7,6 +7,7 @@ and determinism are exact assertions.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,17 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipnesim.catfit import (
+    GRID_POINTS,
     S_TOLERANCE,
     CatFitResult,
     _budget_split,
     _family_fidelities,
     _parity_phase,
+    _require_nondegenerate,
     _unwrap,
     fit_squeezed_cat,
+    fit_squeezed_cats,
 )
+from dipnesim.experiments import make_config, run_experiment
 from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, inner, vacuum_state
 from dipnesim.kitten import KittenSpec, KittenState, kitten_direct
-from dipnesim.states import CatSpec, Displacement, Squeeze, cat_state
+from dipnesim.states import CatSpec, Displacement, Squeeze, _checked_norm_squared, cat_state
 
 THETA = math.pi / 5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -267,6 +272,99 @@ class TestSerialOracle:
         target, total = _unwrap(kit)
         phi = _parity_phase(target)
         grid = np.linspace(0.0, 1.0, 64)
-        got = _family_fidelities(target, total, phi, grid)
+        got = _family_fidelities([target], [total], [phi], grid[None])[0]
         want = [serial_family_fidelity(target, total, phi, float(s)) for s in grid]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def hexes(fit: CatFitResult) -> list[str]:
+    return [v.hex() for v in dataclasses.astuple(fit)]
+
+
+class TestLockstep:
+    """A lockstep fit of many kittens against one fit per kitten."""
+
+    def test_matches_single_fits_bit_for_bit(self):
+        kits = [
+            kitten_direct(KittenSpec(photons, THETA, k, cutoff))
+            for photons, k, cutoff in [
+                (1.0, 0, 140), (10.0, 1, 300), (20.0, 3, 1000), (4.0, 2, 140),
+                (10.0, 9, 300), (1.0, 1, 60), (20.0, 0, 1000), (7.5, 4, 200),
+            ]
+        ]
+        rotated = FockState(kits[3].state.layout, kits[3].state.amplitudes * np.exp(0.7j))
+        targets = kits + [member(*FAMILY_MEMBERS[1]), rotated]
+        lockstep = fit_squeezed_cats(targets)
+        assert len(lockstep) == len(targets)
+        for got, target in zip(lockstep, targets):
+            assert hexes(got) == hexes(fit_squeezed_cat(target))
+
+    def test_empty_batch(self):
+        assert fit_squeezed_cats([]) == []
+
+    def test_sweep_with_zero_photon_points_matches_single_fits(self):
+        # the zero-squeezing points herald nothing and are fitted by no one;
+        # every other row must carry its own kitten's fit
+        cfg = make_config(
+            "catfit",
+            {"squeeze_min": 2, "squeeze_max": 6, "squeeze_steps": 3,
+             "k_list": "0,1,2,5", "cutoff": 150},
+        )
+        table = run_experiment(cfg)
+        assert len(table.rows) == 12
+        kitten_table = run_experiment(
+            make_config(
+                "kitten",
+                {"squeeze_min": 0, "squeeze_max": 6, "squeeze_steps": 4,
+                 "k_list": "0,1,2,5", "cutoff": 150},
+            )
+        )
+        kitten_rows = {(r[0], r[1]): r for r in kitten_table.rows}
+        for row in table.rows:
+            photons, k = row[0], row[1]
+            fit = fit_squeezed_cat(kitten_direct(KittenSpec(photons, THETA, k, 150)))
+            assert row[2:] == (
+                fit.fidelity, fit.plain_cat_fidelity, fit.squeeze_fraction,
+                fit.alpha, fit.r, fit.phi,
+            )
+            assert kitten_rows[(photons, k)][4:] == (
+                fit.infidelity, 1.0 - fit.plain_cat_fidelity, fit.squeeze_fraction,
+            )
+        assert kitten_rows[(0.0, 0)][2] == 1.0
+        assert math.isnan(kitten_rows[(0.0, 5)][4])
+
+    def test_memory_grows_with_rows_not_rows_times_dim(self):
+        kits = [
+            kitten_direct(KittenSpec(1.0 + 0.5 * i, THETA, 1 + i % 9, 1000))
+            for i in range(100)
+        ]
+        stored_bytes = len(kits) * GRID_POINTS * kits[0].state.layout.dim * 16
+        assert stored_bytes > 100e6
+        tracemalloc.start()
+        try:
+            fits = fit_squeezed_cats(kits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fits) == 100
+        assert peak < 16e6
+
+    def test_underflow_names_failing_target(self):
+        # the second target's s = 0 candidate, a plain cat of alpha = 40,
+        # starts its recurrence at exp(-800) and underflows
+        cat = cat_state(CatSpec(Displacement(20.0), 0.0, Squeeze(0.05, math.pi)), 2600)
+        good = kitten_direct(KittenSpec(10.0, THETA, 3, 140))
+        with pytest.raises(
+            ValueError, match="squeeze fraction 0 of a 1600-photon budget .* at cutoff 2600"
+        ):
+            fit_squeezed_cats([good, wrap(cat, 1600.0)])
+
+    def test_degenerate_check_text_matches_cat_state(self):
+        spec = CatSpec(Displacement(0.0), math.pi, Squeeze(0.0, math.pi))
+        with pytest.raises(ValueError) as want:
+            _checked_norm_squared(spec)
+        alphas = np.array([[1.0, 0.0], [2.0, 1.5]])
+        with pytest.raises(ValueError) as got:
+            _require_nondegenerate(alphas, np.zeros((2, 2)), np.array([[math.pi], [0.0]]))
+        assert str(got.value) == str(want.value)
+        _require_nondegenerate(alphas, np.zeros((2, 2)), np.array([[0.0], [0.0]]))

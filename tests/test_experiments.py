@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from dipnesim.experiments import (
     read_config_file,
     run_experiment,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestConfig:
@@ -372,6 +378,20 @@ class TestDeterminism:
         assert run_experiment(cfg).to_csv() == run_experiment(cfg).to_csv()
 
 
+class TestThreadIndependence:
+    def test_oracle_check_same_bytes_under_one_blas_thread(self):
+        # threaded BLAS reductions split their sums by thread count; the
+        # table must not depend on it
+        argv = [sys.executable, "-m", "dipnesim.cli", "oracle-check", "--seed", "7", "--circuits", "42"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        default = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        single = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        assert default and default == single
+
+
 class TestCli:
     def test_csv_to_stdout(self, capsys):
         code = main(["gaussdrive", "--r_steps", "2"])
@@ -399,6 +419,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "missing" in captured.err
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("run_experiment called before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        code = main(["match", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert "missing" in capsys.readouterr().err
+
+    def test_failed_run_keeps_existing_out(self, tmp_path, monkeypatch, capsys):
+        def fail(config):
+            raise ValueError("bad run")
+
+        target = tmp_path / "table.csv"
+        target.write_text("previous table\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        code = main(["gaussdrive", "--r_steps", "2", "--out", str(target)])
+        assert code == 2
+        assert target.read_text(encoding="utf-8") == "previous table\n"
+
+    def test_out_file_replaces_existing(self, tmp_path, capsys):
+        target = tmp_path / "table.csv"
+        target.write_text("x" * 100000, encoding="utf-8")
+        assert main(["gaussdrive", "--r_steps", "2", "--out", str(target)]) == 0
+        main(["gaussdrive", "--r_steps", "2"])
+        assert target.read_text(encoding="utf-8") == capsys.readouterr().out
 
     def test_config_error_exit(self, capsys):
         code = main(["kitten", "--no_such_key", "1"])
