@@ -11,7 +11,12 @@ B(theta) = exp(i theta (a+ b + a b+)).  It commutes with total photon number,
 so the unitary is applied sector by sector; each sector generator is a real
 symmetric tridiagonal matrix, and clipped sectors (where a cutoff truncates
 the sector) are exponentiated after clipping, which keeps every element
-exactly unitary on the truncated space.
+exactly unitary on the truncated space.  beamsplit never forms the sector
+unitary U_N: it applies U_N = V exp(i theta Lambda) V^T in the cached real
+eigenbasis of each sector, as two real products on the float64 view of the
+sector block, so a new angle costs no eigensolve and no m x m product.
+Those products, and the dense displace/squeeze product below, run in
+scipy's BLAS through _real_matmul, next to expm on the same thread pool.
 
 Displacement and squeezing exponentiate real generators only.  With
 R(phi) = diag(e^{i phi n}), R(phi) a R(-phi) = e^{-i phi} a holds on the
@@ -41,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import expm_multiply
 
 from .fock import FockState, _warn_leak
@@ -100,11 +106,25 @@ def _bs_sector(da: int, db: int, total: int):
 
 
 def _bs_sector_unitary(da: int, db: int, total: int, theta: float):
-    """Mode-a occupations and beamsplit's truncated unitary U_N in one sector."""
+    """Mode-a occupations and beamsplit's truncated unitary U_N in one sector.
+
+    Only the cached gathers use it; beamsplit applies U_N in the eigenbasis.
+    """
     js, lam, vec = _bs_sector(da, db, total)
     if lam is None:
         return js, np.ones((1, 1), dtype=np.complex128)
     return js, (vec * np.exp(1j * theta * lam)) @ vec.T
+
+
+def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a real m and a C-ordered complex x, as one real gemm on x's float64 view.
+
+    The gemm runs in scipy's BLAS, the same OpenBLAS that scipy.linalg.expm
+    uses: numpy and scipy each load their own OpenBLAS, and calls that
+    alternate between the two thread pools leave each pool's threads
+    spinning against the other's on a small machine.
+    """
+    return dgemm(1.0, x.view(np.float64).T, m.T).T.view(np.complex128)
 
 
 def _frozen(*parts) -> tuple:
@@ -171,12 +191,15 @@ def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockS
     arr = arr.reshape(da, db, -1)
     out = np.empty_like(arr)
     for total in range(da + db - 1):
-        js, unitary = _bs_sector_unitary(da, db, total, theta)
+        js, lam, vec = _bs_sector(da, db, total)
         ks = total - js
-        if js.size == 1:
-            out[js, ks, :] = arr[js, ks, :]
-        else:
-            out[js, ks, :] = unitary @ arr[js, ks, :]
+        block = arr[js, ks, :]
+        if lam is not None:
+            # U_N x = vec (exp(i theta lam) * (vec.T x)), with vec real
+            block = _real_matmul(vec.T, block)
+            block *= np.exp(1j * theta * lam)[:, None]
+            block = _real_matmul(vec, block)
+        out[js, ks, :] = block
     out = np.moveaxis(out.reshape((da, db) + rest), (0, 1), (mode_a, mode_b))
     return FockState(state.layout, out.reshape(-1), state.leakage)
 
@@ -189,24 +212,29 @@ def _apply_mode_generator(state: FockState, mode: int, phi: float, build, what: 
     D(alpha) and S(xi) are the same truncated-generator exponentials with a
     real anti-symmetric G, and expm never sees a complex matrix.
     ``build(a)`` returns G in terms of the mode's d x d lowering operator a.
-    Up to _DENSE_EXPM_MAX, a is a dense array, G goes through dense
-    scaling-and-squaring and the phases are folded into the d x d result;
-    above it, a is a sparse CSR matrix, so G is built sparse (never as dense
-    d x d products) and applied to the rotated block with expm_multiply.
+    The block is rotated by R(-phi) once, in C order, and the result scaled
+    by R(phi) in place.  Up to _DENSE_EXPM_MAX, a is a dense array, G goes
+    through dense scaling-and-squaring and the real exp(G) is applied as one
+    real gemm on the float64 view of the rotated block; above it, a is a
+    sparse CSR matrix, so G is built sparse (never as dense d x d products)
+    and applied to the rotated block with expm_multiply.
     """
     state.layout._check_mode(mode)
     d = state.layout.dims[mode]
     arr = np.moveaxis(state.nd, mode, 0)
     shape = arr.shape
-    block = arr.reshape(d, -1)
     ladder = np.sqrt(np.arange(1.0, d))
-    ph = np.exp(1j * phi * np.arange(d))
+    ph = np.exp(1j * phi * np.arange(d)).reshape((d,) + (1,) * (arr.ndim - 1))
+    # R(-phi) applied while gathering the mode axis to the front, in one pass;
+    # rebinding block frees it as soon as the product exists
+    block = np.multiply(ph.conj(), arr, order="C").reshape(d, -1)
     if d <= _DENSE_EXPM_MAX:
         unitary = scipy.linalg.expm(build(np.diag(ladder, 1)))
-        block = (ph[:, None] * unitary * ph.conj()) @ block
+        block = _real_matmul(unitary, block)
     else:
         gen = scipy.sparse.csr_matrix(build(scipy.sparse.diags(ladder, 1, format="csr")))
-        block = ph[:, None] * expm_multiply(gen, ph.conj()[:, None] * block)
+        block = expm_multiply(gen, block)
+    block *= ph.reshape(d, 1)
     out = np.moveaxis(block.reshape(shape), 0, mode)
     result = FockState(state.layout, out.reshape(-1), state.leakage)
     _warn_leak(result.guard_band_mass(), what)

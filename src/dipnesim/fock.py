@@ -110,7 +110,10 @@ class FockState:
         return self.amplitudes.reshape(self.layout.dims)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        # einsum, not BLAS, for the same reason as inner: a threaded dot
+        # splits the sum by thread count and wakes numpy's OpenBLAS pool
+        flat = self.amplitudes.view(np.float64)
+        return math.sqrt(np.einsum("i,i->", flat, flat))
 
     def is_normalized(self, tol: float = 1e-9) -> bool:
         return abs(self.norm() - 1.0) <= tol

@@ -1,9 +1,11 @@
 """Reference implementations that only the tests use.
 
 Each one computes, the slow and direct way, something the library computes
-faster: the dense 4-mode interference gadget behind measure.l_intf, and the
+faster: the dense 4-mode interference gadget behind measure.l_intf, the
 two-mode subtraction circuit (with number post-selection) behind
-kitten.kitten_direct.
+kitten.kitten_direct, the per-sector unitaries behind circuits.beamsplit,
+and the full-state circuit loop behind the product factors of
+experiments.run_oracle_check.
 """
 
 from __future__ import annotations
@@ -14,17 +16,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dipnesim.circuits import GadgetSpec, beamsplit, phase_shift
+from dipnesim.analytics import gaussian_propagate, mean_photons_from_moments, vacuum_moments
+from dipnesim.circuits import GadgetSpec, _bs_sector_unitary, apply_element, beamsplit, phase_shift
+from dipnesim.experiments import _enumerated_circuits
 from dipnesim.fock import (
     FockState,
     LeakageWarning,
     ModeLayout,
+    basis_state,
     marginal_number_distribution,
     tensor,
     vacuum_state,
 )
 from dipnesim.kitten import KittenSpec, KittenState, kitten_direct
+from dipnesim.measure import mean_quadrature
 from dipnesim.states import Squeeze, r_from_squeeze_photons, squeezed_vacuum
+
+
+def beamsplit_sector_unitaries(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockState:
+    """beamsplit with each sector's truncated unitary U_N formed and multiplied."""
+    state.layout._check_mode(mode_a)
+    state.layout._check_mode(mode_b)
+    if mode_a == mode_b:
+        raise ValueError("beamsplit needs two distinct modes")
+    arr = np.moveaxis(state.nd, (mode_a, mode_b), (0, 1))
+    da, db = arr.shape[0], arr.shape[1]
+    rest = arr.shape[2:]
+    arr = arr.reshape(da, db, -1)
+    out = np.empty_like(arr)
+    for total in range(da + db - 1):
+        js, unitary = _bs_sector_unitary(da, db, total, theta)
+        ks = total - js
+        if js.size == 1:
+            out[js, ks, :] = arr[js, ks, :]
+        else:
+            out[js, ks, :] = unitary @ arr[js, ks, :]
+    out = np.moveaxis(out.reshape((da, db) + rest), (0, 1), (mode_a, mode_b))
+    return FockState(state.layout, out.reshape(-1), state.leakage)
+
+
+def full_state_oracle_rows(seed: int, circuits: int, cutoff: int, max_modes: int) -> list[tuple]:
+    """run_oracle_check's circuit rows, each circuit run on its full n-mode array."""
+    rows = []
+    for circuit_id, n_modes, elements in _enumerated_circuits(seed, circuits, max_modes):
+        moments = vacuum_moments(n_modes)
+        state = basis_state(ModeLayout((cutoff,) * n_modes), (0,) * n_modes)
+        for element in elements:
+            moments = gaussian_propagate(moments, element)
+            state = apply_element(state, element)
+        photon_err = 0.0
+        quad_err = 0.0
+        for mode in range(n_modes):
+            photon_err = max(
+                photon_err,
+                abs(mean_photons_from_moments(moments, mode) - state.mean_photons(mode)),
+            )
+            qx, qp = mean_quadrature(state, mode)
+            quad_err = max(
+                quad_err,
+                abs(moments.mean[2 * mode] - qx),
+                abs(moments.mean[2 * mode + 1] - qp),
+            )
+        rows.append((circuit_id, photon_err, quad_err))
+    return rows
 
 
 def _require_vacuum(state: FockState, mode: int) -> None:

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import interference_gadget
+from oracles import beamsplit_sector_unitaries, interference_gadget
 
 from dipnesim import circuits
 from dipnesim.circuits import (
@@ -82,6 +82,27 @@ class TestBeamsplit:
     def test_same_mode_rejected(self):
         with pytest.raises(ValueError):
             beamsplit(vacuum_state(ModeLayout((2, 2))), 1, 1, 0.3)
+
+    @pytest.mark.parametrize(
+        "cutoffs,modes",
+        [
+            ((60, 60), (0, 1)),
+            ((60, 60, 60), (0, 2)),
+            ((60, 60, 60), (2, 1)),
+            ((30, 30, 30, 30), (3, 1)),
+            ((5, 9), (0, 1)),
+            ((1, 7), (1, 0)),
+        ],
+    )
+    def test_eigenbasis_matches_sector_unitary_oracle(self, cutoffs, modes):
+        # unequal cutoffs clip sectors and leave one-state sectors at both ends
+        lay = ModeLayout(cutoffs)
+        rng = np.random.default_rng(lay.dim)
+        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)).normalize()
+        for theta in (0.3, 1.2, -0.8):
+            got = beamsplit(psi, *modes, theta).amplitudes
+            want = beamsplit_sector_unitaries(psi, *modes, theta).amplitudes
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     @given(
         theta=st.floats(-1.5, 1.5),

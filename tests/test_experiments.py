@@ -9,16 +9,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import full_state_oracle_rows
 
 from dipnesim import cli
+from dipnesim.circuits import apply_element
 from dipnesim.cli import main
 from dipnesim.experiments import (
     EXPERIMENTS,
     ResultTable,
+    _enumerated_circuits,
+    _product_factors,
     make_config,
     read_config_file,
     run_experiment,
 )
+from dipnesim.fock import ModeLayout, vacuum_state
+from dipnesim.measure import mean_quadrature
+from dipnesim.states import Squeeze
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -360,6 +367,53 @@ class TestOracleCheckRun:
             make_config("oracle-check", {"circuits": 8, "cutoff": 30, "seed": 2})
         )
         assert a.to_csv() != b.to_csv()
+
+
+class TestProductFactors:
+    @pytest.mark.parametrize("seed", [7, 501])
+    def test_rows_match_full_state_oracle(self, seed):
+        table = run_experiment(make_config("oracle-check", {"seed": seed}))
+        want = full_state_oracle_rows(seed, 100, 60, 3)
+        assert [row[0] for row in table.rows[:-1]] == [row[0] for row in want]
+        for col in (1, 2):
+            dev = max(abs(got[col] - ref[col]) for got, ref in zip(table.rows, want))
+            assert dev <= 1e-14
+
+    @pytest.mark.parametrize("seed", [7, 501])
+    def test_some_circuit_joins_all_modes(self, seed):
+        # keeps the tensor merge and the 3-mode kernels on the checked path
+        joined = 0
+        for _, n_modes, elements in _enumerated_circuits(seed, 100, 3):
+            factors = _product_factors(n_modes, 60, elements)
+            joined += any(len(modes) == 3 for modes, _ in factors.values())
+        assert joined >= 1
+
+    def test_merge_order(self):
+        # each mode is touched first, so the merged factors list their modes
+        # out of order: (2, 0), then (1, 2, 0)
+        elements = [
+            ("displace", 0, 0.6 + 0.3j),
+            ("squeeze", 1, Squeeze(0.3, 0.8)),
+            ("displace", 2, -0.4 + 0.5j),
+            ("beamsplit", 2, 0, 0.7),
+            ("phase", 0, 1.1),
+            ("beamsplit", 1, 0, 0.4),
+        ]
+        full = vacuum_state(ModeLayout((30, 30, 30)))
+        for count, element in enumerate(elements, start=1):
+            full = apply_element(full, element)
+            factors = _product_factors(3, 30, elements[:count])
+            for mode in range(3):
+                modes, state = factors[mode]
+                local = modes.index(mode)
+                assert state.mean_photons(local) == pytest.approx(full.mean_photons(mode), abs=1e-14)
+                assert mean_quadrature(state, local) == pytest.approx(
+                    mean_quadrature(full, mode), abs=1e-14
+                )
+        modes, state = factors[0]
+        assert modes == (1, 2, 0)
+        got = np.transpose(state.nd, np.argsort(modes))
+        np.testing.assert_allclose(got, full.nd, rtol=0, atol=1e-14)
 
 
 class TestDeterminism:
