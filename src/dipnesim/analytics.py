@@ -4,10 +4,14 @@ Interference-loss prediction, the equal-photon-count amplitude and its
 brute-force twin, erasure and Poisson basics, antisqueezing-fraction
 limits, and Gaussian moment propagation are independent of the Fock
 simulator; the tests play them against it as cross-checks in both
-directions.  The squeeze-to-match solver is the exception: it takes the
-source's fitted displacement from its caller, then antisqueezes the source
-with circuits.squeeze_op and refits each antisqueezed state with
-catfit.fit_squeezed_cat.
+directions.  The squeeze-to-match solver is the exception: it refits
+antisqueezed kittens with catfit.fit_squeezed_cats.  A heralded kitten is
+a^k S(r')|0> with tanh r' = cos^2(theta_sub) tanh r (Dakna et al., PRA 55,
+3184 (1997)), so antisqueezing it by rho gives (a cosh rho - a+ sinh rho)^k
+S(R)|0> with R = r' + rho (for R < 0 the squeeze flips axis and the even
+amplitudes alternate in sign).  Moving each a through S(R)|0> leaves
+p_k(a+) S(R)|0>, a polynomial with positive coefficients in the raising
+operator, so the state is exact on any cutoff and needs no exponential.
 """
 
 from __future__ import annotations
@@ -17,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catfit import fit_squeezed_cat
-from .fock import FockState, ModeLayout
-from .kitten import KittenState
-from .states import Squeeze
-from .circuits import squeeze_op
+from .catfit import fit_squeezed_cats
+from .fock import FockState, ModeLayout, _warn_leak
+from .kitten import KittenSpec
+from .states import Squeeze, r_from_squeeze_photons, squeezed_vacuum_log_even
 
 LN2 = math.log(2.0)
 
@@ -152,85 +155,115 @@ def squeeze_fraction_strong(d0: float, r0: float, r: float) -> tuple[float, floa
     return 1.0 / (1.0 + ratio), strong
 
 
+# match search: exit tolerance on the fitted displacement, round cap, offset
+# of the second start point, and outward step while no bracket exists
+MATCH_TOLERANCE = 1e-7
+MATCH_MAX_ROUNDS = 40
+SECANT_STEP = 0.05
+BRACKET_STEP = 0.2
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Antisqueezing needed to reach a displacement target, plus the
     photon overhead: excess_fraction = 1 - target^2 / mean photons of
-    the antisqueezed state."""
+    the antisqueezed state.  guard_mass is that state's sliced tail."""
 
     r_required: float
     excess_fraction: float
+    guard_mass: float
 
 
-def _antisqueezed(state: FockState, r: float, work_cutoff: int) -> FockState:
-    """Embed into a larger space and (anti)squeeze along the
-    displacement axis; r < 0 squeezes instead."""
-    dim = work_cutoff + 1
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[: state.layout.dim] = state.amplitudes
-    grown = FockState(ModeLayout((work_cutoff,)), amps, state.leakage)
-    if r == 0.0:
-        return grown
-    if r > 0.0:
-        return squeeze_op(grown, 0, Squeeze(r, math.pi))
-    return squeeze_op(grown, 0, Squeeze(-r, 0.0))
-
-
-def squeeze_to_match(
-    source: KittenState,
-    source_alpha: float,
-    target_displacement: float,
-    work_cutoff: int = 1000,
-) -> MatchResult:
-    """Antisqueezing that brings the source's fitted displacement to the
-    target.
-
-    ``source_alpha`` is the source's own fitted displacement,
-    ``fit_squeezed_cat(source).alpha``; callers that fit the source anyway
-    pass that value rather than having it refitted here.  Bisection on the
-    monotone displacement-versus-r map, to 1e-6 in the displacement.
-    Negative r_required (plain squeezing) is a valid answer when the
-    target sits below the source's own displacement.
-    """
-    if target_displacement <= 0.0:
-        raise ValueError("target displacement must be positive")
-    if source_alpha <= 1e-9:
-        raise ValueError("source has no fitted displacement to match")
-    state = source.state if isinstance(source, KittenState) else source
-
-    def fit_after(r: float):
-        return fit_squeezed_cat(_antisqueezed(state, r, work_cutoff))
-
-    guess = math.log(target_displacement / source_alpha)
-    lo, hi = guess - 0.2, guess + 0.2
-    f_lo = fit_after(lo).alpha - target_displacement
-    f_hi = fit_after(hi).alpha - target_displacement
-    for _ in range(40):
-        if f_lo <= 0.0 <= f_hi:
-            break
-        if f_lo > 0.0:
-            lo -= 0.2
-            f_lo = fit_after(lo).alpha - target_displacement
-        else:
-            hi += 0.2
-            f_hi = fit_after(hi).alpha - target_displacement
+def antisqueezed_kitten(spec: KittenSpec, rho: float, work_cutoff: int) -> FockState:
+    """The kitten of spec antisqueezed by rho along its displacement axis
+    (rho < 0 squeezes), p_k(a+) S(R)|0> normalized on work_cutoff levels.
+    Its leakage is the tail cut off, against the exact norm^2 <a+^k a^k> of
+    S(r')|0> (a sum over Wick pairings); it warns above LEAK_THRESHOLD."""
+    tanh_sub = math.cos(spec.theta_sub) ** 2
+    if not spec.infinite:
+        tanh_sub *= math.tanh(r_from_squeeze_photons(spec.squeeze_photons))
+    r_sub, k, dim = math.atanh(tanh_sub), spec.k, work_cutoff + 1
+    big, sh, ch = r_sub + rho, math.sinh(r_sub), math.cosh(r_sub)
+    raised = np.zeros(dim)  # (a+)^j S(R)|0>, for j = 0 .. k in turn
+    if big == 0.0:
+        raised[0] = 1.0
     else:
-        raise ValueError("could not bracket the displacement target")
+        m = np.arange((dim + 1) // 2)
+        raised[::2] = np.sign(big) ** m * np.exp(squeezed_vacuum_log_even(abs(big), m))
+    # p_k solves p_{j+1} = c x p_j + h p_j', p_0 = 1, with c = sinh r' / cosh R
+    # and h = cosh rho: its x^(k - 2i) coefficient is C(k, 2i) (2i - 1)!! h^i c^(k - i)
+    c, h = sh / math.cosh(big), math.cosh(rho)
+    coeffs = np.zeros(k + 1)
+    for i in range(k // 2 + 1):
+        coeffs[k - 2 * i] = math.comb(k, 2 * i) * math.prod(range(2 * i - 1, 0, -2)) * h**i * c ** (k - i)
+    amps = coeffs[0] * raised
+    root = np.sqrt(np.arange(1.0, dim))
+    for coeff in coeffs[1:]:
+        raised = np.concatenate(([0.0], root * raised[:-1]))
+        amps += coeff * raised
+    norm_sq = sum(
+        math.comb(k, j) ** 2 * math.factorial(j) * math.prod(range(k - j - 1, 0, -2)) ** 2
+        * sh ** (2 * j) * (sh * ch) ** (k - j)
+        for j in range(k % 2, k + 1, 2)
+    )
+    kept = float(amps @ amps)
+    tail = max(0.0, 1.0 - kept / norm_sq)  # rounding leaves ~1e-16 of either sign
+    _warn_leak(tail, f"antisqueezed_kitten(k={k}, rho={rho:.6g}) at work cutoff {work_cutoff}")
+    return FockState(ModeLayout((work_cutoff,)), amps / math.sqrt(kept), tail)
 
-    # the bracket is at least 0.4 wide, so the loop sets mid and fit_mid
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        fit_mid = fit_after(mid)
-        if abs(fit_mid.alpha - target_displacement) < 1e-7:
-            break
-        if fit_mid.alpha < target_displacement:
-            lo = mid
-        else:
-            hi = mid
-    # the matched state's own squeeze fraction: 1 - displacement photons
-    # over total photons, with the fitted alpha standing in for the target
-    # it equals within the bisection tolerance
-    return MatchResult(r_required=mid, excess_fraction=fit_mid.squeeze_fraction)
+
+def _secant_next(tried: list[tuple[float, float]]) -> float:
+    """Next r after the (r, fitted alpha - target) points tried: the secant
+    through the last two; the bracket's midpoint when that step leaves the
+    bracket or is undefined; BRACKET_STEP outward while there is no bracket
+    and the secant does not point at the target."""
+    (r0, f0), (r1, f1) = tried[-2:]
+    r = r1 - f1 * (r1 - r0) / (f1 - f0) if f1 != f0 else math.nan
+    below = [ri for ri, fi in tried if fi < 0.0]
+    above = [ri for ri, fi in tried if fi > 0.0]
+    if below and above:
+        lo, hi = sorted((max(below), min(above)))
+        return r if lo < r < hi else 0.5 * (lo + hi)
+    if (r - r1) * f1 < 0.0:  # False for nan
+        return r
+    return (min if f1 > 0.0 else max)(ri for ri, _ in tried) - math.copysign(BRACKET_STEP, f1)
+
+
+def squeeze_to_match(pairs, work_cutoff: int = 1000) -> list[MatchResult]:
+    """Antisqueezing that brings each source kitten's fitted displacement
+    to its target, for (source KittenSpec, source alpha, target alpha)
+    pairs, the source alpha being the kitten's own fit.
+
+    One secant search per pair (_secant_next), from log(target / source)
+    and SECANT_STEP above it; a round fits the antisqueezed kittens of all
+    pairs still searching in one fit_squeezed_cats call.  A pair stops at
+    the first r whose fit is within MATCH_TOLERANCE of its target and
+    reports that fit; a pair that does not get there raises.  Negative
+    r_required (plain squeezing) answers a target below the source."""
+    pairs = list(pairs)
+    for _, source_alpha, target in pairs:
+        if target <= 0.0:
+            raise ValueError("target displacement must be positive")
+        if source_alpha <= 1e-9:
+            raise ValueError("source has no fitted displacement to match")
+    results: list[MatchResult | None] = [None] * len(pairs)
+    tried: list[list[tuple[float, float]]] = [[] for _ in pairs]
+    todo = [(i, math.log(t / a) + d) for i, (_, a, t) in enumerate(pairs) for d in (0.0, SECANT_STEP)]
+    for _ in range(MATCH_MAX_ROUNDS):
+        states = [antisqueezed_kitten(pairs[i][0], r, work_cutoff) for i, r in todo]
+        for (i, r), state, fit in zip(todo, states, fit_squeezed_cats(states)):
+            tried[i].append((r, fit.alpha - pairs[i][2]))
+            if abs(tried[i][-1][1]) < MATCH_TOLERANCE and results[i] is None:
+                results[i] = MatchResult(r, fit.squeeze_fraction, state.leakage)
+        todo = [(i, _secant_next(tried[i])) for i in dict.fromkeys(i for i, _ in todo) if results[i] is None]
+        if not todo:
+            return results
+    spec, source_alpha, target = pairs[todo[0][0]]
+    raise ValueError(
+        f"squeeze_to_match: the k={spec.k} source (alpha {source_alpha:.9g}) is still "
+        f"{min(abs(f) for _, f in tried[todo[0][0]]):.3g} from target {target:.9g} after "
+        f"{MATCH_MAX_ROUNDS} rounds (tolerance {MATCH_TOLERANCE:.0e})"
+    )
 
 
 @dataclass(frozen=True)

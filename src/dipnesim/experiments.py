@@ -523,26 +523,29 @@ def run_numberdiff(config: ExperimentConfig) -> ResultTable:
 
 def run_match(config: ExperimentConfig) -> ResultTable:
     """Antisqueezing needed to move each source kitten's displacement to
-    each target kitten's, with the photon overhead it causes."""
+    each target kitten's, with the photon overhead it causes.  Diagonal
+    pairs need none and keep the kitten's own fit; the others share one
+    squeeze_to_match search."""
     theta, cutoff = config["theta_sub"], config["cutoff"]
     photons = config["squeeze_photons"]
     ks = sorted(set(config["source_k"]) | set(config["target_k"]))
-    kits = {k: kitten_direct(KittenSpec(photons, theta, k, cutoff)) for k in ks}
-    alphas = {k: fit.alpha for k, fit in zip(ks, fit_squeezed_cats([kits[k] for k in ks]))}
+    specs = {k: KittenSpec(photons, theta, k, cutoff) for k in ks}
+    kits = {k: kitten_direct(specs[k]) for k in ks}
+    fits = dict(zip(ks, fit_squeezed_cats([kits[k] for k in ks])))
     max_leak = max(kits[k].state.leakage for k in ks)
 
-    rows = []
-    for ks_ in config["source_k"]:
-        for kt in config["target_k"]:
-            res = squeeze_to_match(
-                kits[ks_], alphas[ks_], alphas[kt], work_cutoff=config["work_cutoff"]
-            )
-            rows.append((ks_, kt, res.r_required, res.excess_fraction))
-
-    rows.sort(key=lambda r: (r[0], r[1]))
-    extras = [("max_leakage", _fmt(max_leak))]
-    for k in ks:
-        extras.append((f"alpha_k{k}", _fmt(alphas[k])))
+    grid = sorted((s, t) for s in config["source_k"] for t in config["target_k"])
+    off = sorted({(s, t) for s, t in grid if s != t})
+    pairs = [(specs[s], fits[s].alpha, fits[t].alpha) for s, t in off]
+    matched = dict(zip(off, squeeze_to_match(pairs, work_cutoff=config["work_cutoff"])))
+    rows = [
+        (s, t, matched[s, t].r_required, matched[s, t].excess_fraction)
+        if s != t else (s, t, 0.0, fits[s].squeeze_fraction)
+        for s, t in grid
+    ]
+    guard = max((res.guard_mass for res in matched.values()), default=0.0)
+    extras = [("max_leakage", _fmt(max_leak)), ("max_guard_mass", _fmt(guard))]
+    extras += [(f"alpha_k{k}", _fmt(fits[k].alpha)) for k in ks]
     return ResultTable(
         columns=("k_source", "k_target", "r_required", "excess_fraction"),
         rows=tuple(rows),

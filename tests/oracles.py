@@ -4,8 +4,10 @@ Each one computes, the slow and direct way, something the library computes
 faster: the dense 4-mode interference gadget behind measure.l_intf, the
 two-mode subtraction circuit (with number post-selection) behind
 kitten.kitten_direct, the per-sector unitaries behind circuits.beamsplit,
-and the full-state circuit loop behind the product factors of
-experiments.run_oracle_check.
+the full-state circuit loop behind the product factors of
+experiments.run_oracle_check, and the squeeze_op antisqueeze and r
+bisection behind analytics.antisqueezed_kitten and the secant of
+analytics.squeeze_to_match.
 """
 
 from __future__ import annotations
@@ -16,8 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dipnesim.analytics import gaussian_propagate, mean_photons_from_moments, vacuum_moments
-from dipnesim.circuits import GadgetSpec, _bs_sector_unitary, apply_element, beamsplit, phase_shift
+from dipnesim.analytics import (
+    MatchResult,
+    gaussian_propagate,
+    mean_photons_from_moments,
+    vacuum_moments,
+)
+from dipnesim.catfit import fit_squeezed_cat
+from dipnesim.circuits import (
+    GadgetSpec,
+    _bs_sector_unitary,
+    apply_element,
+    beamsplit,
+    phase_shift,
+    squeeze_op,
+)
 from dipnesim.experiments import _enumerated_circuits
 from dipnesim.fock import (
     FockState,
@@ -199,3 +214,64 @@ def kitten_by_subtraction(spec: KittenSpec, pickoff_cutoff: int | None = None) -
     return KittenState(
         FockState(layout, head, leakage=tail), res.probability, mean
     )
+
+
+def antisqueezed(state: FockState, r: float, work_cutoff: int) -> FockState:
+    """Embed into a larger space and (anti)squeeze along the
+    displacement axis with squeeze_op; r < 0 squeezes instead."""
+    dim = work_cutoff + 1
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[: state.layout.dim] = state.amplitudes
+    grown = FockState(ModeLayout((work_cutoff,)), amps, state.leakage)
+    if r == 0.0:
+        return grown
+    if r > 0.0:
+        return squeeze_op(grown, 0, Squeeze(r, math.pi))
+    return squeeze_op(grown, 0, Squeeze(-r, 0.0))
+
+
+def squeeze_to_match_bisect(
+    state: FockState,
+    source_alpha: float,
+    target_displacement: float,
+    work_cutoff: int = 1000,
+) -> MatchResult:
+    """r that brings any source state's fitted displacement to the
+    target: bisection on the monotone displacement-versus-r map, one
+    antisqueeze and one fit per step, to 1e-7 in the displacement.  It
+    reports no guard mass (nan)."""
+    if target_displacement <= 0.0:
+        raise ValueError("target displacement must be positive")
+    if source_alpha <= 1e-9:
+        raise ValueError("source has no fitted displacement to match")
+
+    def fit_after(r: float):
+        return fit_squeezed_cat(antisqueezed(state, r, work_cutoff))
+
+    guess = math.log(target_displacement / source_alpha)
+    lo, hi = guess - 0.2, guess + 0.2
+    f_lo = fit_after(lo).alpha - target_displacement
+    f_hi = fit_after(hi).alpha - target_displacement
+    for _ in range(40):
+        if f_lo <= 0.0 <= f_hi:
+            break
+        if f_lo > 0.0:
+            lo -= 0.2
+            f_lo = fit_after(lo).alpha - target_displacement
+        else:
+            hi += 0.2
+            f_hi = fit_after(hi).alpha - target_displacement
+    else:
+        raise ValueError("could not bracket the displacement target")
+
+    # the bracket is at least 0.4 wide, so the loop sets mid and fit_mid
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        fit_mid = fit_after(mid)
+        if abs(fit_mid.alpha - target_displacement) < 1e-7:
+            break
+        if fit_mid.alpha < target_displacement:
+            lo = mid
+        else:
+            hi = mid
+    return MatchResult(mid, fit_mid.squeeze_fraction, math.nan)

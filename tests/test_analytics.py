@@ -1,12 +1,16 @@
 """Closed forms against brute force and against the simulator."""
 
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dipnesim import analytics, catfit
 from dipnesim import (
     KittenSpec,
+    LeakageWarning,
     ModeLayout,
     Squeeze,
     apply_element,
@@ -14,12 +18,15 @@ from dipnesim import (
     beamsplit,
     coherent,
     fit_squeezed_cat,
+    fit_squeezed_cats,
     kitten_direct,
     mean_quadrature,
 )
 from dipnesim.analytics import (
+    MATCH_TOLERANCE,
     GaussianMoments,
     MatchResult,
+    antisqueezed_kitten,
     c_equal,
     c_equal_bruteforce,
     erasure_residual,
@@ -31,7 +38,7 @@ from dipnesim.analytics import (
     squeeze_to_match,
     vacuum_moments,
 )
-from dipnesim.analytics import _antisqueezed
+from oracles import antisqueezed, squeeze_to_match_bisect
 
 
 class TestInterferenceLossTheory:
@@ -389,41 +396,147 @@ class TestMeanPhotonsFromMoments:
 
 
 @pytest.fixture(scope="module")
-def kitten():
-    return kitten_direct(KittenSpec(5.0, math.pi / 5, 1, 80))
+def spec():
+    return KittenSpec(5.0, math.pi / 5, 1, 80)
+
+
+@pytest.fixture(scope="module")
+def kitten(spec):
+    return kitten_direct(spec)
+
+
+def _match_one(spec, source_alpha, target, work_cutoff=1000):
+    return squeeze_to_match([(spec, source_alpha, target)], work_cutoff=work_cutoff)[0]
 
 
 class TestSqueezeToMatch:
 
-    def test_diagonal_needs_no_squeezing(self, kitten):
+    def test_diagonal_needs_no_squeezing(self, spec, kitten):
         fit = fit_squeezed_cat(kitten)
-        res = squeeze_to_match(kitten, fit.alpha, fit.alpha, work_cutoff=200)
+        res = _match_one(spec, fit.alpha, fit.alpha, work_cutoff=200)
         assert isinstance(res, MatchResult)
         assert abs(res.r_required) < 1e-6
         assert res.excess_fraction == pytest.approx(fit.squeeze_fraction, abs=1e-6)
 
-    def test_reaches_higher_target(self, kitten):
+    def test_reaches_higher_target(self, spec, kitten):
         fit = fit_squeezed_cat(kitten)
         target = fit.alpha * 1.3
-        res = squeeze_to_match(kitten, fit.alpha, target, work_cutoff=200)
+        res = _match_one(spec, fit.alpha, target, work_cutoff=200)
         assert res.r_required > 0.0
         achieved = fit_squeezed_cat(
-            _antisqueezed(kitten.state, res.r_required, 200)
+            antisqueezed(kitten.state, res.r_required, 200)
         ).alpha
         assert achieved == pytest.approx(target, abs=1e-6)
         assert 0.0 < res.excess_fraction < 1.0
 
-    def test_lower_target_squeezes(self, kitten):
+    def test_lower_target_squeezes(self, spec, kitten):
         fit = fit_squeezed_cat(kitten)
-        res = squeeze_to_match(kitten, fit.alpha, fit.alpha * 0.8, work_cutoff=200)
+        res = _match_one(spec, fit.alpha, fit.alpha * 0.8, work_cutoff=200)
         assert res.r_required < 0.0
 
-    def test_target_validation(self, kitten):
+    def test_target_validation(self, spec):
         with pytest.raises(ValueError):
-            squeeze_to_match(kitten, 1.0, 0.0)
+            _match_one(spec, 1.0, 0.0)
 
     def test_displacement_free_source_rejected(self):
-        flat = kitten_direct(KittenSpec(3.0, math.pi / 5, 0, 60))
+        flat = KittenSpec(3.0, math.pi / 5, 0, 60)
         with pytest.raises(ValueError, match="displacement"):
-            squeeze_to_match(flat, fit_squeezed_cat(flat).alpha, 1.0, work_cutoff=120)
+            _match_one(flat, fit_squeezed_cat(kitten_direct(flat)).alpha, 1.0, work_cutoff=120)
 
+    @pytest.mark.parametrize("scale", [0.8, 1.3])
+    def test_agrees_with_squeeze_op_bisection(self, spec, kitten, scale):
+        fit = fit_squeezed_cat(kitten)
+        res = _match_one(spec, fit.alpha, fit.alpha * scale, work_cutoff=200)
+        ref = squeeze_to_match_bisect(kitten.state, fit.alpha, fit.alpha * scale, 200)
+        assert res.r_required == pytest.approx(ref.r_required, abs=1e-6)
+        assert res.excess_fraction == pytest.approx(ref.excess_fraction, abs=1e-6)
+
+    def test_few_fits_on_the_bench_pair(self, monkeypatch):
+        # the match-grid pair: k = 1 onto k = 3 at infinite squeezing
+        specs = [KittenSpec(math.inf, math.pi / 5, k, 300) for k in (1, 3)]
+        source, target = (f.alpha for f in fit_squeezed_cats([kitten_direct(s) for s in specs]))
+        grid_rows = []
+        real = catfit._family_fidelities
+
+        def spy(targets, totals, phis, ss):
+            if ss.shape[1] == catfit.GRID_POINTS:  # one grid round per fit
+                grid_rows.extend(t.layout.dim for t in targets)
+            return real(targets, totals, phis, ss)
+
+        monkeypatch.setattr(catfit, "_family_fidelities", spy)
+        res = _match_one(specs[0], source, target, work_cutoff=600)
+        monkeypatch.undo()
+        assert 0 < len(grid_rows) <= 8
+        assert set(grid_rows) == {601}
+        refit = fit_squeezed_cat(antisqueezed_kitten(specs[0], res.r_required, 600)).alpha
+        assert abs(refit - target) < MATCH_TOLERANCE
+
+    def test_lockstep_pairs_match_single_searches(self, spec, kitten):
+        fit = fit_squeezed_cat(kitten)
+        pairs = [(spec, fit.alpha, fit.alpha * s) for s in (0.8, 1.1, 1.3)]
+        together = squeeze_to_match(pairs, work_cutoff=200)
+        assert together == [squeeze_to_match([p], work_cutoff=200)[0] for p in pairs]
+
+    @pytest.mark.parametrize(
+        "miss",
+        [lambda rho: 1e-3, lambda rho: 5e-7 if rho > 0.1 else -5e-7],
+        ids=["constant-miss", "step-across"],
+    )
+    def test_unreachable_target_raises(self, spec, monkeypatch, miss):
+        # a fit that stays off the target (no bracket ever forms) or steps
+        # across it (the bracket shrinks to nothing) never converges
+        rounds = []
+
+        def fits(states):
+            rounds.append(len(states))
+            return [SimpleNamespace(alpha=2.0 + miss(st.rho), squeeze_fraction=0.5) for st in states]
+
+        monkeypatch.setattr(
+            analytics, "antisqueezed_kitten", lambda spec, rho, cutoff: SimpleNamespace(rho=rho, leakage=0.0)
+        )
+        monkeypatch.setattr(analytics, "fit_squeezed_cats", fits)
+        with pytest.raises(ValueError, match=f"after {analytics.MATCH_MAX_ROUNDS} rounds"):
+            squeeze_to_match([(spec, 1.8, 2.0)], work_cutoff=60)
+        assert len(rounds) == analytics.MATCH_MAX_ROUNDS
+
+
+def _up_to_phase(got: np.ndarray, ref: np.ndarray) -> float:
+    overlap = np.vdot(got, ref)
+    return float(np.max(np.abs(got * (overlap / abs(overlap)) - ref)))
+
+
+class TestAntisqueezedKitten:
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.3, 0.5])
+    @pytest.mark.parametrize("photons", [10.0, math.inf])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+    def test_matches_squeeze_op_oracle(self, k, photons, rho):
+        # rho = -0.9 takes R = r' + rho below zero (r' is 0.73 and 0.78)
+        spec = KittenSpec(photons, math.pi / 5, k, 300)
+        got = antisqueezed_kitten(spec, rho, 600)
+        ref = antisqueezed(kitten_direct(spec).state, rho, 600)
+        assert got.layout == ref.layout
+        assert _up_to_phase(got.amplitudes, ref.amplitudes) <= 1e-13
+
+    def test_unsqueezed_axis_is_exact(self):
+        # R = 0 exactly: the state is p_k(a+)|0>
+        spec = KittenSpec(math.inf, math.pi / 5, 3, 300)
+        rho = -math.atanh(math.cos(spec.theta_sub) ** 2)
+        got = antisqueezed_kitten(spec, rho, 600)
+        ref = antisqueezed(kitten_direct(spec).state, rho, 600)
+        assert _up_to_phase(got.amplitudes, ref.amplitudes) <= 1e-13
+
+    @pytest.mark.parametrize("k, rho, cutoff", [(1, 0.5, 20), (3, 0.5, 30), (5, 0.8, 40), (9, 0.3, 60)])
+    def test_guard_mass_is_the_sliced_tail(self, k, rho, cutoff):
+        spec = KittenSpec(10.0, math.pi / 5, k, 300)
+        with pytest.warns(LeakageWarning, match="antisqueezed_kitten"):
+            cut = antisqueezed_kitten(spec, rho, cutoff)
+        wide = antisqueezed_kitten(spec, rho, 3000).amplitudes
+        assert cut.leakage == pytest.approx(float(np.sum(np.abs(wide[cutoff + 1 :]) ** 2)), rel=1e-10)
+        assert np.allclose(cut.amplitudes * math.sqrt(1.0 - cut.leakage), wide[: cutoff + 1], atol=1e-15)
+
+    def test_negligible_tail_is_silent_and_clamped(self):
+        spec = KittenSpec(math.inf, math.pi / 5, 9, 300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LeakageWarning)
+            masses = [antisqueezed_kitten(spec, rho, 600).leakage for rho in (-0.3, 0.0, 0.5)]
+        assert all(0.0 <= m < 1e-14 for m in masses)

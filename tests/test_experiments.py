@@ -23,7 +23,9 @@ from dipnesim.experiments import (
     read_config_file,
     run_experiment,
 )
+from dipnesim.catfit import fit_squeezed_cat
 from dipnesim.fock import ModeLayout, vacuum_state
+from dipnesim.kitten import KittenSpec, kitten_direct
 from dipnesim.measure import mean_quadrature
 from dipnesim.states import Squeeze
 
@@ -314,6 +316,17 @@ class TestMatchRun:
         assert by_key[(3, 1)][2] < 0.0
         for row in table.rows:
             assert 0.0 <= row[3] < 1.0
+
+    def test_diagonal_keeps_own_fit_and_guard_mass_is_reported(self):
+        cfg = make_config(
+            "match",
+            {"source_k": "1,3", "target_k": "3", "squeeze_photons": 5,
+             "cutoff": 120, "work_cutoff": 240},
+        )
+        table = run_experiment(cfg)
+        own = fit_squeezed_cat(kitten_direct(KittenSpec(5.0, math.pi / 5, 3, 120)))
+        assert table.rows[1] == (3, 3, 0.0, own.squeeze_fraction)
+        assert 0.0 <= float(table.meta("max_guard_mass")) < 1e-8
 
 
 class TestGaussdriveRun:
