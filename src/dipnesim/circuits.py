@@ -15,8 +15,6 @@ exactly unitary on the truncated space.  beamsplit never forms the sector
 unitary U_N: it applies U_N = V exp(i theta Lambda) V^T in the cached real
 eigenbasis of each sector, as two real products on the float64 view of the
 sector block, so a new angle costs no eigensolve and no m x m product.
-Those products, and the dense displace/squeeze product below, run in
-scipy's BLAS through _real_matmul, next to expm on the same thread pool.
 
 Displacement and squeezing exponentiate real generators only.  With
 R(phi) = diag(e^{i phi n}), R(phi) a R(-phi) = e^{-i phi} a holds on the
@@ -26,8 +24,7 @@ truncated space, so
     S(r e^{i theta}) = R(theta/2) exp((r/2)(a^2 - a+^2)) R(-theta/2)
 
 are the same truncated-generator exponentials as the complex forms, while
-expm and expm_multiply see only a real matrix, which costs far less to
-exponentiate than a complex one of the same size.
+_expm (scaling and squaring, on numpy) sees only a real matrix.
 
 GadgetSpec holds the pickoff gadget's parameters.  measure.l_intf reads that
 circuit out from single-mode marginals through two cached gathers over the
@@ -44,17 +41,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.linalg.blas import dgemm
-from scipy.sparse.linalg import expm_multiply
 
 from .fock import FockState, _warn_leak
 from .states import Squeeze
 
-# above this per-mode dimension, dense expm of the mode operator is replaced
-# by sparse expm_multiply on the state block
-_DENSE_EXPM_MAX = 400
+# [13/13] Pade numerator coefficients b_k = (26 - k)! / (k! (13 - k)!)
+_PADE13 = tuple(float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k))) for k in range(14))
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ def _bs_sector(da: int, db: int, total: int):
     if js.size == 1:
         return js, None, None
     off = np.sqrt((js[:-1] + 1.0) * (total - js[:-1]))
-    lam, vec = scipy.linalg.eigh_tridiagonal(np.zeros(js.size), off)
+    lam, vec = np.linalg.eigh(np.diag(off, -1))  # eigh reads the lower triangle
     return js, lam, vec
 
 
@@ -117,14 +109,36 @@ def _bs_sector_unitary(da: int, db: int, total: int, theta: float):
 
 
 def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real m and a C-ordered complex x, as one real gemm on x's float64 view.
+    """m @ x for a real m and a C-ordered complex x, as one real gemm on x's float64 view."""
+    return (m @ x.view(np.float64)).view(np.complex128)
 
-    The gemm runs in scipy's BLAS, the same OpenBLAS that scipy.linalg.expm
-    uses: numpy and scipy each load their own OpenBLAS, and calls that
-    alternate between the two thread pools leave each pool's threads
-    spinning against the other's on a small machine.
+
+def _expm(g: np.ndarray) -> np.ndarray:
+    """exp(g) for a real antisymmetric g: [13/13] Pade approximant, scaled and squared.
+
+    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), scales g by 2^-s until its
+    one-norm is at most theta_13 = 5.37, which bounds the error in norm only.  Entry
+    (n, 0) of the squared product sums paths through 2^s factors, and the approximant
+    is exact through x^26, so s also keeps (d - 1) / 2^s <= 8: every entry then keeps
+    its relative accuracy, down to the ~1e-47 level-60 amplitude of a displaced
+    vacuum.  Squaring 1 + f as f -> f^2 + 2f rounds relative to f, not to the
+    identity, so the orthogonal result's norm drift is not doubled at each squaring.
     """
-    return dgemm(1.0, x.view(np.float64).T, m.T).T.view(np.complex128)
+    d = g.shape[0]
+    norm = float(np.abs(g).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(max(norm / 5.371920351148152, (d - 1) / 8, 1.0))))
+    a = g / 2.0**s
+    b = _PADE13
+    eye = np.eye(d)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    f = np.linalg.solve(v - u, 2.0 * u)  # (v - u)^-1 (v + u) - 1
+    for _ in range(s):
+        f = f @ f + 2.0 * f
+    return f + eye
 
 
 def _frozen(*parts) -> tuple:
@@ -210,14 +224,11 @@ def _apply_mode_generator(state: FockState, mode: int, phi: float, build, what: 
     R(phi) = diag(e^{i phi n}) rotates the phase out of the generator:
     R(phi) a R(-phi) = e^{-i phi} a holds on the truncated space too, so
     D(alpha) and S(xi) are the same truncated-generator exponentials with a
-    real anti-symmetric G, and expm never sees a complex matrix.
-    ``build(a)`` returns G in terms of the mode's d x d lowering operator a.
-    The block is rotated by R(-phi) once, in C order, and the result scaled
-    by R(phi) in place.  Up to _DENSE_EXPM_MAX, a is a dense array, G goes
-    through dense scaling-and-squaring and the real exp(G) is applied as one
-    real gemm on the float64 view of the rotated block; above it, a is a
-    sparse CSR matrix, so G is built sparse (never as dense d x d products)
-    and applied to the rotated block with expm_multiply.
+    real anti-symmetric G, and _expm never sees a complex matrix.
+    ``build(a)`` returns G in terms of the mode's dense d x d lowering
+    operator a.  The block is rotated by R(-phi) once, in C order, the real
+    exp(G) is applied as one real gemm on its float64 view, and the result is
+    scaled by R(phi) in place.
     """
     state.layout._check_mode(mode)
     d = state.layout.dims[mode]
@@ -228,12 +239,7 @@ def _apply_mode_generator(state: FockState, mode: int, phi: float, build, what: 
     # R(-phi) applied while gathering the mode axis to the front, in one pass;
     # rebinding block frees it as soon as the product exists
     block = np.multiply(ph.conj(), arr, order="C").reshape(d, -1)
-    if d <= _DENSE_EXPM_MAX:
-        unitary = scipy.linalg.expm(build(np.diag(ladder, 1)))
-        block = _real_matmul(unitary, block)
-    else:
-        gen = scipy.sparse.csr_matrix(build(scipy.sparse.diags(ladder, 1, format="csr")))
-        block = expm_multiply(gen, block)
+    block = _real_matmul(_expm(build(np.diag(ladder, 1))), block)
     block *= ph.reshape(d, 1)
     out = np.moveaxis(block.reshape(shape), 0, mode)
     result = FockState(state.layout, out.reshape(-1), state.leakage)

@@ -15,10 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import FockState, LeakageWarning, ModeLayout, vacuum_state
-from .states import infinite_squeeze_log_even, r_from_squeeze_photons, squeezed_vacuum_log_even
+from .states import infinite_squeeze_log_even, log_factorial, r_from_squeeze_photons
+from .states import squeezed_vacuum_log_even
 
 # Extra levels kept beyond the cutoff when summing the amplitude tail.
 TAIL_WINDOW = 600
@@ -90,7 +90,7 @@ def _log_kept_amplitudes(spec: KittenSpec, j_max: int):
         r = r_from_squeeze_photons(spec.squeeze_photons)
         log_c = squeezed_vacuum_log_even(r, n // 2)
     log_amp = (
-        0.5 * (gammaln(n + 1) - gammaln(j + 1))
+        0.5 * (log_factorial(n) - log_factorial(j))
         + j * math.log(math.cos(spec.theta_sub))
         + log_c
     )
@@ -156,7 +156,7 @@ def kitten_probability(spec: KittenSpec) -> float:
     if spec.squeeze_photons == 0.0:
         return 1.0 if spec.k == 0 else 0.0
     # log of the factor |sin(theta)^k / sqrt(k!)| _log_kept_amplitudes drops
-    log_const = spec.k * math.log(math.sin(spec.theta_sub)) - 0.5 * gammaln(spec.k + 1)
+    log_const = spec.k * math.log(math.sin(spec.theta_sub)) - 0.5 * log_factorial(spec.k)
     horizon = 2000
     while True:
         _, log_amp = _log_kept_amplitudes(spec, horizon - 1)

@@ -16,9 +16,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import FockState, ModeLayout, _warn_leak
 
@@ -75,6 +75,21 @@ class CatSpec:
         object.__setattr__(self, "phi", float(self.phi))
 
 
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    head = _log_factorial_table(size // 2) if size > 1024 else np.zeros(0)
+    return np.append(head, [math.lgamma(n + 1.0) for n in range(head.size, size)])
+
+
+def log_factorial(n) -> np.ndarray:
+    """log(n!) for integers n >= 0, read from a cached math.lgamma table that doubles as n grows."""
+    n = np.asarray(n)
+    size = 1024
+    while size <= n.max(initial=0):
+        size *= 2
+    return _log_factorial_table(size)[n]
+
+
 def r_from_squeeze_photons(photons: float) -> float:
     """Squeeze magnitude r with sinh^2 r equal to the given photon number."""
     if photons < 0:
@@ -113,7 +128,7 @@ def coherent(alpha, layout) -> FockState:
         amps[0] = 1.0
         return FockState(layout, amps)
     n = np.arange(d)
-    logmag = -abs(a) ** 2 / 2 + n * math.log(abs(a)) - 0.5 * gammaln(n + 1)
+    logmag = -abs(a) ** 2 / 2 + n * math.log(abs(a)) - 0.5 * log_factorial(n)
     amps = np.exp(logmag + 1j * cmath.phase(a) * n)
     return _finish(amps, layout, f"coherent(alpha={a:.4g})")
 
@@ -129,9 +144,9 @@ def squeezed_vacuum_log_even(r: float, m) -> np.ndarray:
     return (
         -0.5 * math.log(math.cosh(r))
         + m * math.log(math.tanh(r))
-        + 0.5 * gammaln(2 * m + 1)
+        + 0.5 * log_factorial(2 * m)
         - m * math.log(2.0)
-        - gammaln(m + 1)
+        - log_factorial(m)
     )
 
 
@@ -205,7 +220,7 @@ def infinite_squeeze_log_even(m: np.ndarray) -> np.ndarray:
     |C_{2m+2}/C_{2m}| tends to 1 from below, so the sequence is not
     square-summable: callers supply convergent weights before normalizing.
     """
-    return 0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1)
+    return 0.5 * log_factorial(2 * m) - m * math.log(2.0) - log_factorial(m)
 
 
 def _unit_phase(phi: float) -> complex:

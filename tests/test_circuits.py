@@ -217,14 +217,14 @@ class TestDisplaceSqueeze:
         want = tensor(vacuum_state(ModeLayout((30,))), coherent(0.7, 30))
         np.testing.assert_allclose(out.amplitudes, want.amplitudes, atol=1e-10)
 
-    def test_large_dim_uses_sparse_path(self):
+    def test_large_dim_matches_constructor(self):
         got = squeeze_op(vacuum_state(ModeLayout((500,))), 0, Squeeze(0.4))
         want = squeezed_vacuum(Squeeze(0.4), 500)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-8)
 
     @pytest.mark.parametrize("op", ["displace", "squeeze"])
-    def test_sparse_generator_matches_dense_expm(self, op):
-        # d = 450 is above the dense limit, so the generator is built sparse
+    def test_large_generator_matches_dense_expm(self, op):
+        # oracle: the complex generator exponentiated at d = 450, phase included
         cutoff = 449
         a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
         ad = a.conj().T
@@ -243,8 +243,7 @@ class TestDisplaceSqueeze:
     @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
     @pytest.mark.parametrize("cutoff", [1, 2, 30, 60, 120, 399, 400])
     def test_matches_unrotated_complex_generator(self, cutoff):
-        # oracle: dense expm of the complex generator, with no phase rotated
-        # out; d = 400 is the last dense dimension and d = 401 the first sparse
+        # oracle: dense expm of the complex generator, with no phase rotated out
         a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
         ad = a.conj().T
         psi = squeezed_coherent(0.6 - 0.3j, Squeeze(0.2, 0.9), cutoff)
@@ -267,6 +266,25 @@ class TestDisplaceSqueeze:
         want = coherent(alpha, 120).amplitudes[:61]
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
 
+    def test_displace_tail_relative_accuracy_to_1e_12(self):
+        # scipy's real expm leaves 4.8e-10 here; the complex one 9.5e-14
+        alpha = 0.8 * cmath.exp(2.1j)
+        got = displace(vacuum_state(ModeLayout((120,))), 0, alpha).amplitudes[:61]
+        want = coherent(alpha, 120).amplitudes[:61]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d", [2, 31, 61, 121, 450])
+    @pytest.mark.parametrize("op", ["displace", "squeeze"])
+    def test_expm_matches_scipy(self, d, op):
+        # oracle: scipy's complex expm of the same real generator; its real
+        # branch is itself off by up to 1.7e-12 at d = 450
+        a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+        gen = 1.03 * (a.T - a) if op == "displace" else 0.175 * (a @ a - (a @ a).T)
+        want = scipy.linalg.expm(gen.astype(np.complex128))
+        got = circuits._expm(gen)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-13)
+
     def test_squeeze_tail_relative_accuracy(self):
         squeeze = Squeeze(0.4, 0.9)
         got = squeeze_op(vacuum_state(ModeLayout((120,))), 0, squeeze).amplitudes[:61:2]
@@ -285,8 +303,7 @@ class TestDisplaceSqueeze:
 
             return wrapped
 
-        monkeypatch.setattr(circuits.scipy.linalg, "expm", spy(scipy.linalg.expm))
-        monkeypatch.setattr(circuits, "expm_multiply", spy(circuits.expm_multiply))
+        monkeypatch.setattr(circuits, "_expm", spy(circuits._expm))
         psi = coherent(0.5, cutoff)
         squeeze_op(displace(psi, 0, -0.3 + 0.8j), 0, Squeeze(0.3, 2.2))
         assert len(seen) == 2

@@ -459,6 +459,39 @@ class TestThreadIndependence:
         assert default and default == single
 
 
+_NUMPY_ONLY_SCRIPT = """
+import json, sys
+import dipnesim, dipnesim.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    code = dipnesim.cli.main(argv + ["--out", sys.argv[2]])
+    loaded[argv[0]] = scipy_modules() if code == 0 else f"exit {code}"
+print(json.dumps(loaded))
+"""
+
+
+class TestNumpyOnly:
+    def test_import_and_runs_load_no_scipy(self, tmp_path):
+        # scipy is a test oracle only; the package and its experiments run on numpy
+        runs = [
+            ["kitten", "--k_list", "1,3", "--squeeze_steps", "2", "--squeeze_max", "5"],
+            ["interference", "--fraction_count", "3", "--family", "photon-both+squeeze-i"],
+            ["match", "--source_k", "1", "--target_k", "3"],
+            ["oracle-check", "--circuits", "6", "--cutoff", "40"],
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-W", "ignore", "-c", _NUMPY_ONLY_SCRIPT]
+        argv += [json.dumps(runs), str(tmp_path / "table.csv")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        loaded = json.loads(proc.stdout)
+        assert loaded == {"import": [], **{run[0]: [] for run in runs}}
+
+
 class TestCli:
     def test_csv_to_stdout(self, capsys):
         code = main(["gaussdrive", "--r_steps", "2"])

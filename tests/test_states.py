@@ -17,6 +17,7 @@ from dipnesim.states import (
     cat_state,
     coherent,
     infinite_squeeze_log_even,
+    log_factorial,
     r_from_squeeze_photons,
     squeezed_coherent,
     squeezed_vacuum,
@@ -40,6 +41,23 @@ def expm_displaced_squeezed(alpha, r, theta, dim):
     vac = np.zeros(big, dtype=complex)
     vac[0] = 1.0
     return (D @ (S @ vac))[:dim]
+
+
+class TestLogFactorial:
+    def test_matches_gammaln_to_4_ulp(self):
+        from scipy.special import gammaln
+
+        n = np.arange(64001)
+        want = gammaln(n + 1.0)
+        got = log_factorial(n)
+        ulp = np.spacing(np.maximum(want, 1.0))
+        assert np.all(np.abs(got - want) <= 4 * ulp)
+        assert got[0] == got[1] == 0.0
+
+    def test_scalar_and_array_reads_agree(self):
+        # the table grows by doubling; a read past its end builds a larger one
+        assert log_factorial(5000) == log_factorial(np.array([3, 5000]))[1]
+        assert math.isclose(log_factorial(7), math.log(5040), rel_tol=1e-15)
 
 
 class TestCoherent:
