@@ -1,17 +1,17 @@
 """Closed-form oracles and auxiliary formulas.
 
 Interference-loss prediction, the equal-photon-count amplitude and its
-brute-force twin, erasure and Poisson basics, antisqueezing-fraction
-limits, and Gaussian moment propagation are independent of the Fock
-simulator; the tests play them against it as cross-checks in both
-directions.  The squeeze-to-match solver is the exception: it refits
-antisqueezed kittens with catfit.fit_squeezed_cats.  A heralded kitten is
-a^k S(r')|0> with tanh r' = cos^2(theta_sub) tanh r (Dakna et al., PRA 55,
-3184 (1997)), so antisqueezing it by rho gives (a cosh rho - a+ sinh rho)^k
-S(R)|0> with R = r' + rho (for R < 0 the squeeze flips axis and the even
-amplitudes alternate in sign).  Moving each a through S(R)|0> leaves
-p_k(a+) S(R)|0>, a polynomial with positive coefficients in the raising
-operator, so the state is exact on any cutoff and needs no exponential.
+brute-force twin, antisqueezing-fraction limits, and Gaussian moment
+propagation are independent of the Fock simulator; the tests play them
+against it as cross-checks in both directions.  The squeeze-to-match
+solver is the exception: it refits antisqueezed kittens with
+catfit.fit_squeezed_cats.  A heralded kitten antisqueezed by rho is
+S(r' + rho) applied to k + 1 amplitudes (catfit.kitten_target), so the
+search builds no state per trial.  antisqueezed_kitten builds the matched
+state once, as (a cosh rho - a+ sinh rho)^k S(R)|0> with R = r' + rho
+(for R < 0 the squeeze flips axis and the even amplitudes alternate in
+sign): moving each a through S(R)|0> leaves p_k(a+) S(R)|0>, a polynomial
+with positive coefficients in a+, exact on any cutoff.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catfit import fit_squeezed_cats
+from .catfit import fit_squeezed_cats, kitten_target
 from .fock import FockState, ModeLayout, _warn_leak
 from .kitten import KittenSpec
-from .states import Squeeze, r_from_squeeze_photons, squeezed_vacuum_log_even
+from .states import Squeeze, squeezed_vacuum_log_even
 
 LN2 = math.log(2.0)
 
@@ -113,28 +113,6 @@ def c_equal_bruteforce(n: int, m: int) -> complex:
     return complex(coeffs[p, p]) * norm
 
 
-def erasure_residual(alpha_weak: float, alpha_strong: float) -> tuple[float, float]:
-    """Displacement left after erasing against a strong reference.
-
-    Returns (exact, approximation): sqrt(as^2 + aw^2) - as alongside its
-    second-order form aw^2 / (2 as).
-    """
-    if alpha_strong <= 0.0:
-        raise ValueError("the strong displacement must be positive")
-    exact = math.hypot(alpha_strong, alpha_weak) - alpha_strong
-    return exact, alpha_weak**2 / (2.0 * alpha_strong)
-
-
-def poisson_pn(alpha: complex, n: int) -> float:
-    """Photon-number law of a coherent state: e^{-|a|^2} |a|^{2n} / n!."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    mean = abs(complex(alpha)) ** 2
-    if mean == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
-
-
 def squeeze_fraction_strong(d0: float, r0: float, r: float) -> tuple[float, float]:
     """Fraction of photons from squeezing after antisqueezing by r.
 
@@ -167,7 +145,9 @@ BRACKET_STEP = 0.2
 class MatchResult:
     """Antisqueezing needed to reach a displacement target, plus the
     photon overhead: excess_fraction = 1 - target^2 / mean photons of
-    the antisqueezed state.  guard_mass is that state's sliced tail."""
+    the antisqueezed state.  guard_mass is the matched state's tail
+    beyond the work cutoff (antisqueezed_kitten's leakage); the search
+    itself has no cutoff."""
 
     r_required: float
     excess_fraction: float
@@ -178,12 +158,9 @@ def antisqueezed_kitten(spec: KittenSpec, rho: float, work_cutoff: int) -> FockS
     """The kitten of spec antisqueezed by rho along its displacement axis
     (rho < 0 squeezes), p_k(a+) S(R)|0> normalized on work_cutoff levels.
     Its leakage is the tail cut off, against the exact norm^2 <a+^k a^k> of
-    S(r')|0> (a sum over Wick pairings); it warns above LEAK_THRESHOLD."""
-    tanh_sub = math.cos(spec.theta_sub) ** 2
-    if not spec.infinite:
-        tanh_sub *= math.tanh(r_from_squeeze_photons(spec.squeeze_photons))
-    r_sub, k, dim = math.atanh(tanh_sub), spec.k, work_cutoff + 1
-    big, sh, ch = r_sub + rho, math.sinh(r_sub), math.cosh(r_sub)
+    S(r')|0> (c.c of KittenSpec.core); it warns above LEAK_THRESHOLD."""
+    (r_sub, core), k, dim = spec.core(), spec.k, work_cutoff + 1
+    big, sh = r_sub + rho, math.sinh(r_sub)
     raised = np.zeros(dim)  # (a+)^j S(R)|0>, for j = 0 .. k in turn
     if big == 0.0:
         raised[0] = 1.0
@@ -201,13 +178,8 @@ def antisqueezed_kitten(spec: KittenSpec, rho: float, work_cutoff: int) -> FockS
     for coeff in coeffs[1:]:
         raised = np.concatenate(([0.0], root * raised[:-1]))
         amps += coeff * raised
-    norm_sq = sum(
-        math.comb(k, j) ** 2 * math.factorial(j) * math.prod(range(k - j - 1, 0, -2)) ** 2
-        * sh ** (2 * j) * (sh * ch) ** (k - j)
-        for j in range(k % 2, k + 1, 2)
-    )
     kept = float(amps @ amps)
-    tail = max(0.0, 1.0 - kept / norm_sq)  # rounding leaves ~1e-16 of either sign
+    tail = max(0.0, 1.0 - kept / (core @ core))  # rounding leaves ~1e-16 of either sign
     _warn_leak(tail, f"antisqueezed_kitten(k={k}, rho={rho:.6g}) at work cutoff {work_cutoff}")
     return FockState(ModeLayout((work_cutoff,)), amps / math.sqrt(kept), tail)
 
@@ -235,29 +207,34 @@ def squeeze_to_match(pairs, work_cutoff: int = 1000) -> list[MatchResult]:
     pairs, the source alpha being the kitten's own fit.
 
     One secant search per pair (_secant_next), from log(target / source)
-    and SECANT_STEP above it; a round fits the antisqueezed kittens of all
-    pairs still searching in one fit_squeezed_cats call.  A pair stops at
-    the first r whose fit is within MATCH_TOLERANCE of its target and
-    reports that fit; a pair that does not get there raises.  Negative
-    r_required (plain squeezing) answers a target below the source."""
+    and SECANT_STEP above it; a round fits the kitten_target of every
+    pair still searching in one fit_squeezed_cats call, each on its
+    k + 1 amplitudes.  A pair stops at the first r whose fit is within
+    MATCH_TOLERANCE of its target and reports that fit; a pair that does
+    not get there raises.  Negative r_required (plain squeezing) answers
+    a target below the source.  The matched state is then built once on
+    work_cutoff levels for its guard mass."""
     pairs = list(pairs)
     for _, source_alpha, target in pairs:
         if target <= 0.0:
             raise ValueError("target displacement must be positive")
         if source_alpha <= 1e-9:
             raise ValueError("source has no fitted displacement to match")
-    results: list[MatchResult | None] = [None] * len(pairs)
+    found: list[tuple[float, float] | None] = [None] * len(pairs)
     tried: list[list[tuple[float, float]]] = [[] for _ in pairs]
     todo = [(i, math.log(t / a) + d) for i, (_, a, t) in enumerate(pairs) for d in (0.0, SECANT_STEP)]
     for _ in range(MATCH_MAX_ROUNDS):
-        states = [antisqueezed_kitten(pairs[i][0], r, work_cutoff) for i, r in todo]
-        for (i, r), state, fit in zip(todo, states, fit_squeezed_cats(states)):
+        fits = fit_squeezed_cats([kitten_target(pairs[i][0], r) for i, r in todo])
+        for (i, r), fit in zip(todo, fits):
             tried[i].append((r, fit.alpha - pairs[i][2]))
-            if abs(tried[i][-1][1]) < MATCH_TOLERANCE and results[i] is None:
-                results[i] = MatchResult(r, fit.squeeze_fraction, state.leakage)
-        todo = [(i, _secant_next(tried[i])) for i in dict.fromkeys(i for i, _ in todo) if results[i] is None]
+            if abs(tried[i][-1][1]) < MATCH_TOLERANCE and found[i] is None:
+                found[i] = (r, fit.squeeze_fraction)
+        todo = [(i, _secant_next(tried[i])) for i in dict.fromkeys(i for i, _ in todo) if found[i] is None]
         if not todo:
-            return results
+            return [
+                MatchResult(r, excess, antisqueezed_kitten(spec, r, work_cutoff).leakage)
+                for (spec, _, _), (r, excess) in zip(pairs, found)
+            ]
     spec, source_alpha, target = pairs[todo[0][0]]
     raise ValueError(
         f"squeeze_to_match: the k={spec.k} source (alpha {source_alpha:.9g}) is still "

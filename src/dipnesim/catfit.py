@@ -4,13 +4,13 @@ The candidate family at total photon budget N splits the budget by a
 squeeze fraction s in [0, 1]: sinh^2 r = s N photons from squeezing and
 alpha^2 = (1 - s) N from displacement, the cat phase fixed by the
 input's parity.  The fit maximizes fidelity over s; s = 0 is the plain
-(unsqueezed) cat of the same budget.  Candidates are built in lockstep:
-one Fock-amplitude recurrence evaluates every (target, fraction) row of
-a whole sweep of fits at once (the parameter-batched recursion of
-Miatto & Quesada, Quantum 4, 366 (2020)), so a sweep costs five
-recurrences, however many kittens it fits.  The recurrence folds its
-amplitudes into the overlaps a tile of levels at a time and never holds
-a (rows, dim) candidate array.
+(unsqueezed) cat of the same budget.
+
+Every input is a FitTarget, S(R) applied to a few Fock amplitudes: k + 1
+for a kitten, antisqueezed or not (kitten_target), or a bare Fock state's
+own at R = 0.  One recurrence scores every (target, fraction) row of a
+sweep on those levels alone, with exact candidate norms, so no cutoff
+enters a kitten's fit.
 
 The budget is deliberately the component-level split, not the mean
 photon number of the normalized superposition.  The parity cross term
@@ -22,15 +22,13 @@ to fidelity 1 at a large squeeze fraction for every k = 1 input.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockState
-from .kitten import KittenState
-from .states import _parity_filter
+from .kitten import KittenSpec, KittenState
 
 # absolute tolerance of the fraction search
 S_TOLERANCE = 1e-6
@@ -59,14 +57,32 @@ class CatFitResult:
     plain_cat_fidelity: float
 
 
-def _unwrap(kitten) -> tuple[FockState, float]:
-    """Accept a KittenState or a bare FockState; return (state, N)."""
-    if isinstance(kitten, KittenState):
-        return kitten.state, kitten.mean_photons
-    state = kitten
-    weights = np.abs(state.amplitudes) ** 2
-    mean = float(np.arange(state.layout.dim) @ weights / weights.sum())
-    return state, mean
+@dataclass(frozen=True)
+class FitTarget:
+    """A fit input S(R e^{i pi}) sum_m coeffs[m] |m> (coeffs unnormalized),
+    fitted at photon budget ``photons`` with cat phase ``phi``."""
+
+    squeeze: float
+    coeffs: np.ndarray
+    photons: float
+    phi: float
+
+
+def kitten_target(spec: KittenSpec, rho: float = 0.0) -> FitTarget:
+    """The kitten of spec antisqueezed by rho along its displacement axis
+    (rho < 0 squeezes): squeezes along one axis add, so it is S(r' + rho) c
+    with (r', c) = spec.core().  Its photon number is closed form:
+    <a+a> = cosh(2R) n_c + sinh^2 R + sinh(2R) <a^2>_c."""
+    r_sub, coeffs = spec.core()
+    norm_sq = coeffs @ coeffs
+    if norm_sq == 0.0:
+        raise ValueError("zero squeezing heralds k >= 1 with probability 0")
+    levels = np.arange(spec.k + 1)
+    n_c = levels @ coeffs**2 / norm_sq
+    pair_c = (coeffs[:-2] * coeffs[2:]) @ np.sqrt(levels[1:-1] * levels[2:]) / norm_sq
+    big = r_sub + rho
+    photons = math.cosh(2.0 * big) * n_c + math.sinh(big) ** 2 + math.sinh(2.0 * big) * pair_c
+    return FitTarget(big, coeffs, float(photons), math.pi if spec.k % 2 else 0.0)
 
 
 def _parity_phase(state: FockState) -> float:
@@ -88,12 +104,11 @@ def _budget_split(s, total, phi):
     return np.where((alpha == 0.0) & (phi != 0.0), ALPHA_FLOOR, alpha), r
 
 
-def _require_nondegenerate(alphas: np.ndarray, rs: np.ndarray, phis: np.ndarray) -> None:
-    """The degenerate-cat check cat_state makes (states.cat_norm_squared
-    at squeeze angle pi), over every candidate at once."""
-    gamma = alphas * np.cosh(rs) + alphas * cmath.exp(1j * math.pi) * np.sinh(rs)
+def _require_nondegenerate(alphas: np.ndarray, rs: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Exact norm^2 of every candidate, states.cat_norm_squared at squeeze
+    angle pi, raising where cat_state does: where the branches cancel."""
     ph = np.where(phis == 0.0, 1.0, -1.0)
-    norm_sq = 2.0 * (1.0 + ph) + 2.0 * ph * np.expm1(-2.0 * np.abs(gamma) ** 2)
+    norm_sq = 2.0 * (1.0 + ph) + 2.0 * ph * np.expm1(-2.0 * (alphas * np.exp(-rs)) ** 2)
     bad = norm_sq <= 1e-280
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -101,71 +116,27 @@ def _require_nondegenerate(alphas: np.ndarray, rs: np.ndarray, phis: np.ndarray)
             "degenerate cat: the two branches cancel exactly "
             f"(alpha={complex(alphas[i])}, phi={float(np.broadcast_to(phis, bad.shape)[i])})"
         )
+    return norm_sq
 
 
-def _family_fidelities(targets, totals, phis, ss: np.ndarray) -> np.ndarray:
-    """Fidelities of the budget-split candidates: entry (k, j) is the
-    candidate at fraction ss[k, j] against targets[k].
-
-    One recurrence advances every row together: the three-term recurrence
-    of states._squeezed_coherent_batch at squeeze angle pi, where every
-    amplitude is real.  It holds TILE levels at a time and folds each full
-    tile into the running overlaps and truncated norms with one einsum, so
-    memory grows with the rows, never with rows x dim.  The parity filter
-    that makes the cat, and the cut at each target's own cutoff, live in
-    per-level weights, so targets of different cutoffs can share a call.
-    Each candidate is renormalized within its target's truncated space
-    before the overlap is squared; a candidate with no finite, nonzero
-    mass left there is an error, not a zero.
-    """
-    totals = np.asarray(totals, float)[:, None]
-    phis = np.asarray(phis, float)[:, None]
-    alphas, rs = _budget_split(ss, totals, phis)
-    _require_nondegenerate(alphas, rs, phis)
-
-    dims = [target.layout.dim for target in targets]
-    dim = max(dims)
-    # per level and target: the conjugate target times the parity weight
-    # 1 + e^{i phi} (-1)^n, and that weight squared; both vanish above the
-    # target's cutoff
-    conj_re = np.zeros((dim, len(targets)))
-    conj_im = np.zeros((dim, len(targets)))
-    weight_sq = np.zeros((dim, len(targets)))
-    for k, (target, d) in enumerate(zip(targets, dims)):
-        weight = _parity_filter(float(phis[k, 0]), d).real
-        conj_re[:d, k] = target.amplitudes.real * weight
-        conj_im[:d, k] = -target.amplitudes.imag * weight
-        weight_sq[:d, k] = weight * weight
-
-    # D(alpha) S(r e^{i pi}) |0> with real alpha:
-    # c_{n+1} = (a c_n + tanh(r) sqrt(n) c_{n-1}) / sqrt(n + 1)
-    ch = np.cosh(rs)
-    t = np.tanh(rs)
-    a = alphas * np.exp(-rs) / ch
+def _amplitude_tiles(a: np.ndarray, t: np.ndarray, first: np.ndarray, dim: int):
+    """Levels 0 .. dim - 1 of c_{n+1} = (a c_n + t sqrt(n) c_{n-1}) / sqrt(n + 1),
+    c_0 = first, elementwise over the rows: (levels, *rows) views of one
+    TILE-level buffer, each overwritten once the next is asked for."""
     root = np.sqrt(np.arange(dim + 1.0))
     inv_next = (1.0 / root[1:]).tolist()
     ratio = (root[:-1] / root[1:]).tolist()
-
-    # running overlap (real, imaginary part) and truncated norm^2 per row
-    sums = np.zeros((3,) + ss.shape)
     # slots 0 and 1 carry the last two levels of the previous tile
-    buf = np.zeros((TILE + 2,) + ss.shape)
+    buf = np.zeros((TILE + 2,) + a.shape)
     slot = list(buf)
-    slot[2][...] = np.exp(-0.5 * alphas * a) / np.sqrt(ch)
-    tmp = np.empty(ss.shape)
-    start, j = 0, 2  # level `start` is in slot 2, the newest level in slot j
-
-    def fold(tile: np.ndarray, first: int) -> None:
-        levels = slice(first, first + len(tile))
-        sums[0] += np.einsum("tkp,tk->kp", tile, conj_re[levels])
-        sums[1] += np.einsum("tkp,tk->kp", tile, conj_im[levels])
-        sums[2] += np.einsum("tkp,tkp,tk->kp", tile, tile, weight_sq[levels])
-
+    slot[2][...] = first
+    tmp = np.empty(a.shape)
+    j = 2  # the newest level is in slot j
     for n in range(dim - 1):  # level n + 1 from levels n and n - 1
         if j == TILE + 1:
-            fold(buf[2:], start)
+            yield buf[2:]
             buf[:2] = buf[TILE:]
-            start, j = start + TILE, 1
+            j = 1
         np.multiply(a, slot[j], out=tmp)
         tmp *= inv_next[n]
         nxt = slot[j + 1]
@@ -173,51 +144,100 @@ def _family_fidelities(targets, totals, phis, ss: np.ndarray) -> np.ndarray:
         nxt *= ratio[n]
         nxt += tmp
         j += 1
-    fold(buf[2 : j + 1], start)
-    overlap_re, overlap_im, norms = sums
+    yield buf[2 : j + 1]
 
-    bad = ~(np.isfinite(norms) & (norms > 0.0))
+
+def _row_fidelities(targets: list[FitTarget], ss: np.ndarray) -> np.ndarray:
+    """Fidelities of the budget-split candidates: entry (k, j) is the
+    candidate at fraction ss[k, j] against targets[k].
+
+    With real alpha, S(R)+ D(alpha) S(r)|0> = D(alpha e^{-R}) S(r - R)|0>,
+    so the overlap with S(R) c is sum_m conj(c_m) w_m g_m over c's levels:
+    g_m from the real recurrence of states._squeezed_coherent_batch, run
+    for all rows at once (Miatto & Quesada, Quantum 4, 366 (2020)), and
+    w_m = 1 + e^{i phi} (-1)^m making the cat; the squared overlap is
+    divided by the exact candidate norm^2 and by c.c.  A candidate with no
+    finite, nonzero mass on c's levels has under- or overflowed: an error.
+    """
+    totals, phis, bigs = np.array([[t.photons, t.phi, t.squeeze] for t in targets]).T[:, :, None]
+    alphas, rs = _budget_split(ss, totals, phis)
+    norm_sq = _require_nondegenerate(alphas, rs, phis)
+
+    dims = np.array([len(target.coeffs) for target in targets])
+    coeffs = np.zeros((dims.max(), len(targets)), dtype=np.complex128)
+    for k, target in enumerate(targets):
+        coeffs[: dims[k], k] = target.coeffs
+    # per level and target the parity weight, which vanishes above the target's levels
+    levels = np.arange(dims.max())[:, None]
+    weight = (1.0 + np.where(phis.T == 0.0, 1.0, -1.0) * (-1.0) ** levels) * (levels < dims)
+    conj_re, conj_im = coeffs.real * weight, -coeffs.imag * weight
+
+    rel = rs - bigs
+    a = alphas * np.exp(-rs) / np.cosh(rel)  # alpha e^{-R} e^{-(r - R)} / cosh(r - R)
+    first = np.exp(-0.5 * alphas * np.exp(-bigs) * a) / np.sqrt(np.cosh(rel))
+    # running overlap (real, imaginary part) and mass on c's levels per row
+    sums = np.zeros((3,) + ss.shape)
+    start = 0
+    for tile in _amplitude_tiles(a, np.tanh(rel), first, dims.max()):
+        at = slice(start, start + len(tile))
+        sums[0] += np.einsum("tkp,tk->kp", tile, conj_re[at])
+        sums[1] += np.einsum("tkp,tk->kp", tile, conj_im[at])
+        sums[2] += np.einsum("tkp,tkp,tk->kp", tile, tile, weight[at] ** 2)
+        start += len(tile)
+    overlap_re, overlap_im, mass = sums
+
+    bad = ~(np.isfinite(mass) & (mass > 0.0))
     if bad.any():
         k, i = np.unravel_index(np.argmax(bad), bad.shape)
         raise ValueError(
             f"squeezed-cat candidate at squeeze fraction {ss[k, i]:.6g} of a "
-            f"{totals[k, 0]:.6g}-photon budget has truncated norm^2 {norms[k, i]:.3g} "
+            f"{totals[k, 0]:.6g}-photon budget has truncated norm^2 {mass[k, i]:.3g} "
             f"at cutoff {dims[k] - 1}: its amplitudes under- or overflow"
         )
-    return (overlap_re**2 + overlap_im**2) / norms
+    coeff_sq = np.array([[np.vdot(t.coeffs, t.coeffs).real] for t in targets])
+    return (overlap_re**2 + overlap_im**2) / (norm_sq * coeff_sq)
 
 
-def _prepare(kitten) -> tuple[FockState, float, float]:
-    """(state, photon budget, cat phase) of a validated fit input."""
-    target, total = _unwrap(kitten)
-    if target.layout.n_modes != 1:
-        raise ValueError("fit expects a single-mode state")
-    if total <= 0.0:
+def _prepare(kitten) -> FitTarget:
+    """A validated FitTarget: as given, or R = 0 with a KittenState's or a
+    bare FockState's own amplitudes."""
+    target = kitten
+    if not isinstance(kitten, FitTarget):
+        state = kitten.state if isinstance(kitten, KittenState) else kitten
+        if state.layout.n_modes != 1:
+            raise ValueError("fit expects a single-mode state")
+        if isinstance(kitten, KittenState):
+            total = kitten.mean_photons
+        else:
+            weights = np.abs(state.amplitudes) ** 2
+            total = float(np.arange(state.layout.dim) @ weights / weights.sum())
+        target = FitTarget(0.0, state.amplitudes, total, _parity_phase(state))
+    if target.photons <= 0.0:
         raise ValueError("cannot fit a zero-photon input")
-    return target, total, _parity_phase(target)
+    return target
 
 
 def fit_squeezed_cats(kittens) -> list[CatFitResult]:
     """Best squeezed-cat approximation of each kitten at its photon number.
 
-    Accepts KittenStates or normalized single-mode FockStates with
-    definite parity.  Each fraction search evaluates a 64-point grid, then
-    refines in rounds of 33 points spread over its argmax's neighbours
-    until its bracket is at most S_TOLERANCE wide (three or four rounds).
-    The fits advance in lockstep: every round is one recurrence over all
-    (kitten, fraction) rows still refining, while each fit keeps its own
-    bracket and argmax, so a fit's result does not depend on the others
-    in the batch.  Exact inner products throughout, so repeated runs are
-    bit-identical.
+    Accepts FitTargets (kitten_target), KittenStates or normalized
+    single-mode FockStates with definite parity.  Each fraction search
+    evaluates a 64-point grid, then refines in rounds of 33 points spread
+    over its argmax's neighbours until its bracket is at most S_TOLERANCE
+    wide (three or four rounds).  The fits advance in lockstep: a round is
+    one recurrence over all rows still refining, as long as the longest
+    target, while each fit keeps its own bracket and argmax, so a fit's
+    result does not depend on the others in the batch.  Exact inner
+    products throughout, so repeated runs are bit-identical.
     """
-    prepared = [_prepare(kitten) for kitten in kittens]
-    if not prepared:
+    targets = [_prepare(kitten) for kitten in kittens]
+    if not targets:
         return []
-    targets, totals, phis = zip(*prepared)
-    totals, phis = np.array(totals), np.array(phis)
+    totals = np.array([target.photons for target in targets])
+    phis = np.array([target.phi for target in targets])
 
     ss = np.tile(np.linspace(0.0, 1.0, GRID_POINTS), (len(targets), 1))
-    values = _family_fidelities(targets, totals, phis, ss)
+    values = _row_fidelities(targets, ss)
     plain = values[:, 0].copy()
     best = np.argmax(values, axis=1)
     rows = np.arange(len(targets))
@@ -231,9 +251,7 @@ def fit_squeezed_cats(kittens) -> list[CatFitResult]:
             break
         live = live[still]
         ss = np.linspace(lo[still], hi[still], ROUND_POINTS, axis=-1)
-        values = _family_fidelities(
-            [targets[i] for i in live], totals[live], phis[live], ss
-        )
+        values = _row_fidelities([targets[i] for i in live], ss)
         best = np.argmax(values, axis=1)
         top = values[np.arange(len(live)), best]
         better = top > best_f[live]

@@ -26,7 +26,7 @@ from .analytics import (
     squeeze_to_match,
     vacuum_moments,
 )
-from .catfit import CatFitResult, fit_squeezed_cats
+from .catfit import CatFitResult, fit_squeezed_cats, kitten_target
 from .circuits import (
     GadgetSpec,
     apply_element,
@@ -389,8 +389,9 @@ def _check_kitten_cutoff(config: ExperimentConfig, sweep: list[float]) -> None:
 
 
 def _kitten_table(config: ExperimentConfig, columns: tuple[str, ...], project) -> ResultTable:
-    """Herald each (squeeze_photons, k) point of the sweep, then fit them
-    all in one lockstep call; the row is the point followed by
+    """Herald each (squeeze_photons, k) point of the sweep, then fit the
+    kitten_target of every point in one lockstep call (k + 1 levels per
+    row, no cutoff); the row is the point followed by
     ``project(k, kitten, fit)``.  At zero squeezing there is nothing to
     herald or fit, and both are None."""
     sweep = _squeeze_sweep(config)
@@ -398,11 +399,9 @@ def _kitten_table(config: ExperimentConfig, columns: tuple[str, ...], project) -
     theta, cutoff = config["theta_sub"], config["cutoff"]
 
     points = [(photons, k) for photons in sweep for k in config["k_list"]]
-    kits = [
-        kitten_direct(KittenSpec(photons, theta, k, cutoff)) if photons != 0.0 else None
-        for photons, k in points
-    ]
-    fits = iter(fit_squeezed_cats([kit for kit in kits if kit is not None]))
+    specs = [KittenSpec(photons, theta, k, cutoff) for photons, k in points]
+    kits = [kitten_direct(spec) if spec.squeeze_photons != 0.0 else None for spec in specs]
+    fits = iter(fit_squeezed_cats([kitten_target(s) for s in specs if s.squeeze_photons != 0.0]))
     rows = [
         (photons, k) + project(k, kit, None if kit is None else next(fits))
         for (photons, k), kit in zip(points, kits)
@@ -525,13 +524,14 @@ def run_match(config: ExperimentConfig) -> ResultTable:
     """Antisqueezing needed to move each source kitten's displacement to
     each target kitten's, with the photon overhead it causes.  Diagonal
     pairs need none and keep the kitten's own fit; the others share one
-    squeeze_to_match search."""
+    squeeze_to_match search, which has no cutoff.  max_guard_mass is the
+    largest tail of a matched state beyond work_cutoff levels."""
     theta, cutoff = config["theta_sub"], config["cutoff"]
     photons = config["squeeze_photons"]
     ks = sorted(set(config["source_k"]) | set(config["target_k"]))
     specs = {k: KittenSpec(photons, theta, k, cutoff) for k in ks}
     kits = {k: kitten_direct(specs[k]) for k in ks}
-    fits = dict(zip(ks, fit_squeezed_cats([kits[k] for k in ks])))
+    fits = dict(zip(ks, fit_squeezed_cats([kitten_target(specs[k]) for k in ks])))
     max_leak = max(kits[k].state.leakage for k in ks)
 
     grid = sorted((s, t) for s in config["source_k"] for t in config["target_k"])

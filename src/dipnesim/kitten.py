@@ -58,6 +58,21 @@ class KittenSpec:
     def infinite(self) -> bool:
         return math.isinf(self.squeeze_photons)
 
+    def core(self) -> tuple[float, np.ndarray]:
+        """(r', c) with a^k S(r')|0> = S(r') sum_m c_m |m>: the tap leaves
+        tanh r' = cos^2(theta_sub) tanh r (Dakna et al., PRA 55, 3184 (1997)),
+        and c = (a cosh r' + a+ sinh r')^k |0> holds k + 1 nonnegative,
+        unnormalized amplitudes: c.c = <a+^k a^k> in S(r')|0>."""
+        tanh_r = 1.0 if self.infinite else math.tanh(r_from_squeeze_photons(self.squeeze_photons))
+        r_sub = math.atanh(math.cos(self.theta_sub) ** 2 * tanh_r)
+        root = np.sqrt(np.arange(1.0, self.k + 1))
+        coeffs = np.zeros(self.k + 1)
+        coeffs[0] = 1.0
+        for _ in range(self.k):  # after j steps only levels <= j are populated
+            up, down = math.sinh(r_sub) * root * coeffs[:-1], math.cosh(r_sub) * root * coeffs[1:]
+            coeffs = np.append(0.0, up) + np.append(down, 0.0)
+        return r_sub, coeffs
+
 
 @dataclass(frozen=True)
 class KittenState:
@@ -188,9 +203,3 @@ def peak_estimate(k: int, theta_sub: float) -> float:
     if log_cos == 0.0:
         return math.inf
     return -k / (2.0 * log_cos)
-
-
-def displacement_estimate(k: int, theta_sub: float) -> float:
-    """Coherent displacement whose photon number sits at the envelope
-    peak: sqrt(peak_estimate)."""
-    return math.sqrt(peak_estimate(k, theta_sub))

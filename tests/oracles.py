@@ -5,9 +5,12 @@ faster: the dense 4-mode interference gadget behind measure.l_intf, the
 two-mode subtraction circuit (with number post-selection) behind
 kitten.kitten_direct, the per-sector unitaries behind circuits.beamsplit,
 the full-state circuit loop behind the product factors of
-experiments.run_oracle_check, and the squeeze_op antisqueeze and r
-bisection behind analytics.antisqueezed_kitten and the secant of
-analytics.squeeze_to_match.
+experiments.run_oracle_check, the cutoff-length candidate recurrence
+behind catfit's closed-form overlaps, and the squeeze_op antisqueeze and
+r bisection behind analytics.antisqueezed_kitten and the secant of
+analytics.squeeze_to_match.  A few closed forms no experiment uses
+(erasure_residual, poisson_pn, displacement_estimate) live here with
+their tests.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from dipnesim.analytics import (
     mean_photons_from_moments,
     vacuum_moments,
 )
-from dipnesim.catfit import fit_squeezed_cat
+from dipnesim.catfit import (
+    TILE,
+    _budget_split,
+    _require_nondegenerate,
+    fit_squeezed_cat,
+)
 from dipnesim.circuits import (
     GadgetSpec,
     _bs_sector_unitary,
@@ -43,9 +51,8 @@ from dipnesim.fock import (
     tensor,
     vacuum_state,
 )
-from dipnesim.kitten import KittenSpec, KittenState, kitten_direct
-from dipnesim.measure import mean_quadrature
-from dipnesim.states import Squeeze, r_from_squeeze_photons, squeezed_vacuum
+from dipnesim.kitten import KittenSpec, KittenState, kitten_direct, peak_estimate
+from dipnesim.states import Squeeze, _parity_filter, r_from_squeeze_photons, squeezed_vacuum
 
 
 def beamsplit_sector_unitaries(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockState:
@@ -71,7 +78,10 @@ def beamsplit_sector_unitaries(state: FockState, mode_a: int, mode_b: int, theta
 
 
 def full_state_oracle_rows(seed: int, circuits: int, cutoff: int, max_modes: int) -> list[tuple]:
-    """run_oracle_check's circuit rows, each circuit run on its full n-mode array."""
+    """run_oracle_check's circuit rows, each circuit run on its full n-mode
+    array.  Each mode's <n> and <a> are read from its trace-normalized
+    reduced density matrix, so the other modes' norms, each a few ulps
+    from 1, do not scale them."""
     rows = []
     for circuit_id, n_modes, elements in _enumerated_circuits(seed, circuits, max_modes):
         moments = vacuum_moments(n_modes)
@@ -82,15 +92,17 @@ def full_state_oracle_rows(seed: int, circuits: int, cutoff: int, max_modes: int
         photon_err = 0.0
         quad_err = 0.0
         for mode in range(n_modes):
-            photon_err = max(
-                photon_err,
-                abs(mean_photons_from_moments(moments, mode) - state.mean_photons(mode)),
-            )
-            qx, qp = mean_quadrature(state, mode)
+            psi = np.moveaxis(state.nd, mode, 0).reshape(state.nd.shape[mode], -1)
+            rho = psi @ psi.conj().T
+            rho /= np.trace(rho).real
+            levels = np.arange(len(rho))
+            mean_n = float(levels @ np.diagonal(rho).real)
+            mean_a = complex(np.sqrt(levels[1:]) @ np.diagonal(rho, 1).conj())
+            photon_err = max(photon_err, abs(mean_photons_from_moments(moments, mode) - mean_n))
             quad_err = max(
                 quad_err,
-                abs(moments.mean[2 * mode] - qx),
-                abs(moments.mean[2 * mode + 1] - qp),
+                abs(moments.mean[2 * mode] - 2.0 * mean_a.real),
+                abs(moments.mean[2 * mode + 1] - 2.0 * mean_a.imag),
             )
         rows.append((circuit_id, photon_err, quad_err))
     return rows
@@ -275,3 +287,125 @@ def squeeze_to_match_bisect(
         else:
             hi = mid
     return MatchResult(mid, fit_mid.squeeze_fraction, math.nan)
+
+
+def _unwrap(kitten) -> tuple[FockState, float]:
+    """Accept a KittenState or a bare FockState; return (state, N)."""
+    if isinstance(kitten, KittenState):
+        return kitten.state, kitten.mean_photons
+    state = kitten
+    weights = np.abs(state.amplitudes) ** 2
+    mean = float(np.arange(state.layout.dim) @ weights / weights.sum())
+    return state, mean
+
+
+def _family_fidelities(targets, totals, phis, ss: np.ndarray) -> np.ndarray:
+    """Fidelities of the budget-split candidates: entry (k, j) is the
+    candidate at fraction ss[k, j] against targets[k].
+
+    One recurrence advances every row together: the three-term recurrence
+    of states._squeezed_coherent_batch at squeeze angle pi, where every
+    amplitude is real.  It holds TILE levels at a time and folds each full
+    tile into the running overlaps and truncated norms with one einsum, so
+    memory grows with the rows, never with rows x dim.  The parity filter
+    that makes the cat, and the cut at each target's own cutoff, live in
+    per-level weights, so targets of different cutoffs can share a call.
+    Each candidate is renormalized within its target's truncated space
+    before the overlap is squared; a candidate with no finite, nonzero
+    mass left there is an error, not a zero.
+    """
+    totals = np.asarray(totals, float)[:, None]
+    phis = np.asarray(phis, float)[:, None]
+    alphas, rs = _budget_split(ss, totals, phis)
+    _require_nondegenerate(alphas, rs, phis)
+
+    dims = [target.layout.dim for target in targets]
+    dim = max(dims)
+    # per level and target: the conjugate target times the parity weight
+    # 1 + e^{i phi} (-1)^n, and that weight squared; both vanish above the
+    # target's cutoff
+    conj_re = np.zeros((dim, len(targets)))
+    conj_im = np.zeros((dim, len(targets)))
+    weight_sq = np.zeros((dim, len(targets)))
+    for k, (target, d) in enumerate(zip(targets, dims)):
+        weight = _parity_filter(float(phis[k, 0]), d).real
+        conj_re[:d, k] = target.amplitudes.real * weight
+        conj_im[:d, k] = -target.amplitudes.imag * weight
+        weight_sq[:d, k] = weight * weight
+
+    # D(alpha) S(r e^{i pi}) |0> with real alpha:
+    # c_{n+1} = (a c_n + tanh(r) sqrt(n) c_{n-1}) / sqrt(n + 1)
+    ch = np.cosh(rs)
+    t = np.tanh(rs)
+    a = alphas * np.exp(-rs) / ch
+    root = np.sqrt(np.arange(dim + 1.0))
+    inv_next = (1.0 / root[1:]).tolist()
+    ratio = (root[:-1] / root[1:]).tolist()
+
+    # running overlap (real, imaginary part) and truncated norm^2 per row
+    sums = np.zeros((3,) + ss.shape)
+    # slots 0 and 1 carry the last two levels of the previous tile
+    buf = np.zeros((TILE + 2,) + ss.shape)
+    slot = list(buf)
+    slot[2][...] = np.exp(-0.5 * alphas * a) / np.sqrt(ch)
+    tmp = np.empty(ss.shape)
+    start, j = 0, 2  # level `start` is in slot 2, the newest level in slot j
+
+    def fold(tile: np.ndarray, first: int) -> None:
+        levels = slice(first, first + len(tile))
+        sums[0] += np.einsum("tkp,tk->kp", tile, conj_re[levels])
+        sums[1] += np.einsum("tkp,tk->kp", tile, conj_im[levels])
+        sums[2] += np.einsum("tkp,tkp,tk->kp", tile, tile, weight_sq[levels])
+
+    for n in range(dim - 1):  # level n + 1 from levels n and n - 1
+        if j == TILE + 1:
+            fold(buf[2:], start)
+            buf[:2] = buf[TILE:]
+            start, j = start + TILE, 1
+        np.multiply(a, slot[j], out=tmp)
+        tmp *= inv_next[n]
+        nxt = slot[j + 1]
+        np.multiply(t, slot[j - 1], out=nxt)
+        nxt *= ratio[n]
+        nxt += tmp
+        j += 1
+    fold(buf[2 : j + 1], start)
+    overlap_re, overlap_im, norms = sums
+
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
+    if bad.any():
+        k, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"squeezed-cat candidate at squeeze fraction {ss[k, i]:.6g} of a "
+            f"{totals[k, 0]:.6g}-photon budget has truncated norm^2 {norms[k, i]:.3g} "
+            f"at cutoff {dims[k] - 1}: its amplitudes under- or overflow"
+        )
+    return (overlap_re**2 + overlap_im**2) / norms
+
+
+def erasure_residual(alpha_weak: float, alpha_strong: float) -> tuple[float, float]:
+    """Displacement left after erasing against a strong reference.
+
+    Returns (exact, approximation): sqrt(as^2 + aw^2) - as alongside its
+    second-order form aw^2 / (2 as).
+    """
+    if alpha_strong <= 0.0:
+        raise ValueError("the strong displacement must be positive")
+    exact = math.hypot(alpha_strong, alpha_weak) - alpha_strong
+    return exact, alpha_weak**2 / (2.0 * alpha_strong)
+
+
+def poisson_pn(alpha: complex, n: int) -> float:
+    """Photon-number law of a coherent state: e^{-|a|^2} |a|^{2n} / n!."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    mean = abs(complex(alpha)) ** 2
+    if mean == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
+
+
+def displacement_estimate(k: int, theta_sub: float) -> float:
+    """Coherent displacement whose photon number sits at the envelope
+    peak: sqrt(peak_estimate)."""
+    return math.sqrt(peak_estimate(k, theta_sub))

@@ -20,7 +20,9 @@ from dipnesim import (
     fit_squeezed_cat,
     fit_squeezed_cats,
     kitten_direct,
+    make_config,
     mean_quadrature,
+    run_experiment,
 )
 from dipnesim.analytics import (
     MATCH_TOLERANCE,
@@ -29,16 +31,15 @@ from dipnesim.analytics import (
     antisqueezed_kitten,
     c_equal,
     c_equal_bruteforce,
-    erasure_residual,
     gaussian_propagate,
     interference_loss_theory,
     mean_photons_from_moments,
-    poisson_pn,
     squeeze_fraction_strong,
     squeeze_to_match,
     vacuum_moments,
 )
-from oracles import antisqueezed, squeeze_to_match_bisect
+from dipnesim.catfit import kitten_target
+from oracles import antisqueezed, erasure_residual, poisson_pn, squeeze_to_match_bisect
 
 
 class TestInterferenceLossTheory:
@@ -456,20 +457,73 @@ class TestSqueezeToMatch:
         specs = [KittenSpec(math.inf, math.pi / 5, k, 300) for k in (1, 3)]
         source, target = (f.alpha for f in fit_squeezed_cats([kitten_direct(s) for s in specs]))
         grid_rows = []
-        real = catfit._family_fidelities
+        real = catfit._row_fidelities
 
-        def spy(targets, totals, phis, ss):
+        def spy(targets, ss):
             if ss.shape[1] == catfit.GRID_POINTS:  # one grid round per fit
-                grid_rows.extend(t.layout.dim for t in targets)
-            return real(targets, totals, phis, ss)
+                grid_rows.extend(len(t.coeffs) for t in targets)
+            return real(targets, ss)
 
-        monkeypatch.setattr(catfit, "_family_fidelities", spy)
+        monkeypatch.setattr(catfit, "_row_fidelities", spy)
         res = _match_one(specs[0], source, target, work_cutoff=600)
         monkeypatch.undo()
         assert 0 < len(grid_rows) <= 8
-        assert set(grid_rows) == {601}
+        # each trial is scored on the k + 1 = 2 amplitudes of the k = 1 source
+        assert set(grid_rows) == {2}
         refit = fit_squeezed_cat(antisqueezed_kitten(specs[0], res.r_required, 600)).alpha
         assert abs(refit - target) < MATCH_TOLERANCE
+
+    def test_grid_fidelities_do_not_depend_on_work_cutoff(self, monkeypatch):
+        # the k = 9 source at rho = 1.0 holds ~119 photons; truncated at 600
+        # levels its candidates lost up to 9e-2 of their fidelity at s = 1
+        source = KittenSpec(math.inf, math.pi / 5, 9, 300)
+        alpha = fit_squeezed_cat(kitten_target(source)).alpha
+        grids = {}
+        real = catfit._row_fidelities
+
+        def spy(targets, ss):
+            values = real(targets, ss)
+            if ss.shape[1] == catfit.GRID_POINTS:
+                grids.setdefault(work_cutoff, values)
+            return values
+
+        monkeypatch.setattr(catfit, "_row_fidelities", spy)
+        results = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LeakageWarning)
+            for work_cutoff in (600, 3000):
+                results[work_cutoff] = _match_one(source, alpha, alpha * math.e, work_cutoff)
+        np.testing.assert_array_equal(grids[600], grids[3000])
+        assert results[600].r_required == results[3000].r_required
+        assert results[600].excess_fraction == results[3000].excess_fraction
+        # only the matched state's guard mass reads the work cutoff
+        assert results[600].guard_mass > 1e-8 > results[3000].guard_mass
+
+    def test_builds_each_matched_state_once_at_its_final_r(self, monkeypatch):
+        calls = []
+        real = analytics.antisqueezed_kitten
+
+        def spy(spec, rho, work_cutoff):
+            calls.append((spec.k, rho, work_cutoff))
+            return real(spec, rho, work_cutoff)
+
+        monkeypatch.setattr(analytics, "antisqueezed_kitten", spy)
+        table = run_experiment(make_config("match"))
+        off = [(row[0], row[2], 600) for row in table.rows if row[0] != row[1]]
+        assert len(off) == 20
+        assert sorted(calls) == sorted(off)
+
+    def test_r_required_stable_under_tighter_fraction_search(self, monkeypatch):
+        # S_TOLERANCE / 2 adds no refinement round (the last bracket is
+        # 4.8e-7 either way); / 20 adds one
+        default = run_experiment(make_config("match")).rows
+        monkeypatch.setattr(catfit, "S_TOLERANCE", catfit.S_TOLERANCE / 20)
+        tight = run_experiment(make_config("match")).rows
+        assert tight != default
+        for got, want in zip(tight, default):
+            assert got[:2] == want[:2]
+            assert abs(got[2] - want[2]) <= 1e-6
+            assert abs(got[3] - want[3]) <= 1e-6
 
     def test_lockstep_pairs_match_single_searches(self, spec, kitten):
         fit = fit_squeezed_cat(kitten)
@@ -491,9 +545,7 @@ class TestSqueezeToMatch:
             rounds.append(len(states))
             return [SimpleNamespace(alpha=2.0 + miss(st.rho), squeeze_fraction=0.5) for st in states]
 
-        monkeypatch.setattr(
-            analytics, "antisqueezed_kitten", lambda spec, rho, cutoff: SimpleNamespace(rho=rho, leakage=0.0)
-        )
+        monkeypatch.setattr(analytics, "kitten_target", lambda spec, rho: SimpleNamespace(rho=rho))
         monkeypatch.setattr(analytics, "fit_squeezed_cats", fits)
         with pytest.raises(ValueError, match=f"after {analytics.MATCH_MAX_ROUNDS} rounds"):
             squeeze_to_match([(spec, 1.8, 2.0)], work_cutoff=60)

@@ -15,22 +15,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dipnesim import catfit
+from dipnesim.analytics import antisqueezed_kitten
 from dipnesim.catfit import (
     GRID_POINTS,
     S_TOLERANCE,
     CatFitResult,
     _budget_split,
-    _family_fidelities,
     _parity_phase,
     _require_nondegenerate,
-    _unwrap,
+    _row_fidelities,
     fit_squeezed_cat,
     fit_squeezed_cats,
+    kitten_target,
 )
 from dipnesim.experiments import make_config, run_experiment
 from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, inner, vacuum_state
 from dipnesim.kitten import KittenSpec, KittenState, kitten_direct
-from dipnesim.states import CatSpec, Displacement, Squeeze, _checked_norm_squared, cat_state
+from dipnesim.states import (
+    CatSpec,
+    Displacement,
+    Squeeze,
+    _checked_norm_squared,
+    _parity_filter,
+    _squeezed_coherent_batch,
+    cat_norm_squared,
+    cat_state,
+)
+from oracles import _family_fidelities, _unwrap
 
 THETA = math.pi / 5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -245,6 +257,59 @@ class TestKittenProperties:
 ORACLE_KITTENS = [(photons, k) for photons in (1.0, 10.0, 20.0) for k in (0, 1, 3, 9)]
 
 
+class TestClosedForm:
+    """kitten_target's S(R) c form against the cutoff-length recurrence."""
+
+    @pytest.mark.parametrize(
+        "photons, k",
+        [(p, k) for p in (1.0, 10.0, 20.0, math.inf) for k in (0, 1, 2, 3, 5, 9) if k or p < math.inf],
+    )
+    def test_photons_match_kitten_direct(self, photons, k):
+        spec = KittenSpec(photons, THETA, k, 1000)
+        want = kitten_direct(spec).mean_photons
+        assert kitten_target(spec).photons == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        photons=st.one_of(st.just(math.inf), st.floats(min_value=1.0, max_value=20.0)),
+        k=st.integers(min_value=0, max_value=9),
+        theta=st.floats(min_value=math.pi / 5, max_value=math.pi / 4),
+        rho=st.floats(min_value=-1.0, max_value=1.2),
+    )
+    def test_grid_matches_recurrence_oracle(self, photons, k, theta, rho):
+        spec = KittenSpec(photons, theta, k, 300)
+        target = kitten_target(spec, rho)
+        # s <= 0.3, and at most 20 squeezing photons: at k = 9, rho = 1.2
+        # the budget reaches ~200 photons and 0.3 of it in squeezing leaves
+        # up to 3e-8 beyond cutoff 3000, where the oracle is no oracle
+        ss = np.linspace(0.0, min(0.3, 20.0 / target.photons), 16)
+        got = _row_fidelities([target], ss[None])[0]
+        fock = antisqueezed_kitten(spec, rho, 3000)
+        want = _family_fidelities([fock], [target.photons], [target.phi], ss[None])[0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        # the candidates' mass beyond the oracle's cutoff, read off 6000 levels
+        alphas, rs = _budget_split(ss, target.photons, target.phi)
+        wide = _squeezed_coherent_batch(alphas, rs, math.pi, 6001) * _parity_filter(target.phi, 6001)
+        norms = [cat_norm_squared(CatSpec(Displacement(a), target.phi, Squeeze(r, math.pi))) for a, r in zip(alphas, rs)]
+        assert np.max(np.sum(np.abs(wide[:, 3001:]) ** 2, axis=1) / norms) < 1e-14
+
+    def test_batch_advances_only_k_max_plus_one_levels(self, monkeypatch):
+        levels = []
+        real = catfit._amplitude_tiles
+
+        def spy(a, t, first, dim):
+            levels.append(0)
+            for tile in real(a, t, first, dim):
+                levels[-1] += len(tile)
+                yield tile
+
+        monkeypatch.setattr(catfit, "_amplitude_tiles", spy)
+        spec = KittenSpec(10.0, THETA, 0, 1000)
+        targets = [kitten_target(dataclasses.replace(spec, k=k), rho) for k, rho in [(1, 0.0), (9, 0.5), (4, -0.3)]]
+        fit_squeezed_cats(targets)
+        assert levels and set(levels) == {10}
+
+
 class TestSerialOracle:
     """The batched fit against one cat_state probe per fraction."""
 
@@ -322,7 +387,7 @@ class TestLockstep:
         kitten_rows = {(r[0], r[1]): r for r in kitten_table.rows}
         for row in table.rows:
             photons, k = row[0], row[1]
-            fit = fit_squeezed_cat(kitten_direct(KittenSpec(photons, THETA, k, 150)))
+            fit = fit_squeezed_cat(kitten_target(KittenSpec(photons, THETA, k, 150)))
             assert row[2:] == (
                 fit.fidelity, fit.plain_cat_fidelity, fit.squeeze_fraction,
                 fit.alpha, fit.r, fit.phi,

@@ -383,7 +383,7 @@ class TestOracleCheckRun:
 
 
 class TestProductFactors:
-    @pytest.mark.parametrize("seed", [7, 501])
+    @pytest.mark.parametrize("seed", [7, *range(501, 511)])
     def test_rows_match_full_state_oracle(self, seed):
         table = run_experiment(make_config("oracle-check", {"seed": seed}))
         want = full_state_oracle_rows(seed, 100, 60, 3)

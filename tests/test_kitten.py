@@ -13,12 +13,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import kitten_by_subtraction
+from oracles import displacement_estimate, kitten_by_subtraction
 
 from dipnesim.fock import LeakageWarning
 from dipnesim.kitten import (
     KittenSpec,
-    displacement_estimate,
     kitten_direct,
     kitten_probability,
     peak_estimate,
