@@ -6,12 +6,10 @@ propagation are independent of the Fock simulator; the tests play them
 against it as cross-checks in both directions.  The squeeze-to-match
 solver is the exception: it refits antisqueezed kittens with
 catfit.fit_squeezed_cats.  A heralded kitten antisqueezed by rho is
-S(r' + rho) applied to k + 1 amplitudes (catfit.kitten_target), so the
-search builds no state per trial.  antisqueezed_kitten builds the matched
-state once, as (a cosh rho - a+ sinh rho)^k S(R)|0> with R = r' + rho
-(for R < 0 the squeeze flips axis and the even amplitudes alternate in
-sign): moving each a through S(R)|0> leaves p_k(a+) S(R)|0>, a polynomial
-with positive coefficients in a+, exact on any cutoff.
+S(r' + rho) applied to the k + 1 amplitudes of KittenSpec.core()
+(catfit.kitten_target), so the search builds no state per trial;
+kitten.antisqueezed_kitten builds the matched state once, for its guard
+mass.
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catfit import fit_squeezed_cats, kitten_target
-from .fock import FockState, ModeLayout, _warn_leak
-from .kitten import KittenSpec
-from .states import Squeeze, squeezed_vacuum_log_even
+from .kitten import antisqueezed_kitten
+from .states import Squeeze
 
 LN2 = math.log(2.0)
 
@@ -152,36 +149,6 @@ class MatchResult:
     r_required: float
     excess_fraction: float
     guard_mass: float
-
-
-def antisqueezed_kitten(spec: KittenSpec, rho: float, work_cutoff: int) -> FockState:
-    """The kitten of spec antisqueezed by rho along its displacement axis
-    (rho < 0 squeezes), p_k(a+) S(R)|0> normalized on work_cutoff levels.
-    Its leakage is the tail cut off, against the exact norm^2 <a+^k a^k> of
-    S(r')|0> (c.c of KittenSpec.core); it warns above LEAK_THRESHOLD."""
-    (r_sub, core), k, dim = spec.core(), spec.k, work_cutoff + 1
-    big, sh = r_sub + rho, math.sinh(r_sub)
-    raised = np.zeros(dim)  # (a+)^j S(R)|0>, for j = 0 .. k in turn
-    if big == 0.0:
-        raised[0] = 1.0
-    else:
-        m = np.arange((dim + 1) // 2)
-        raised[::2] = np.sign(big) ** m * np.exp(squeezed_vacuum_log_even(abs(big), m))
-    # p_k solves p_{j+1} = c x p_j + h p_j', p_0 = 1, with c = sinh r' / cosh R
-    # and h = cosh rho: its x^(k - 2i) coefficient is C(k, 2i) (2i - 1)!! h^i c^(k - i)
-    c, h = sh / math.cosh(big), math.cosh(rho)
-    coeffs = np.zeros(k + 1)
-    for i in range(k // 2 + 1):
-        coeffs[k - 2 * i] = math.comb(k, 2 * i) * math.prod(range(2 * i - 1, 0, -2)) * h**i * c ** (k - i)
-    amps = coeffs[0] * raised
-    root = np.sqrt(np.arange(1.0, dim))
-    for coeff in coeffs[1:]:
-        raised = np.concatenate(([0.0], root * raised[:-1]))
-        amps += coeff * raised
-    kept = float(amps @ amps)
-    tail = max(0.0, 1.0 - kept / (core @ core))  # rounding leaves ~1e-16 of either sign
-    _warn_leak(tail, f"antisqueezed_kitten(k={k}, rho={rho:.6g}) at work cutoff {work_cutoff}")
-    return FockState(ModeLayout((work_cutoff,)), amps / math.sqrt(kept), tail)
 
 
 def _secant_next(tried: list[tuple[float, float]]) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState
-from .kitten import KittenSpec, KittenState
+from .kitten import KittenSpec, KittenState, photon_number
 
 # absolute tolerance of the fraction search
 S_TOLERANCE = 1e-6
@@ -71,18 +71,16 @@ class FitTarget:
 def kitten_target(spec: KittenSpec, rho: float = 0.0) -> FitTarget:
     """The kitten of spec antisqueezed by rho along its displacement axis
     (rho < 0 squeezes): squeezes along one axis add, so it is S(r' + rho) c
-    with (r', c) = spec.core().  Its photon number is closed form:
-    <a+a> = cosh(2R) n_c + sinh^2 R + sinh(2R) <a^2>_c."""
+    with (r', c) = spec.core(), and its photon number is
+    kitten.photon_number(r' + rho, c)."""
     r_sub, coeffs = spec.core()
-    norm_sq = coeffs @ coeffs
-    if norm_sq == 0.0:
-        raise ValueError("zero squeezing heralds k >= 1 with probability 0")
-    levels = np.arange(spec.k + 1)
-    n_c = levels @ coeffs**2 / norm_sq
-    pair_c = (coeffs[:-2] * coeffs[2:]) @ np.sqrt(levels[1:-1] * levels[2:]) / norm_sq
+    if not coeffs.any():
+        raise ValueError(
+            f"the k={spec.k} kitten has no amplitude: a herald of probability 0 "
+            "(zero squeezing), or amplitudes that underflow"
+        )
     big = r_sub + rho
-    photons = math.cosh(2.0 * big) * n_c + math.sinh(big) ** 2 + math.sinh(2.0 * big) * pair_c
-    return FitTarget(big, coeffs, float(photons), math.pi if spec.k % 2 else 0.0)
+    return FitTarget(big, coeffs, photon_number(big, coeffs), math.pi if spec.k % 2 else 0.0)
 
 
 def _parity_phase(state: FockState) -> float:

@@ -378,8 +378,10 @@ def _check_kitten_cutoff(config: ExperimentConfig, sweep: list[float]) -> None:
     finite = [s for s in sweep if math.isfinite(s)]
     if not finite:
         return
-    # squeezed-vacuum mass above level M scales like (S/(S+1))^M; this
-    # keeps the ignored source tail under ~1e-9
+    # the kept state's tail beyond the cutoff is the one truncation left (the
+    # herald probability and photon number are exact); its weight at level n
+    # falls like (cos^2(theta_sub) tanh r)^n with tanh^2 r = S / (S + 1), and
+    # kitten_direct warns where 21 (S + 1) levels leave more than LEAK_THRESHOLD
     needed = math.ceil(21.0 * (max(finite) + 1.0))
     if config["cutoff"] < needed:
         raise ValueError(

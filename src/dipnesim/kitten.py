@@ -1,41 +1,53 @@
 """Heralded kitten states from photon subtraction off squeezed vacuum.
 
 A weak beamsplitter (subtraction angle theta_sub) taps a squeezed-vacuum
-mode; counting k photons in the tap heralds a kitten state in the kept
-mode.  Everything here works in log space on the closed-form amplitudes,
-so the infinite-squeezing limit and four-digit cutoffs are cheap.  The
-two-mode simulation of the same circuit, kitten_by_subtraction in
-tests/oracles.py, is the cross-check.
+mode; counting k photons in the tap heralds a^k S(r')|0> in the kept
+mode, with tanh r' = cos^2(theta_sub) tanh r (Dakna et al., PRA 55, 3184
+(1997)).  KittenSpec.core() is the one description of that state: r' and
+k + 1 amplitudes c.  The herald probability, the photon number and the
+Fock state on any cutoff all follow from it in closed form, at finite or
+infinite squeezing.  The two-mode simulation of the same circuit,
+kitten_by_subtraction in tests/oracles.py, is the cross-check, and the
+log-space series of the shifted source there is the reference.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, LeakageWarning, ModeLayout, vacuum_state
-from .states import infinite_squeeze_log_even, log_factorial, r_from_squeeze_photons
-from .states import squeezed_vacuum_log_even
-
-# Extra levels kept beyond the cutoff when summing the amplitude tail.
-TAIL_WINDOW = 600
+from .fock import FockState, ModeLayout, _warn_leak
+from .states import r_from_squeeze_photons, squeezed_vacuum_log_even
 
 # Relative tail mass above which the infinite-limit state is rejected.
 TAIL_LIMIT = 1e-10
 
-# Levels summed for a herald probability before giving up on convergence.
-MAX_HORIZON = 64000
+
+def _ladder(k: int, x: float, y: float) -> np.ndarray:
+    """sqrt(k!/p!) x^p y^i / i! at level p = k - 2i, zero at the other
+    parity: the levels of (u a + x a+)^k |0> / sqrt(k!) with y = u x / 2.
+    y and the factorial ratio share one running product, so for a kitten's
+    x < 1 and y <= 1 no factor overflows below k ~ 2000; past that, it
+    raises rather than return a non-finite level."""
+    out, term = np.zeros(k + 1), 1.0
+    for i in range(k // 2 + 1):
+        p = k - 2 * i
+        if i:
+            term *= y * math.sqrt((p + 2) * (p + 1)) / i
+        out[p] = term * x**p
+    if not np.isfinite(out).all():
+        raise ValueError(f"the k={k} kitten's amplitudes overflow")
+    return out
 
 
 @dataclass(frozen=True)
 class KittenSpec:
     """Parameters of one subtraction run.
 
-    squeeze_photons may be math.inf for the infinite-squeezing limit
-    (then only the conditional shape is defined, not a probability).
+    squeeze_photons may be math.inf for the infinite-squeezing limit:
+    the heralded state exists there, its probability does not.
     """
 
     squeeze_photons: float
@@ -59,19 +71,15 @@ class KittenSpec:
         return math.isinf(self.squeeze_photons)
 
     def core(self) -> tuple[float, np.ndarray]:
-        """(r', c) with a^k S(r')|0> = S(r') sum_m c_m |m>: the tap leaves
-        tanh r' = cos^2(theta_sub) tanh r (Dakna et al., PRA 55, 3184 (1997)),
-        and c = (a cosh r' + a+ sinh r')^k |0> holds k + 1 nonnegative,
-        unnormalized amplitudes: c.c = <a+^k a^k> in S(r')|0>."""
+        """(r', c) with tan^k(theta_sub) / sqrt(k!) a^k S(r')|0> = S(r') c:
+        the tap leaves tanh r' = cos^2(theta_sub) tanh r, and
+        c = tan^k / sqrt(k!) (a cosh r' + a+ sinh r')^k |0> holds k + 1
+        nonnegative amplitudes.  That herald scale makes the probability
+        of k counts (cosh r' / cosh r) c.c, and keeps c.c finite."""
         tanh_r = 1.0 if self.infinite else math.tanh(r_from_squeeze_photons(self.squeeze_photons))
         r_sub = math.atanh(math.cos(self.theta_sub) ** 2 * tanh_r)
-        root = np.sqrt(np.arange(1.0, self.k + 1))
-        coeffs = np.zeros(self.k + 1)
-        coeffs[0] = 1.0
-        for _ in range(self.k):  # after j steps only levels <= j are populated
-            up, down = math.sinh(r_sub) * root * coeffs[:-1], math.cosh(r_sub) * root * coeffs[1:]
-            coeffs = np.append(0.0, up) + np.append(down, 0.0)
-        return r_sub, coeffs
+        x = math.tan(self.theta_sub) * math.sinh(r_sub)
+        return r_sub, _ladder(self.k, x, 0.5 * x * math.tan(self.theta_sub) * math.cosh(r_sub))
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,8 @@ class KittenState:
 
     probability is the herald probability P(k); it is math.nan in the
     infinite-squeezing limit where no normalizable input exists.
-    mean_photons is computed from the untruncated amplitude series, not
-    from the stored (cutoff) state, so it is good to the tail mass.
+    mean_photons is the closed-form <a+a> of the untruncated state, not
+    of the stored (cutoff) one.
     """
 
     state: FockState
@@ -89,102 +97,97 @@ class KittenState:
     mean_photons: float
 
 
-def _log_kept_amplitudes(spec: KittenSpec, j_max: int):
-    """Unnormalized log amplitudes of the kept mode after heralding k.
-
-    Returns (levels, log_amp) on the support j = k (mod 2), j <= j_max.
-    The factor i^k sin(theta)^k / sqrt(k!) common to every level is
-    dropped; it cancels on normalization.
-    """
-    j = np.arange(spec.k % 2, j_max + 1, 2)
-    n = j + spec.k
-    # log |C_n| of the squeezed source, finite or limiting
-    if spec.infinite:
-        log_c = infinite_squeeze_log_even(n // 2)
-    else:
-        r = r_from_squeeze_photons(spec.squeeze_photons)
-        log_c = squeezed_vacuum_log_even(r, n // 2)
-    log_amp = (
-        0.5 * (log_factorial(n) - log_factorial(j))
-        + j * math.log(math.cos(spec.theta_sub))
-        + log_c
+def photon_number(squeeze: float, coeffs: np.ndarray) -> float:
+    """<a+a> of S(squeeze e^{i pi}) c / |c| in closed form:
+    cosh(2R) n_c + sinh^2 R + sinh(2R) <a^2>_c for real c."""
+    norm_sq = coeffs @ coeffs
+    levels = np.arange(len(coeffs))
+    n_c = levels @ coeffs**2 / norm_sq
+    pair_c = (coeffs[:-2] * coeffs[2:]) @ np.sqrt(levels[1:-1] * levels[2:]) / norm_sq
+    return float(
+        math.cosh(2.0 * squeeze) * n_c + math.sinh(squeeze) ** 2 + math.sinh(2.0 * squeeze) * pair_c
     )
-    return j, log_amp
+
+
+def _build(spec: KittenSpec, r_sub: float, core: np.ndarray, rho: float, work_cutoff: int) -> FockState:
+    """antisqueezed_kitten from spec's (r', c), without the leak warning."""
+    k, dim, big, tan = spec.k, work_cutoff + 1, r_sub + rho, math.tan(spec.theta_sub)
+    vac = np.zeros(dim)  # S(R)|0>
+    if big == 0.0:
+        vac[0] = 1.0
+    else:
+        m = np.arange((dim + 1) // 2)
+        vac[::2] = np.sign(big) ** m * np.exp(squeezed_vacuum_log_even(abs(big), m))
+    # p_k solves p_{j+1} = c z p_j + h p_j', p_0 = 1, with c = sinh r' / cosh R
+    # and h = cosh rho; with the herald scale tan^k / sqrt(k!), its
+    # coefficient of z^p / sqrt(p!) is _ladder(k, x, x tan h / 2)[p], x = tan c
+    x = tan * math.sinh(r_sub) / math.cosh(big)
+    coeffs = _ladder(k, x, 0.5 * x * tan * math.cosh(rho))
+    # Horner in a+ / sqrt(p + 1); a+ only moves mass up, so the kept levels are exact
+    root = np.sqrt(np.arange(1.0, dim))
+    amps = coeffs[k] * vac
+    for p in range(k - 1, -1, -1):
+        amps[1:] = amps[:-1] * root
+        amps[0] = 0.0
+        amps *= 1.0 / math.sqrt(p + 1)
+        if coeffs[p]:
+            amps += coeffs[p] * vac
+    kept = float(amps @ amps)
+    if not (math.isfinite(kept) and kept > 0.0):
+        raise ValueError(
+            f"the k={k} kitten has norm^2 {kept:.3g} on cutoff {work_cutoff}: a herald "
+            "of probability 0 (zero squeezing), or amplitudes that under- or overflow"
+        )
+    tail = max(0.0, 1.0 - kept / (core @ core))  # rounding leaves ~1e-16 of either sign
+    return FockState(ModeLayout((work_cutoff,)), amps / math.sqrt(kept), tail)
+
+
+def antisqueezed_kitten(spec: KittenSpec, rho: float, work_cutoff: int) -> FockState:
+    """The kitten of spec antisqueezed by rho along its displacement axis
+    (rho < 0 squeezes), normalized on work_cutoff levels.  S(rho) a^k S(r')|0>
+    = (a cosh rho - a+ sinh rho)^k S(R)|0> with R = r' + rho; moving each a
+    through S(R)|0> leaves p_k(a+) S(R)|0>, a polynomial with nonnegative
+    coefficients in a+, exact on any cutoff (for R < 0 the squeeze flips
+    axis and the even amplitudes alternate in sign).  Its leakage is the
+    tail cut off, against the exact norm^2 c.c of KittenSpec.core; it warns
+    above LEAK_THRESHOLD, and a zero or overflowed build raises."""
+    state = _build(spec, *spec.core(), rho, work_cutoff)
+    _warn_leak(state.leakage, f"antisqueezed_kitten(k={spec.k}, rho={rho:.6g}) at work cutoff {work_cutoff}")
+    return state
+
+
+def _herald_probability(spec: KittenSpec, r_sub: float, core: np.ndarray) -> float:
+    return math.cosh(r_sub) / math.sqrt(1.0 + spec.squeeze_photons) * float(core @ core)
 
 
 def kitten_direct(spec: KittenSpec) -> KittenState:
-    """Build the heralded kitten from closed-form amplitudes.
+    """The heralded kitten on spec.cutoff levels (antisqueezed_kitten at
+    rho = 0), with the herald probability and the photon number of the
+    untruncated state from the same core.
 
     Amplitudes are real and nonnegative (the source squeeze phase is
-    fixed at pi, and the herald's global i^k is dropped).  Raises if the
-    requested state does not exist: infinite squeezing with k = 0 is not
-    normalizable, and zero squeezing cannot herald k >= 1.
+    fixed at pi, and the herald's global i^k is dropped).  Raises where
+    the state does not exist (zero squeezing cannot herald k >= 1) and
+    where an infinite-squeezing tail beyond the cutoff exceeds TAIL_LIMIT.
     """
-    if spec.infinite and spec.k == 0:
+    r_sub, core = spec.core()
+    state = _build(spec, r_sub, core, 0.0, spec.cutoff)
+    if spec.infinite and state.leakage > TAIL_LIMIT:
         raise ValueError(
-            "infinite squeezing with k = 0 leaves a non-normalizable state"
-        )
-    layout = ModeLayout((spec.cutoff,))
-    if spec.squeeze_photons == 0.0:
-        if spec.k > 0:
-            raise ValueError("zero squeezing heralds k >= 1 with probability 0")
-        return KittenState(vacuum_state(layout), 1.0, 0.0)
-
-    j, log_amp = _log_kept_amplitudes(spec, spec.cutoff + TAIL_WINDOW)
-    w = np.exp(2.0 * (log_amp - log_amp.max()))
-    # geometric bound on mass beyond the window; consecutive support
-    # levels are 2 apart so the weight ratio is the squared step factor
-    remainder = 0.0
-    if len(w) >= 2 and w[-1] < w[-2]:
-        rho = w[-1] / w[-2]
-        remainder = w[-1] * rho / (1.0 - rho)
-    total = w.sum() + remainder
-    inside = j <= spec.cutoff
-    tail = (w[~inside].sum() + remainder) / total
-
-    if spec.infinite and tail > TAIL_LIMIT:
-        raise ValueError(
-            f"cutoff {spec.cutoff} leaves relative tail mass {tail:.3e} "
+            f"cutoff {spec.cutoff} leaves relative tail mass {state.leakage:.3e} "
             f"(> {TAIL_LIMIT:.0e}) in the infinite-squeezing limit; raise it"
         )
-    if tail > 1e-8:
-        warnings.warn(
-            f"kitten_direct: {tail:.3e} of the heralded mass lies beyond "
-            f"cutoff {spec.cutoff}",
-            LeakageWarning,
-            stacklevel=2,
-        )
-
-    # renormalize within the cutoff: the kitten is a conditional state,
-    # so post-selection renormalizes; the cut mass goes to leakage
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[j[inside]] = np.sqrt(w[inside] / w[inside].sum())
-    mean = float((j * w).sum() / w.sum())
-    prob = math.nan if spec.infinite else kitten_probability(spec)
-    return KittenState(FockState(layout, amps, leakage=float(tail)), prob, mean)
+    _warn_leak(state.leakage, f"kitten_direct(k={spec.k}) at cutoff {spec.cutoff}")
+    prob = math.nan if spec.infinite else _herald_probability(spec, r_sub, core)
+    return KittenState(state, prob, photon_number(r_sub, core))
 
 
 def kitten_probability(spec: KittenSpec) -> float:
-    """Herald probability P(k) for finite squeezing."""
+    """Herald probability P(k) = (cosh r' / cosh r) c.c for finite
+    squeezing, with (r', c) = spec.core() and cosh r = sqrt(1 + S)."""
     if spec.infinite:
         raise ValueError("herald probability is undefined at infinite squeezing")
-    if spec.squeeze_photons == 0.0:
-        return 1.0 if spec.k == 0 else 0.0
-    # log of the factor |sin(theta)^k / sqrt(k!)| _log_kept_amplitudes drops
-    log_const = spec.k * math.log(math.sin(spec.theta_sub)) - 0.5 * log_factorial(spec.k)
-    horizon = 2000
-    while True:
-        _, log_amp = _log_kept_amplitudes(spec, horizon - 1)
-        terms = np.exp(2.0 * (log_amp - log_amp.max()))
-        if terms[-1] <= terms.max() * 1e-20:
-            break
-        if horizon >= MAX_HORIZON:
-            raise ValueError(
-                f"herald probability did not converge within {MAX_HORIZON} levels "
-                f"(last term {terms[-1] / terms.max():.3e} of the largest)"
-            )
-        horizon *= 2
-    return float(terms.sum() * math.exp(2.0 * (log_amp.max() + log_const)))
+    return _herald_probability(spec, *spec.core())
 
 
 def peak_estimate(k: int, theta_sub: float) -> float:

@@ -213,16 +213,6 @@ def squeezed_coherent(alpha, squeeze: Squeeze, layout) -> FockState:
     return _finish(amps, layout, f"squeezed_coherent(alpha={a:.4g}, r={squeeze.r:.4g})")
 
 
-def infinite_squeeze_log_even(m: np.ndarray) -> np.ndarray:
-    """log |C_{2m}| = log(sqrt((2m)!) / (2^m m!)) of the infinite-squeezing
-    limit, up to its overall scale, for an array of m.
-
-    |C_{2m+2}/C_{2m}| tends to 1 from below, so the sequence is not
-    square-summable: callers supply convergent weights before normalizing.
-    """
-    return 0.5 * log_factorial(2 * m) - m * math.log(2.0) - log_factorial(m)
-
-
 def _unit_phase(phi: float) -> complex:
     # exact +-1 at phi = 0, pi so parity-forbidden amplitudes vanish bitwise
     red = phi % TWO_PI

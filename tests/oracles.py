@@ -2,12 +2,14 @@
 
 Each one computes, the slow and direct way, something the library computes
 faster: the dense 4-mode interference gadget behind measure.l_intf, the
-two-mode subtraction circuit (with number post-selection) behind
-kitten.kitten_direct, the per-sector unitaries behind circuits.beamsplit,
-the full-state circuit loop behind the product factors of
-experiments.run_oracle_check, the cutoff-length candidate recurrence
+two-mode subtraction circuit (with number post-selection) and the
+log-space series of the shifted source (kitten_series,
+kitten_probability_series) behind kitten.kitten_direct and
+kitten.kitten_probability, the per-sector unitaries behind
+circuits.beamsplit, the full-state circuit loop behind the product factors
+of experiments.run_oracle_check, the cutoff-length candidate recurrence
 behind catfit's closed-form overlaps, and the squeeze_op antisqueeze and
-r bisection behind analytics.antisqueezed_kitten and the secant of
+r bisection behind kitten.antisqueezed_kitten and the secant of
 analytics.squeeze_to_match.  A few closed forms no experiment uses
 (erasure_residual, poisson_pn, displacement_estimate) live here with
 their tests.
@@ -51,8 +53,15 @@ from dipnesim.fock import (
     tensor,
     vacuum_state,
 )
-from dipnesim.kitten import KittenSpec, KittenState, kitten_direct, peak_estimate
-from dipnesim.states import Squeeze, _parity_filter, r_from_squeeze_photons, squeezed_vacuum
+from dipnesim.kitten import KittenSpec, KittenState, peak_estimate
+from dipnesim.states import (
+    Squeeze,
+    _parity_filter,
+    log_factorial,
+    r_from_squeeze_photons,
+    squeezed_vacuum,
+    squeezed_vacuum_log_even,
+)
 
 
 def beamsplit_sector_unitaries(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockState:
@@ -201,7 +210,7 @@ def kitten_by_subtraction(spec: KittenSpec, pickoff_cutoff: int | None = None) -
     if spec.infinite:
         raise ValueError("two-mode simulation needs finite squeezing")
     if spec.squeeze_photons == 0.0:
-        return kitten_direct(spec)
+        return kitten_series(spec)
     if pickoff_cutoff is None:
         pickoff_cutoff = spec.cutoff + spec.k
     r = r_from_squeeze_photons(spec.squeeze_photons)
@@ -409,3 +418,126 @@ def displacement_estimate(k: int, theta_sub: float) -> float:
     """Coherent displacement whose photon number sits at the envelope
     peak: sqrt(peak_estimate)."""
     return math.sqrt(peak_estimate(k, theta_sub))
+
+
+# The log-space series of the shifted source that kitten_direct and
+# kitten_probability ran before KittenSpec.core() described every kitten:
+# each kept level j sums one source level n = j + k, so the state needs a
+# tail window and a remainder bound, and the probability a horizon sum.
+
+# Extra levels kept beyond the cutoff when summing the amplitude tail.
+TAIL_WINDOW = 600
+
+# Relative tail mass above which the infinite-limit state is rejected.
+TAIL_LIMIT = 1e-10
+
+# Levels summed for a herald probability before giving up on convergence.
+MAX_HORIZON = 64000
+
+
+def infinite_squeeze_log_even(m: np.ndarray) -> np.ndarray:
+    """log |C_{2m}| = log(sqrt((2m)!) / (2^m m!)) of the infinite-squeezing
+    limit, up to its overall scale, for an array of m.
+
+    |C_{2m+2}/C_{2m}| tends to 1 from below, so the sequence is not
+    square-summable: callers supply convergent weights before normalizing.
+    """
+    return 0.5 * log_factorial(2 * m) - m * math.log(2.0) - log_factorial(m)
+
+
+def _log_kept_amplitudes(spec: KittenSpec, j_max: int):
+    """Unnormalized log amplitudes of the kept mode after heralding k.
+
+    Returns (levels, log_amp) on the support j = k (mod 2), j <= j_max.
+    The factor i^k sin(theta)^k / sqrt(k!) common to every level is
+    dropped; it cancels on normalization.
+    """
+    j = np.arange(spec.k % 2, j_max + 1, 2)
+    n = j + spec.k
+    # log |C_n| of the squeezed source, finite or limiting
+    if spec.infinite:
+        log_c = infinite_squeeze_log_even(n // 2)
+    else:
+        r = r_from_squeeze_photons(spec.squeeze_photons)
+        log_c = squeezed_vacuum_log_even(r, n // 2)
+    log_amp = (
+        0.5 * (log_factorial(n) - log_factorial(j))
+        + j * math.log(math.cos(spec.theta_sub))
+        + log_c
+    )
+    return j, log_amp
+
+
+def kitten_series(spec: KittenSpec) -> KittenState:
+    """Build the heralded kitten from closed-form amplitudes.
+
+    Amplitudes are real and nonnegative (the source squeeze phase is
+    fixed at pi, and the herald's global i^k is dropped).  Raises if the
+    requested state does not exist: infinite squeezing with k = 0 is not
+    normalizable, and zero squeezing cannot herald k >= 1.
+    """
+    if spec.infinite and spec.k == 0:
+        raise ValueError(
+            "infinite squeezing with k = 0 leaves a non-normalizable state"
+        )
+    layout = ModeLayout((spec.cutoff,))
+    if spec.squeeze_photons == 0.0:
+        if spec.k > 0:
+            raise ValueError("zero squeezing heralds k >= 1 with probability 0")
+        return KittenState(vacuum_state(layout), 1.0, 0.0)
+
+    j, log_amp = _log_kept_amplitudes(spec, spec.cutoff + TAIL_WINDOW)
+    w = np.exp(2.0 * (log_amp - log_amp.max()))
+    # geometric bound on mass beyond the window; consecutive support
+    # levels are 2 apart so the weight ratio is the squared step factor
+    remainder = 0.0
+    if len(w) >= 2 and w[-1] < w[-2]:
+        rho = w[-1] / w[-2]
+        remainder = w[-1] * rho / (1.0 - rho)
+    total = w.sum() + remainder
+    inside = j <= spec.cutoff
+    tail = (w[~inside].sum() + remainder) / total
+
+    if spec.infinite and tail > TAIL_LIMIT:
+        raise ValueError(
+            f"cutoff {spec.cutoff} leaves relative tail mass {tail:.3e} "
+            f"(> {TAIL_LIMIT:.0e}) in the infinite-squeezing limit; raise it"
+        )
+    if tail > 1e-8:
+        warnings.warn(
+            f"kitten_series: {tail:.3e} of the heralded mass lies beyond "
+            f"cutoff {spec.cutoff}",
+            LeakageWarning,
+            stacklevel=2,
+        )
+
+    # renormalize within the cutoff: the kitten is a conditional state,
+    # so post-selection renormalizes; the cut mass goes to leakage
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps[j[inside]] = np.sqrt(w[inside] / w[inside].sum())
+    mean = float((j * w).sum() / w.sum())
+    prob = math.nan if spec.infinite else kitten_probability_series(spec)
+    return KittenState(FockState(layout, amps, leakage=float(tail)), prob, mean)
+
+
+def kitten_probability_series(spec: KittenSpec) -> float:
+    """Herald probability P(k) for finite squeezing."""
+    if spec.infinite:
+        raise ValueError("herald probability is undefined at infinite squeezing")
+    if spec.squeeze_photons == 0.0:
+        return 1.0 if spec.k == 0 else 0.0
+    # log of the factor |sin(theta)^k / sqrt(k!)| _log_kept_amplitudes drops
+    log_const = spec.k * math.log(math.sin(spec.theta_sub)) - 0.5 * log_factorial(spec.k)
+    horizon = 2000
+    while True:
+        _, log_amp = _log_kept_amplitudes(spec, horizon - 1)
+        terms = np.exp(2.0 * (log_amp - log_amp.max()))
+        if terms[-1] <= terms.max() * 1e-20:
+            break
+        if horizon >= MAX_HORIZON:
+            raise ValueError(
+                f"herald probability did not converge within {MAX_HORIZON} levels "
+                f"(last term {terms[-1] / terms.max():.3e} of the largest)"
+            )
+        horizon *= 2
+    return float(terms.sum() * math.exp(2.0 * (log_amp.max() + log_const)))

@@ -1,23 +1,34 @@
 """Tests for the heralded-kitten module.
 
-The closed-form builder is checked against the two-mode beamsplitter
-simulation (tests/oracles.py: an independent code path through
-circuits.beamsplit and number post-selection), against
-the k = 0 analytic reduction, and against completeness of the herald
-distribution.
+The closed form of KittenSpec.core() is checked against the two-mode
+beamsplitter simulation (tests/oracles.py: an independent code path
+through circuits.beamsplit and number post-selection), against the
+log-space series of the shifted source (kitten_series and
+kitten_probability_series in tests/oracles.py), against the k = 0
+analytic reduction, and against completeness of the herald distribution.
 """
 
+import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import displacement_estimate, kitten_by_subtraction
+from oracles import (
+    displacement_estimate,
+    kitten_by_subtraction,
+    kitten_probability_series,
+    kitten_series,
+)
 
+from dipnesim.experiments import make_config, run_experiment
 from dipnesim.fock import LeakageWarning
 from dipnesim.kitten import (
     KittenSpec,
+    antisqueezed_kitten,
     kitten_direct,
     kitten_probability,
     peak_estimate,
@@ -128,9 +139,15 @@ class TestDirectState:
         with pytest.raises(ValueError, match="probability 0"):
             kitten_direct(KittenSpec(0.0, THETA, 1, 20))
 
-    def test_infinite_k0_raises(self):
-        with pytest.raises(ValueError, match="non-normalizable"):
-            kitten_direct(KittenSpec(math.inf, THETA, 0, 100))
+    def test_infinite_k0_is_squeezed_vacuum(self):
+        # no count off infinite squeezing leaves S(r')|0> with tanh r' = cos^2(theta)
+        out = kitten_direct(KittenSpec(math.inf, THETA, 0, 100))
+        r_sub = math.atanh(math.cos(THETA) ** 2)
+        ref = squeezed_vacuum(Squeeze(r_sub, math.pi), 100).normalize()
+        assert np.max(np.abs(out.state.amplitudes - ref.amplitudes)) < 1e-12
+        assert out.mean_photons == pytest.approx(math.sinh(r_sub) ** 2, rel=1e-12)
+        assert out.mean_photons == pytest.approx(0.7494, abs=1e-4)
+        assert math.isnan(out.probability)
 
     def test_infinite_probability_is_nan(self):
         out = kitten_direct(KittenSpec(math.inf, THETA, 1, 200))
@@ -175,10 +192,15 @@ class TestHeraldDistribution:
         p0 = kitten_probability(KittenSpec(10.0, THETA, 0, 10))
         assert p0 == pytest.approx(expected, rel=1e-13)
 
-    def test_unconverged_sum_raises(self):
-        # 64000 levels hold only part of this herald distribution
-        with pytest.raises(ValueError, match="did not converge"):
-            kitten_probability(KittenSpec(1e6, 0.01, 0, 10))
+    def test_no_count_closed_form_at_a_million_photons(self):
+        # the source spreads over far more than the 64000 levels the
+        # series oracle sums; the closed form needs none of them
+        photons, theta = 1e6, 0.01
+        # the formula above, with cosh^2 r - sinh^2 r cos^4 = 1 + S sin^2 (1 + cos^2)
+        # so that no digits cancel
+        expected = 1.0 / math.sqrt(1.0 + photons * math.sin(theta) ** 2 * (1.0 + math.cos(theta) ** 2))
+        p0 = kitten_probability(KittenSpec(photons, theta, 0, 10))
+        assert p0 == pytest.approx(expected, rel=1e-12)
 
     def test_odd_cumulative_peak_near_thirty_percent(self):
         # scanning the squeezing strength, the chance of an odd herald
@@ -258,3 +280,77 @@ class TestMeanPhotonTrends:
             for a in angles
         ]
         assert np.all(np.diff(means) > 0)
+
+
+class TestAgainstSeriesOracle:
+    """KittenSpec.core() against the log-space series of the shifted source."""
+
+    @pytest.mark.parametrize("photons", [1.0, 20.0, 60.0])
+    @pytest.mark.parametrize("k", [200, 250])
+    def test_large_k_state_matches(self, k, photons):
+        spec = KittenSpec(photons, THETA, k, 1000)
+        want = kitten_series(spec)
+        got = kitten_direct(spec)
+        assert np.max(np.abs(got.state.amplitudes - want.state.amplitudes)) <= 1e-12
+        assert got.mean_photons == pytest.approx(want.mean_photons, rel=1e-12)
+        built = antisqueezed_kitten(spec, 0.0, 1000).amplitudes
+        assert np.max(np.abs(built - want.state.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("photons", [0.1, 1.0, 19.17, 200.0])
+    @pytest.mark.parametrize("theta", [math.pi / 8, THETA, 0.4, 1.2])
+    def test_probability_matches_horizon_sum(self, theta, photons):
+        for k in (0, 1, 2, 3, 9, 50, 120, 208, 220, 250):
+            spec = KittenSpec(photons, theta, k, 10)
+            want = kitten_probability_series(spec)
+            if want > 1e-280:
+                assert kitten_probability(spec) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_sweep_at_k_200_gives_finite_rows(self):
+        cfg = make_config("kitten", {
+            "k_list": "200", "squeeze_min": 19, "squeeze_max": 20, "squeeze_steps": 2, "cutoff": 1000,
+        })
+        rows = run_experiment(cfg).rows
+        assert len(rows) == 2
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+class TestLoudFailure:
+    @pytest.mark.parametrize("spec", [
+        KittenSpec(0.0, THETA, 1, 20),  # zero squeezing heralds nothing
+        KittenSpec(1e-6, THETA, 250, 400),  # every level underflows
+    ])
+    def test_zero_mass_raises(self, spec):
+        message = rf"k={spec.k} kitten has norm\^2 0 on cutoff {spec.cutoff}"
+        with pytest.raises(ValueError, match=message):
+            kitten_direct(spec)
+        with pytest.raises(ValueError, match=message.replace(str(spec.cutoff), "30")):
+            antisqueezed_kitten(spec, 0.3, 30)
+
+    def test_overflow_raises(self):
+        spec = KittenSpec(math.inf, THETA, 5000, 6000)
+        for build in (spec.core, lambda: kitten_direct(spec), lambda: antisqueezed_kitten(spec, 0.0, 100)):
+            with pytest.raises(ValueError, match="k=5000 kitten's amplitudes overflow"):
+                build()
+
+
+_LAYERING_SCRIPT = """
+import importlib, json, sys, types
+# a bare package object, so that only kitten's own imports run
+package = types.ModuleType("dipnesim")
+package.__path__ = [sys.argv[1]]
+sys.modules["dipnesim"] = package
+importlib.import_module("dipnesim.kitten")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("dipnesim."))))
+"""
+
+
+def test_kitten_imports_no_fit_or_circuit_module():
+    # the closed form sits at the bottom of the import graph: catfit and
+    # analytics import it, and it imports neither them nor the circuits
+    import dipnesim
+
+    argv = [sys.executable, "-c", _LAYERING_SCRIPT, dipnesim.__path__[0]]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert "dipnesim.kitten" in loaded
+    assert not loaded & {"dipnesim.catfit", "dipnesim.analytics", "dipnesim.circuits", "dipnesim.measure"}

@@ -9,6 +9,8 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import infinite_squeeze_log_even
+
 from dipnesim.fock import LeakageWarning, ModeLayout
 from dipnesim.states import (
     CatSpec,
@@ -16,7 +18,6 @@ from dipnesim.states import (
     Squeeze,
     cat_state,
     coherent,
-    infinite_squeeze_log_even,
     log_factorial,
     r_from_squeeze_photons,
     squeezed_coherent,
