@@ -8,9 +8,9 @@ input's parity.  The fit maximizes fidelity over s; s = 0 is the plain
 
 Every input is a FitTarget, S(R) applied to a few Fock amplitudes: k + 1
 for a kitten, antisqueezed or not (kitten_target), or a bare Fock state's
-own at R = 0.  One recurrence scores every (target, fraction) row of a
-sweep on those levels alone, with exact candidate norms, so no cutoff
-enters a kitten's fit.
+own at R = 0.  The squeezed-cat recurrence and cat norm of states score
+every (target, fraction) row of a sweep on those levels alone, with exact
+candidate norms, so no cutoff enters a kitten's fit.
 
 The budget is deliberately the component-level split, not the mean
 photon number of the normalized superposition.  The parity cross term
@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .fock import FockState
 from .kitten import KittenSpec, KittenState, photon_number
+from .states import _cat_norms_squared, _parity_filter, _squeezed_coherent_levels
 
 # absolute tolerance of the fraction search
 S_TOLERANCE = 1e-6
@@ -42,7 +44,7 @@ ALPHA_FLOOR = 1e-12
 GRID_POINTS = 64
 ROUND_POINTS = 33
 
-# levels the lockstep recurrence holds before folding them into the sums
+# levels of the lockstep recurrence folded into the sums per einsum
 TILE = 64
 
 
@@ -102,86 +104,44 @@ def _budget_split(s, total, phi):
     return np.where((alpha == 0.0) & (phi != 0.0), ALPHA_FLOOR, alpha), r
 
 
-def _require_nondegenerate(alphas: np.ndarray, rs: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Exact norm^2 of every candidate, states.cat_norm_squared at squeeze
-    angle pi, raising where cat_state does: where the branches cancel."""
-    ph = np.where(phis == 0.0, 1.0, -1.0)
-    norm_sq = 2.0 * (1.0 + ph) + 2.0 * ph * np.expm1(-2.0 * (alphas * np.exp(-rs)) ** 2)
-    bad = norm_sq <= 1e-280
-    if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(
-            "degenerate cat: the two branches cancel exactly "
-            f"(alpha={complex(alphas[i])}, phi={float(np.broadcast_to(phis, bad.shape)[i])})"
-        )
-    return norm_sq
-
-
-def _amplitude_tiles(a: np.ndarray, t: np.ndarray, first: np.ndarray, dim: int):
-    """Levels 0 .. dim - 1 of c_{n+1} = (a c_n + t sqrt(n) c_{n-1}) / sqrt(n + 1),
-    c_0 = first, elementwise over the rows: (levels, *rows) views of one
-    TILE-level buffer, each overwritten once the next is asked for."""
-    root = np.sqrt(np.arange(dim + 1.0))
-    inv_next = (1.0 / root[1:]).tolist()
-    ratio = (root[:-1] / root[1:]).tolist()
-    # slots 0 and 1 carry the last two levels of the previous tile
-    buf = np.zeros((TILE + 2,) + a.shape)
-    slot = list(buf)
-    slot[2][...] = first
-    tmp = np.empty(a.shape)
-    j = 2  # the newest level is in slot j
-    for n in range(dim - 1):  # level n + 1 from levels n and n - 1
-        if j == TILE + 1:
-            yield buf[2:]
-            buf[:2] = buf[TILE:]
-            j = 1
-        np.multiply(a, slot[j], out=tmp)
-        tmp *= inv_next[n]
-        nxt = slot[j + 1]
-        np.multiply(t, slot[j - 1], out=nxt)
-        nxt *= ratio[n]
-        nxt += tmp
-        j += 1
-    yield buf[2 : j + 1]
-
-
 def _row_fidelities(targets: list[FitTarget], ss: np.ndarray) -> np.ndarray:
     """Fidelities of the budget-split candidates: entry (k, j) is the
     candidate at fraction ss[k, j] against targets[k].
 
     With real alpha, S(R)+ D(alpha) S(r)|0> = D(alpha e^{-R}) S(r - R)|0>,
     so the overlap with S(R) c is sum_m conj(c_m) w_m g_m over c's levels:
-    g_m from the real recurrence of states._squeezed_coherent_batch, run
-    for all rows at once (Miatto & Quesada, Quantum 4, 366 (2020)), and
-    w_m = 1 + e^{i phi} (-1)^m making the cat; the squared overlap is
-    divided by the exact candidate norm^2 and by c.c.  A candidate with no
-    finite, nonzero mass on c's levels has under- or overflowed: an error.
+    g_m from states._squeezed_coherent_levels, run for all rows at once in
+    its real arithmetic and folded into the sums TILE levels at a time, and
+    w_m = states._parity_filter making the cat.  The squared overlap is
+    divided by the exact candidate norm^2, states._cat_norms_squared, and
+    by c.c.  A candidate with no finite, nonzero mass on c's levels has
+    under- or overflowed: an error.
     """
     totals, phis, bigs = np.array([[t.photons, t.phi, t.squeeze] for t in targets]).T[:, :, None]
     alphas, rs = _budget_split(ss, totals, phis)
-    norm_sq = _require_nondegenerate(alphas, rs, phis)
+    norm_sq = _cat_norms_squared(alphas, rs, math.pi, phis)
 
     dims = np.array([len(target.coeffs) for target in targets])
-    coeffs = np.zeros((dims.max(), len(targets)), dtype=np.complex128)
+    dim = int(dims.max())
+    coeffs = np.zeros((dim, len(targets)), dtype=np.complex128)
     for k, target in enumerate(targets):
         coeffs[: dims[k], k] = target.coeffs
     # per level and target the parity weight, which vanishes above the target's levels
-    levels = np.arange(dims.max())[:, None]
-    weight = (1.0 + np.where(phis.T == 0.0, 1.0, -1.0) * (-1.0) ** levels) * (levels < dims)
+    levels = np.arange(dim)[:, None]
+    weight = _parity_filter(phis, dim).real.T * (levels < dims)
     conj_re, conj_im = coeffs.real * weight, -coeffs.imag * weight
 
-    rel = rs - bigs
-    a = alphas * np.exp(-rs) / np.cosh(rel)  # alpha e^{-R} e^{-(r - R)} / cosh(r - R)
-    first = np.exp(-0.5 * alphas * np.exp(-bigs) * a) / np.sqrt(np.cosh(rel))
+    amplitudes = _squeezed_coherent_levels(alphas * np.exp(-bigs), rs - bigs, math.pi, dim)
     # running overlap (real, imaginary part) and mass on c's levels per row
     sums = np.zeros((3,) + ss.shape)
-    start = 0
-    for tile in _amplitude_tiles(a, np.tanh(rel), first, dims.max()):
+    level_type = np.dtype((np.float64, ss.shape))
+    for start in range(0, dim, TILE):
+        tile = np.fromiter(islice(amplitudes, TILE), level_type, min(TILE, dim - start))
         at = slice(start, start + len(tile))
         sums[0] += np.einsum("tkp,tk->kp", tile, conj_re[at])
         sums[1] += np.einsum("tkp,tk->kp", tile, conj_im[at])
         sums[2] += np.einsum("tkp,tkp,tk->kp", tile, tile, weight[at] ** 2)
-        start += len(tile)
+        del tile  # so that one tile at a time is alive
     overlap_re, overlap_im, mass = sums
 
     bad = ~(np.isfinite(mass) & (mass > 0.0))
@@ -223,9 +183,9 @@ def fit_squeezed_cats(kittens) -> list[CatFitResult]:
     evaluates a 64-point grid, then refines in rounds of 33 points spread
     over its argmax's neighbours until its bracket is at most S_TOLERANCE
     wide (three or four rounds).  The fits advance in lockstep: a round is
-    one recurrence over all rows still refining, as long as the longest
-    target, while each fit keeps its own bracket and argmax, so a fit's
-    result does not depend on the others in the batch.  Exact inner
+    one run of the states recurrence over all rows still refining, as long
+    as the longest target, while each fit keeps its own bracket and argmax,
+    so a fit's result does not depend on the others in the batch.  Exact inner
     products throughout, so repeated runs are bit-identical.
     """
     targets = [_prepare(kitten) for kitten in kittens]

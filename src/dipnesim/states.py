@@ -9,6 +9,10 @@ each kept level, with the probability lost to truncation reported in
 
 so theta = 0 squeezes the X = a + a+ quadrature and "S photons of squeezing"
 means sinh^2 r = S.  Squeezed-displaced states are D(alpha) S(xi) |0>.
+
+The squeezed-cat kernel lives here alone: the levels of D(alpha) S(xi)|0>
+(_squeezed_coherent_levels), the parity filter that makes the cat, and the
+cat norm (_cat_norms_squared), which cat_state and catfit's fit both use.
 """
 
 from __future__ import annotations
@@ -166,28 +170,47 @@ def squeezed_vacuum(squeeze: Squeeze, layout) -> FockState:
     return _finish(amps, layout, f"squeezed_vacuum(r={squeeze.r:.4g})")
 
 
-def _squeezed_coherent_batch(alphas, rs, theta: float, dim: int) -> np.ndarray:
-    """Amplitudes of D(alpha) S(r e^{i theta}) |0> for broadcast alpha/r arrays.
+def _unit_phase(phi):
+    # exact +-1 at phi = 0, pi so parity-forbidden amplitudes vanish bitwise
+    red = np.remainder(phi, TWO_PI)
+    return np.where(red == math.pi, -1.0 + 0.0j, np.exp(1j * red))
 
-    Three-term recurrence in n, exact in floating point (no truncated
-    generator involved); returns shape broadcast(alphas, rs) + (dim,).
+
+def _squeezed_coherent_levels(alphas, rs, theta: float, dim: int):
+    """Levels 0 .. dim - 1 of D(alpha) S(r e^{i theta}) |0>, a new array per
+    level, elementwise over broadcast alpha and r arrays.
+
+    The recurrence of Miatto & Quesada (Quantum 4, 366 (2020)), exact in
+    floating point: c_0 = exp(-conj(alpha) a / 2) / sqrt(cosh r),
+    c_n = (a c_{n-1} + t sqrt(n - 1) c_{n-2}) / sqrt(n), with t = -e^{i theta}
+    tanh r and a = alpha + conj(alpha) e^{i theta} tanh r.  Real alpha (a
+    real dtype) at theta = 0, pi runs in real arithmetic with a = alpha
+    e^{+-r} / cosh r, free of the cancellation in 1 -+ tanh r at large r.
     """
-    alphas = np.asarray(alphas, dtype=np.complex128)
-    rs = np.asarray(rs, dtype=np.float64)
-    alphas, rs = np.broadcast_arrays(alphas, rs)
-    eith = cmath.exp(1j * theta)
-    ch = np.cosh(rs)
-    E = eith * np.sinh(rs)
-    gamma = alphas * ch + np.conj(alphas) * E
-    out = np.zeros(alphas.shape + (dim,), dtype=np.complex128)
-    out[..., 0] = np.exp(-np.abs(alphas) ** 2 / 2 - np.conj(alphas) ** 2 * eith * np.tanh(rs) / 2) / np.sqrt(ch)
-    if dim > 1:
-        out[..., 1] = gamma * out[..., 0] / ch
-    for n in range(1, dim - 1):
-        out[..., n + 1] = (gamma * out[..., n] - E * math.sqrt(n) * out[..., n - 1]) / (
-            ch * math.sqrt(n + 1)
-        )
-    return out
+    ph = _unit_phase(theta)
+    alphas, rs = np.asarray(alphas), np.asarray(rs, dtype=np.float64)
+    ch, th = np.cosh(rs), np.tanh(rs)
+    if ph.imag == 0.0 and not np.iscomplexobj(alphas):
+        ph = ph.real
+        alphas = alphas.astype(np.float64, copy=False)
+        a = alphas * np.exp(ph * rs) / ch
+    else:
+        alphas = alphas.astype(np.complex128)
+        a = alphas + np.conj(alphas) * ph * th
+    first = np.exp(-0.5 * np.conj(alphas) * a) / np.sqrt(ch)
+    t = -ph * th
+    prev, cur = 0.0, first
+    yield first
+    for n in range(1, dim):
+        prev, cur = cur, a * cur / math.sqrt(n) + t * prev * math.sqrt((n - 1) / n)
+        yield cur
+
+
+def _squeezed_coherent_batch(alphas, rs, theta: float, dim: int) -> np.ndarray:
+    """Amplitudes of D(alpha) S(r e^{i theta}) |0> for broadcast alpha/r
+    arrays, shape broadcast(alphas, rs) + (dim,): the levels of
+    _squeezed_coherent_levels stacked."""
+    return np.stack(list(_squeezed_coherent_levels(alphas, rs, theta, dim)), axis=-1)
 
 
 def _require_representable(amps: np.ndarray, alpha: complex, r: float, layout: ModeLayout) -> None:
@@ -213,43 +236,39 @@ def squeezed_coherent(alpha, squeeze: Squeeze, layout) -> FockState:
     return _finish(amps, layout, f"squeezed_coherent(alpha={a:.4g}, r={squeeze.r:.4g})")
 
 
-def _unit_phase(phi: float) -> complex:
-    # exact +-1 at phi = 0, pi so parity-forbidden amplitudes vanish bitwise
-    red = phi % TWO_PI
-    if red == 0.0:
-        return 1.0 + 0.0j
-    if red == math.pi:
-        return -1.0 + 0.0j
-    return cmath.exp(1j * red)
-
-
-def cat_norm_squared(spec: CatSpec) -> float:
-    """Norm^2 of the unnormalized superposition (D(a) + e^{i phi} D(-a)) S |0>."""
-    a = spec.alpha.alpha
-    sq = spec.squeeze
-    gamma = a * math.cosh(sq.r) + a.conjugate() * cmath.exp(1j * sq.theta) * math.sinh(sq.r)
-    ph = _unit_phase(spec.phi)
+def _cat_norms_squared(alphas, rs, theta: float, phis) -> np.ndarray:
+    """Norm^2 of (D(alpha) + e^{i phi} D(-alpha)) S(r e^{i theta}) |0> over
+    broadcast alpha, r and phi arrays, raising where the branches cancel
+    exactly.  They overlap in exp(-2|g|^2), g = alpha cosh r + conj(alpha)
+    e^{i theta} sinh r, and with b = alpha e^{-i theta / 2},
+    |g|^2 = Re(b)^2 e^{2r} + Im(b)^2 e^{-2r}: no cosh r - sinh r cancels."""
+    ph = np.cos(phis)  # exactly +-1 at phi = 0, pi
+    b, grow = alphas * cmath.exp(-0.5j * theta), np.exp(2.0 * rs)
+    g_sq = b.real**2 * grow + b.imag**2 / grow
     # expm1 keeps precision when the branches nearly cancel (phi near pi,
     # small alpha), where 2 - 2 exp(-2|g|^2) loses all digits
-    return 2.0 * (1.0 + ph.real) + 2.0 * ph.real * math.expm1(-2.0 * abs(gamma) ** 2)
-
-
-def _checked_norm_squared(spec: CatSpec) -> float:
-    """cat_norm_squared, raising where the two branches cancel exactly."""
-    norm_sq = cat_norm_squared(spec)
-    if norm_sq <= 1e-280:
+    norm_sq = 2.0 * (1.0 + ph + ph * np.expm1(-2.0 * g_sq))
+    bad = norm_sq <= 1e-280
+    if bad.any():
+        alpha, phi = (np.broadcast_to(x, bad.shape)[bad][0] for x in (alphas, phis))
         raise ValueError(
-            "degenerate cat: the two branches cancel exactly "
-            f"(alpha={spec.alpha.alpha}, phi={spec.phi})"
+            f"degenerate cat: the two branches cancel exactly (alpha={complex(alpha)}, phi={float(phi)})"
         )
     return norm_sq
 
 
-def _parity_filter(phi: float, dim: int) -> np.ndarray:
+def cat_norm_squared(spec: CatSpec) -> float:
+    """Norm^2 of the unnormalized superposition (D(a) + e^{i phi} D(-a)) S |0>;
+    raises where the two branches cancel exactly."""
+    sq = spec.squeeze
+    return float(_cat_norms_squared(spec.alpha.alpha, sq.r, sq.theta, spec.phi))
+
+
+def _parity_filter(phi, dim: int) -> np.ndarray:
     """Level weights 1 + e^{i phi} (-1)^n that add e^{i phi} D(-alpha)S|0>
-    to D(alpha)S|0>; exactly 2 and 0 at phi = 0, pi."""
-    ph = _unit_phase(phi)
-    return np.where(np.arange(dim) % 2 == 0, 1.0 + ph, 1.0 - ph)
+    to D(alpha)S|0>; exactly 2 and 0 at phi = 0, pi.  An array of phases
+    broadcasts against the levels, which run along the last axis."""
+    return 1.0 + _unit_phase(phi) * (-1.0) ** np.arange(dim)
 
 
 def cat_state(spec: CatSpec, layout) -> FockState:
@@ -260,14 +279,9 @@ def cat_state(spec: CatSpec, layout) -> FockState:
     squeezed state.
     """
     layout = _as_layout(layout)
-    norm_sq = _checked_norm_squared(spec)
-    base = _squeezed_coherent_batch(
-        spec.alpha.alpha, spec.squeeze.r, spec.squeeze.theta, layout.dim
-    )
+    a, sq = spec.alpha.alpha, spec.squeeze
+    norm_sq = _cat_norms_squared(a, sq.r, sq.theta, spec.phi)
+    base = _squeezed_coherent_batch(a, sq.r, sq.theta, layout.dim)
     amps = base * _parity_filter(spec.phi, layout.dim) / math.sqrt(norm_sq)
-    _require_representable(amps, spec.alpha.alpha, spec.squeeze.r, layout)
-    return _finish(
-        amps,
-        layout,
-        f"cat_state(alpha={spec.alpha.alpha:.4g}, phi={spec.phi:.4g}, r={spec.squeeze.r:.4g})",
-    )
+    _require_representable(amps, a, sq.r, layout)
+    return _finish(amps, layout, f"cat_state(alpha={a:.4g}, phi={spec.phi:.4g}, r={sq.r:.4g})")

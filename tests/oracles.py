@@ -29,12 +29,7 @@ from dipnesim.analytics import (
     mean_photons_from_moments,
     vacuum_moments,
 )
-from dipnesim.catfit import (
-    TILE,
-    _budget_split,
-    _require_nondegenerate,
-    fit_squeezed_cat,
-)
+from dipnesim.catfit import _budget_split, fit_squeezed_cat
 from dipnesim.circuits import (
     GadgetSpec,
     _bs_sector_unitary,
@@ -56,6 +51,7 @@ from dipnesim.fock import (
 from dipnesim.kitten import KittenSpec, KittenState, peak_estimate
 from dipnesim.states import (
     Squeeze,
+    _cat_norms_squared,
     _parity_filter,
     log_factorial,
     r_from_squeeze_photons,
@@ -308,6 +304,10 @@ def _unwrap(kitten) -> tuple[FockState, float]:
     return state, mean
 
 
+# levels _family_fidelities holds before folding them into its sums
+TILE = 64
+
+
 def _family_fidelities(targets, totals, phis, ss: np.ndarray) -> np.ndarray:
     """Fidelities of the budget-split candidates: entry (k, j) is the
     candidate at fraction ss[k, j] against targets[k].
@@ -326,7 +326,7 @@ def _family_fidelities(targets, totals, phis, ss: np.ndarray) -> np.ndarray:
     totals = np.asarray(totals, float)[:, None]
     phis = np.asarray(phis, float)[:, None]
     alphas, rs = _budget_split(ss, totals, phis)
-    _require_nondegenerate(alphas, rs, phis)
+    _cat_norms_squared(alphas, rs, math.pi, phis)
 
     dims = [target.layout.dim for target in targets]
     dim = max(dims)

@@ -23,7 +23,6 @@ from dipnesim.catfit import (
     CatFitResult,
     _budget_split,
     _parity_phase,
-    _require_nondegenerate,
     _row_fidelities,
     fit_squeezed_cat,
     fit_squeezed_cats,
@@ -36,7 +35,7 @@ from dipnesim.states import (
     CatSpec,
     Displacement,
     Squeeze,
-    _checked_norm_squared,
+    _cat_norms_squared,
     _parity_filter,
     _squeezed_coherent_batch,
     cat_norm_squared,
@@ -296,15 +295,15 @@ class TestClosedForm:
 
     def test_batch_advances_only_k_max_plus_one_levels(self, monkeypatch):
         levels = []
-        real = catfit._amplitude_tiles
+        real = catfit._squeezed_coherent_levels
 
-        def spy(a, t, first, dim):
+        def spy(alphas, rs, theta, dim):
             levels.append(0)
-            for tile in real(a, t, first, dim):
-                levels[-1] += len(tile)
-                yield tile
+            for level in real(alphas, rs, theta, dim):
+                levels[-1] += 1
+                yield level
 
-        monkeypatch.setattr(catfit, "_amplitude_tiles", spy)
+        monkeypatch.setattr(catfit, "_squeezed_coherent_levels", spy)
         spec = KittenSpec(10.0, THETA, 0, 1000)
         targets = [kitten_target(dataclasses.replace(spec, k=k), rho) for k, rho in [(1, 0.0), (9, 0.5), (4, -0.3)]]
         fit_squeezed_cats(targets)
@@ -428,9 +427,12 @@ class TestLockstep:
     def test_degenerate_check_text_matches_cat_state(self):
         spec = CatSpec(Displacement(0.0), math.pi, Squeeze(0.0, math.pi))
         with pytest.raises(ValueError) as want:
-            _checked_norm_squared(spec)
+            cat_state(spec, 20)
+        with pytest.raises(ValueError) as norm:
+            cat_norm_squared(spec)
+        assert str(norm.value) == str(want.value)
         alphas = np.array([[1.0, 0.0], [2.0, 1.5]])
         with pytest.raises(ValueError) as got:
-            _require_nondegenerate(alphas, np.zeros((2, 2)), np.array([[math.pi], [0.0]]))
+            _cat_norms_squared(alphas, np.zeros((2, 2)), math.pi, np.array([[math.pi], [0.0]]))
         assert str(got.value) == str(want.value)
-        _require_nondegenerate(alphas, np.zeros((2, 2)), np.array([[0.0], [0.0]]))
+        _cat_norms_squared(alphas, np.zeros((2, 2)), math.pi, np.array([[0.0], [0.0]]))

@@ -24,7 +24,7 @@ from dipnesim.experiments import (
     run_experiment,
 )
 from dipnesim.catfit import fit_squeezed_cat
-from dipnesim.fock import ModeLayout, vacuum_state
+from dipnesim.fock import LeakageWarning, ModeLayout, vacuum_state
 from dipnesim.kitten import KittenSpec, kitten_direct
 from dipnesim.measure import mean_quadrature
 from dipnesim.states import Squeeze
@@ -223,11 +223,25 @@ class TestKittenRun:
         assert math.isnan(row[2])
         assert row[3] == pytest.approx(3.2483, abs=2e-3)
 
-    def test_cutoff_gate_suggests_size(self):
-        with pytest.raises(ValueError, match="at least"):
-            run_experiment(
-                make_config("kitten", {"squeeze_max": 30, "cutoff": 200})
-            )
+    def test_rows_do_not_depend_on_cutoff(self):
+        # every column is closed form; the cutoff enters only max_leakage
+        small, large = (
+            run_experiment(make_config("kitten", {"squeeze_max": 30, "cutoff": cutoff}))
+            for cutoff in (200, 1000)
+        )
+        assert small.rows == large.rows
+
+    def test_truncated_kitten_warns_and_reports_its_tail(self):
+        cfg = make_config(
+            "kitten",
+            {"theta_sub": 0.1, "squeeze_min": 20, "squeeze_max": 20, "squeeze_steps": 1, "cutoff": 441},
+        )
+        with pytest.warns(LeakageWarning):
+            table = run_experiment(cfg)
+        with pytest.warns(LeakageWarning):
+            want = kitten_direct(KittenSpec(20.0, 0.1, 9, 441)).state.leakage
+        assert want > 1e-2
+        assert float(dict(table.metadata)["max_leakage"]) == want
 
 
 class TestCatfitRun:

@@ -335,22 +335,24 @@ class TestLoudFailure:
 
 _LAYERING_SCRIPT = """
 import importlib, json, sys, types
-# a bare package object, so that only kitten's own imports run
+# a bare package object, so that only the module's own imports run
 package = types.ModuleType("dipnesim")
 package.__path__ = [sys.argv[1]]
 sys.modules["dipnesim"] = package
-importlib.import_module("dipnesim.kitten")
+importlib.import_module("dipnesim." + sys.argv[2])
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("dipnesim."))))
 """
 
+# the modules each one may load: the squeezed-cat kernel (states) and the
+# kitten closed form sit at the bottom of the import graph, below the fit
+# and free of cycles, and none of them loads analytics or the circuits
+_LAYERS = {"states": {"fock"}, "kitten": {"fock", "states"}, "catfit": {"fock", "states", "kitten"}}
 
-def test_kitten_imports_no_fit_or_circuit_module():
-    # the closed form sits at the bottom of the import graph: catfit and
-    # analytics import it, and it imports neither them nor the circuits
+
+@pytest.mark.parametrize("module", sorted(_LAYERS))
+def test_module_imports_only_layers_below(module):
     import dipnesim
 
-    argv = [sys.executable, "-c", _LAYERING_SCRIPT, dipnesim.__path__[0]]
+    argv = [sys.executable, "-c", _LAYERING_SCRIPT, dipnesim.__path__[0], module]
     proc = subprocess.run(argv, capture_output=True, text=True, check=True)
-    loaded = set(json.loads(proc.stdout))
-    assert "dipnesim.kitten" in loaded
-    assert not loaded & {"dipnesim.catfit", "dipnesim.analytics", "dipnesim.circuits", "dipnesim.measure"}
+    assert set(json.loads(proc.stdout)) == {f"dipnesim.{m}" for m in _LAYERS[module] | {module}}
