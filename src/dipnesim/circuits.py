@@ -9,12 +9,21 @@ transmission is unchanged, so coherent amplitudes map as
 with theta = pi/4 the 50:50 case.  The generator is pinned by that map:
 B(theta) = exp(i theta (a+ b + a b+)).  It commutes with total photon number,
 so the unitary is applied sector by sector; each sector generator is a real
-symmetric tridiagonal matrix, and clipped sectors (where a cutoff truncates
-the sector) are exponentiated after clipping, which keeps every element
-exactly unitary on the truncated space.  beamsplit never forms the sector
-unitary U_N: it applies U_N = V exp(i theta Lambda) V^T in the cached real
-eigenbasis of each sector, as two real products on the float64 view of the
-sector block, so a new angle costs no eigensolve and no m x m product.
+symmetric tridiagonal matrix with a zero diagonal, and clipped sectors (where
+a cutoff truncates the sector) are exponentiated after clipping, which keeps
+every element exactly unitary on the truncated space.
+
+_bs_plan(da, db) holds every sector's eigenpairs, cached per pair of
+dimensions.  Ordered even then odd, a sector generator is [[0, B], [B^T, 0]],
+so its eigenpairs come from the SVD of the half-size bidiagonal B (the
+Schwinger picture of the lossless beamsplitter: Campos, Saleh & Teich,
+Phys. Rev. A 40, 1371 (1989)).  Sectors of similar size share one
+zero-padded stack.  beamsplit never forms a sector unitary: it applies
+U_N = V exp(i theta Lambda) V^T as two real products on the float64 view of
+the amplitudes, so a new angle costs no eigensolve and no m x m product.  On
+a two-mode state each sector block is a vector and each of the two products
+takes a whole stack at once; wider blocks are applied sector by sector from
+unpadded views of the same stacks, where padding would only add flops.
 
 Displacement and squeezing exponentiate real generators only.  With
 R(phi) = diag(e^{i phi n}), R(phi) a R(-phi) = e^{-i phi} a holds on the
@@ -27,10 +36,10 @@ are the same truncated-generator exponentials as the complex forms, while
 _expm (scaling and squaring, on numpy) sees only a real matrix.
 
 GadgetSpec holds the pickoff gadget's parameters.  measure.l_intf reads that
-circuit out from single-mode marginals through two cached gathers over the
-same sectors and truncated unitaries as beamsplit: _bs_vacuum_split (a split
-against vacuum) and _bs_number_readout (the exit photon number in the
-Heisenberg picture).
+circuit out from single-mode marginals through two cached gathers, built from
+the plan's stacks by batched products with no loop over sectors:
+_bs_vacuum_split (a split against vacuum: the last column of each U_N) and
+_bs_number_readout (the exit photon number in the Heisenberg picture).
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,36 +90,110 @@ def phase_shift(state: FockState, mode: int, phi: float) -> FockState:
     return FockState(state.layout, (state.nd * factor).reshape(-1), state.leakage)
 
 
-@lru_cache(maxsize=4096)
-def _bs_sector(da: int, db: int, total: int):
-    """Eigendecomposition of the beamsplitter generator in one number sector.
+# sectors whose sizes lie within this ratio share one zero-padded stack
+_STACK_RATIO = 1.25
 
-    Returns (occupations of mode a, eigenvalues, eigenvectors); eigenpairs are
-    None for one-dimensional sectors.
+
+class _SectorStack(NamedTuple):
+    """Number sectors of one size range, zero-padded to a common size M.
+
+    Row s is sector totals[s] with mode-a occupations j_lo[s] .. j_lo[s] +
+    sizes[s] - 1.  lam[s] holds its eigenvalues and vec[s] its eigenvectors
+    in columns; both are zero past sizes[s], so the padding adds exact zeros
+    to every product.  idx[s] is the flat index j * db + k of each basis
+    state |j, k> in a da x db array, and da * db past sizes[s].
     """
-    j_lo = max(0, total - (db - 1))
-    j_hi = min(da - 1, total)
-    js = np.arange(j_lo, j_hi + 1)
-    if js.size == 1:
-        return js, None, None
-    off = np.sqrt((js[:-1] + 1.0) * (total - js[:-1]))
-    lam, vec = np.linalg.eigh(np.diag(off, -1))  # eigh reads the lower triangle
-    return js, lam, vec
+
+    totals: np.ndarray
+    j_lo: np.ndarray
+    sizes: np.ndarray
+    lam: np.ndarray
+    vec: np.ndarray
+    idx: np.ndarray
+
+    def valid(self) -> np.ndarray:
+        """(S, M) mask of the unpadded entries."""
+        return np.arange(self.lam.shape[1]) < self.sizes[:, None]
+
+    def occupations(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, M) mode-a and mode-b occupations, running on past each size."""
+        js = self.j_lo[:, None] + np.arange(self.lam.shape[1])
+        return js, self.totals[:, None] - js
 
 
-def _bs_sector_unitary(da: int, db: int, total: int, theta: float):
-    """Mode-a occupations and beamsplit's truncated unitary U_N in one sector.
+def _sector_eigenpairs(off: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> None:
+    """Eigenpairs of the zero-diagonal symmetric tridiagonal matrix T with
+    sub-diagonal ``off``, written in ascending order into ``lam`` (m) and the
+    columns of ``vec`` (m x m, zeroed).
 
-    Only the cached gathers use it; beamsplit applies U_N in the eigenbasis.
+    T couples even positions only to odd ones, so ordered even then odd it is
+    [[0, B], [B^T, 0]] with B = T[0::2, 1::2] lower bidiagonal.  For
+    B = U diag(sigma) W^T its eigenpairs are +-sigma_k with eigenvectors
+    (u_k, +-w_k) / sqrt(2), and an odd size adds the zero mode (u_n, 0), the
+    last column of the full U.
     """
-    js, lam, vec = _bs_sector(da, db, total)
-    if lam is None:
-        return js, np.ones((1, 1), dtype=np.complex128)
-    return js, (vec * np.exp(1j * theta * lam)) @ vec.T
+    m = off.size + 1
+    if m == 1:
+        vec[0, 0] = 1.0
+        return
+    n = m // 2
+    b = np.zeros(((m + 1) // 2, n))
+    b[np.arange(n), np.arange(n)] = off[0::2]
+    b[np.arange(1, m - n), np.arange(m - n - 1)] = off[1::2]
+    u, sigma, wt = np.linalg.svd(b)
+    half = math.sqrt(0.5)
+    lam[:n] = -sigma
+    lam[m - n:] = sigma[::-1]
+    vec[0::2, :n] = half * u[:, :n]
+    vec[1::2, :n] = -half * wt.T
+    vec[0::2, m - n:] = half * u[:, n - 1::-1]
+    vec[1::2, m - n:] = half * wt[::-1].T
+    if m % 2:
+        vec[0::2, n] = u[:, n]
+
+
+@lru_cache(maxsize=16)
+def _bs_plan(da: int, db: int):
+    """The beamsplitter generator's eigenpairs in every number sector, as
+    (stacks, sectors): the _SectorStacks, and each sector N as (js, ks, vec,
+    lam) with vec and lam unpadded views into its stack.
+
+    Sector N holds |j, N - j> for j from max(0, N - db + 1) to
+    min(da - 1, N); its generator has sub-diagonal sqrt((j + 1)(N - j)).
+    Sectors are grouped by size, each group one zero-padded stack, and a
+    stack is filled one sector at a time, so no unpadded copy of the
+    eigenvectors is alive next to it.
+    """
+    totals = np.arange(da + db - 1)
+    j_lo = np.maximum(0, totals - (db - 1))
+    sizes = np.minimum(da - 1, totals) - j_lo + 1
+    order = np.argsort(sizes, kind="stable")
+    groups, first = [], 0
+    for at in range(1, order.size + 1):
+        if at == order.size or sizes[order[at]] > _STACK_RATIO * sizes[order[first]]:
+            groups.append(np.sort(order[first:at]))
+            first = at
+    stacks, sectors = [], {}
+    for group in groups:
+        width = int(sizes[group].max())
+        lam = np.zeros((group.size, width))
+        vec = np.zeros((group.size, width, width))
+        idx = np.full((group.size, width), da * db)
+        for row, total in enumerate(group):
+            m = int(sizes[total])
+            js = np.arange(j_lo[total], j_lo[total] + m)
+            ks = total - js
+            _sector_eigenpairs(np.sqrt((js[:-1] + 1.0) * ks[:-1]), lam[row, :m], vec[row, :m, :m])
+            idx[row, :m] = js * db + ks
+            sectors[total] = (js, ks, vec[row, :m, :m], lam[row, :m])
+        for arr in (lam, vec, idx):
+            arr.setflags(write=False)
+        stacks.append(_SectorStack(totals[group], j_lo[group], sizes[group], lam, vec, idx))
+    return tuple(stacks), tuple(sectors[n] for n in totals)
 
 
 def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real m and a C-ordered complex x, as one real gemm on x's float64 view."""
+    """m @ x for a real m and a C-ordered complex x, as real gemms on x's float64 view."""
     return (m @ x.view(np.float64)).view(np.complex128)
 
 
@@ -153,16 +237,22 @@ def _bs_vacuum_split(da: int, db: int, theta: float):
     """B(theta) on (mode-a state) (x) vacuum, as one gather.
 
     Occupation N of mode a sits in sector N as |N, 0>, the last state of the
-    sector, so it maps to the last column of U_N.  For a mode-a amplitude
-    vector c, the da x db output has flat amplitudes out.flat[idx] = u * c[src].
-    Returns read-only (idx, src, u).
+    sector, so it maps to the last column of U_N = V e^{i theta Lambda} V^T,
+    which is V (e^{i theta lam} * V[last]): one batched product per stack.
+    For a mode-a amplitude vector c, the da x db output has flat amplitudes
+    out.flat[idx] = u * c[src].  Returns read-only (idx, src, u).
     """
+    stacks, _ = _bs_plan(da, db)
     idx, src, u = [], [], []
-    for total in range(da):
-        js, unitary = _bs_sector_unitary(da, db, total, theta)
-        idx.append(js * db + (total - js))
-        src.append(np.full(js.size, total))
-        u.append(unitary[:, -1])
+    for st in stacks:
+        rows = st.totals < da
+        vec, sizes = st.vec[rows], st.sizes[rows]
+        last = vec[np.arange(sizes.size), sizes - 1] * np.exp(1j * theta * st.lam[rows])
+        cols = _real_matmul(vec, last[..., None])[..., 0]
+        valid = st.valid()[rows]
+        idx.append(st.idx[rows][valid])
+        src.append(np.broadcast_to(st.totals[rows, None], valid.shape)[valid])
+        u.append(cols[valid])
     return _frozen(idx, src, u)
 
 
@@ -170,9 +260,13 @@ def _bs_vacuum_split(da: int, db: int, theta: float):
 def _bs_number_readout(da: int, db: int, theta: float):
     """Photon number of mode b after B(theta), in the Heisenberg picture.
 
-    Per number sector N, H_N = U_N^dag diag(N - js) U_N.  The entries of all
-    sectors are flattened against flat indices into a da x da matrix of mode
-    a and a db x db matrix of mode b, so that for Hermitian rho_a and rho_b
+    Per number sector N, H_N = U_N^dag diag(ks) U_N with ks = N - js.  Its
+    parts C = V cos(theta Lambda) V^T and S = V sin(theta Lambda) V^T of
+    U_N = C + i S are real symmetric, so H_N = CKC + SKS + i (CKS - (CKS)^T)
+    with K = diag(ks): five real batched products per stack.  The entries of
+    all sectors are flattened against flat indices into a da x da matrix of
+    mode a and a db x db matrix of mode b, so that for Hermitian rho_a and
+    rho_b
 
         Tr[(rho_a (x) rho_b) B^dag n_b B] = sum(rho_a.flat[ia] * rho_b.flat[ib] * h).real.
 
@@ -180,16 +274,23 @@ def _bs_number_readout(da: int, db: int, theta: float):
     entries doubled: the lower triangle adds the complex conjugate.
     Returns read-only (ia, ib, h).
     """
+    stacks, _ = _bs_plan(da, db)
     ia, ib, h = [], [], []
-    for total in range(da + db - 1):
-        js, unitary = _bs_sector_unitary(da, db, total, theta)
-        ks = total - js
-        heis = unitary.conj().T @ (ks[:, None] * unitary)
-        p, q = np.triu_indices(js.size)
-        ia.append(js[p] * da + js[q])
-        ib.append(ks[p] * db + ks[q])
-        # Tr[rho H] pairs rho[x, y] with H[y, x]
-        h.append(np.where(p == q, 1.0, 2.0) * heis[q, p])
+    for st in stacks:
+        js, ks = st.occupations()
+        vec_t = st.vec.transpose(0, 2, 1)
+        cos = (st.vec * np.cos(theta * st.lam)[:, None, :]) @ vec_t
+        sin = (st.vec * np.sin(theta * st.lam)[:, None, :]) @ vec_t
+        real = cos @ (ks[..., None] * cos)
+        real += sin @ (ks[..., None] * sin)
+        cross = cos @ (ks[..., None] * sin)
+        p, q = np.triu_indices(st.lam.shape[1])
+        # Tr[rho H] pairs rho[x, y] with H[y, x]; q >= p, so q in range keeps p
+        keep = st.valid()[:, q]
+        heis = real[:, q, p] + 1j * (cross[:, q, p] - cross[:, p, q])
+        ia.append((js[:, p] * da + js[:, q])[keep])
+        ib.append((ks[:, p] * db + ks[:, q])[keep])
+        h.append((np.where(p == q, 1.0, 2.0) * heis)[keep])
     return _frozen(ia, ib, h)
 
 
@@ -201,20 +302,30 @@ def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockS
         raise ValueError("beamsplit needs two distinct modes")
     arr = np.moveaxis(state.nd, (mode_a, mode_b), (0, 1))
     da, db = arr.shape[0], arr.shape[1]
-    rest = arr.shape[2:]
-    arr = arr.reshape(da, db, -1)
-    out = np.empty_like(arr)
-    for total in range(da + db - 1):
-        js, lam, vec = _bs_sector(da, db, total)
-        ks = total - js
-        block = arr[js, ks, :]
-        if lam is not None:
+    stacks, sectors = _bs_plan(da, db)
+    if arr.ndim == 2:
+        # each sector block is a vector: apply a whole stack per product,
+        # with its padding read from and written to one spare slot
+        flat = np.zeros(da * db + 1, dtype=np.complex128)
+        flat[:-1].reshape(da, db)[...] = arr
+        out = np.empty_like(flat)
+        for st in stacks:
+            block = _real_matmul(st.vec.transpose(0, 2, 1), flat[st.idx][..., None])
+            block *= np.exp(1j * theta * st.lam)[..., None]
+            out[st.idx] = _real_matmul(st.vec, block)[..., 0]
+        out = np.moveaxis(out[:-1].reshape(da, db), (0, 1), (mode_a, mode_b))
+    else:
+        # wide blocks: padding would cost flops, so each sector reads its
+        # unpadded views; indexing (da, db, rest) keeps the moved view uncopied
+        rest = arr.shape[2:]
+        arr = arr.reshape(da, db, -1)
+        out = np.empty_like(arr)
+        for js, ks, vec, lam in sectors:
             # U_N x = vec (exp(i theta lam) * (vec.T x)), with vec real
-            block = _real_matmul(vec.T, block)
+            block = _real_matmul(vec.T, arr[js, ks, :])
             block *= np.exp(1j * theta * lam)[:, None]
-            block = _real_matmul(vec, block)
-        out[js, ks, :] = block
-    out = np.moveaxis(out.reshape((da, db) + rest), (0, 1), (mode_a, mode_b))
+            out[js, ks, :] = _real_matmul(vec, block)
+        out = np.moveaxis(out.reshape((da, db) + rest), (0, 1), (mode_a, mode_b))
     return FockState(state.layout, out.reshape(-1), state.leakage)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState, ModeLayout, _warn_leak
-from .states import r_from_squeeze_photons, squeezed_vacuum_log_even
+from .states import squeezed_vacuum_log_even
 
 # Relative tail mass above which the infinite-limit state is rejected.
 TAIL_LIMIT = 1e-10
@@ -75,10 +75,19 @@ class KittenSpec:
         the tap leaves tanh r' = cos^2(theta_sub) tanh r, and
         c = tan^k / sqrt(k!) (a cosh r' + a+ sinh r')^k |0> holds k + 1
         nonnegative amplitudes.  That herald scale makes the probability
-        of k counts (cosh r' / cosh r) c.c, and keeps c.c finite."""
-        tanh_r = 1.0 if self.infinite else math.tanh(r_from_squeeze_photons(self.squeeze_photons))
-        r_sub = math.atanh(math.cos(self.theta_sub) ** 2 * tanh_r)
-        x = math.tan(self.theta_sub) * math.sinh(r_sub)
+        of k counts (cosh r' / cosh r) c.c, and keeps c.c finite.
+
+        With sinh^2 r = S, sinh r' = cos^2 sqrt(S) / sqrt(1 + S sin^2 (1 + cos^2)),
+        cos^2 / (sin sqrt(1 + cos^2)) at S = inf: no tanh r, which rounds
+        near 1, and no cancellation."""
+        cos_sq, sin = math.cos(self.theta_sub) ** 2, math.sin(self.theta_sub)
+        if self.infinite:
+            sinh_sub = cos_sq / (sin * math.sqrt(1.0 + cos_sq))
+        else:
+            s = self.squeeze_photons
+            sinh_sub = cos_sq * math.sqrt(s) / math.sqrt(1.0 + s * sin**2 * (1.0 + cos_sq))
+        r_sub = math.asinh(sinh_sub)
+        x = math.tan(self.theta_sub) * sinh_sub
         return r_sub, _ladder(self.k, x, 0.5 * x * math.tan(self.theta_sub) * math.cosh(r_sub))
 
 

@@ -5,9 +5,10 @@ faster: the dense 4-mode interference gadget behind measure.l_intf, the
 two-mode subtraction circuit (with number post-selection) and the
 log-space series of the shifted source (kitten_series,
 kitten_probability_series) behind kitten.kitten_direct and
-kitten.kitten_probability, the per-sector unitaries behind
-circuits.beamsplit, the full-state circuit loop behind the product factors
-of experiments.run_oracle_check, the cutoff-length candidate recurrence
+kitten.kitten_probability, the dense eigh sector eigenpairs and the
+per-sector unitaries behind circuits.beamsplit and its SVD sector plan, the
+full-state circuit loop behind the product factors of
+experiments.run_oracle_check, the cutoff-length candidate recurrence
 behind catfit's closed-form overlaps, and the squeeze_op antisqueeze and
 r bisection behind kitten.antisqueezed_kitten and the secant of
 analytics.squeeze_to_match.  A few closed forms no experiment uses
@@ -32,7 +33,6 @@ from dipnesim.analytics import (
 from dipnesim.catfit import _budget_split, fit_squeezed_cat
 from dipnesim.circuits import (
     GadgetSpec,
-    _bs_sector_unitary,
     apply_element,
     beamsplit,
     phase_shift,
@@ -60,8 +60,18 @@ from dipnesim.states import (
 )
 
 
+def bs_sector_eigh(da: int, db: int, total: int):
+    """Mode-a occupations and the eigenpairs (ascending) of the beamsplitter
+    generator in number sector ``total``, from a dense np.linalg.eigh."""
+    js = np.arange(max(0, total - (db - 1)), min(da - 1, total) + 1)
+    off = np.sqrt((js[:-1] + 1.0) * (total - js[:-1]))
+    lam, vec = np.linalg.eigh(np.diag(off, -1))  # eigh reads the lower triangle
+    return js, lam, vec
+
+
 def beamsplit_sector_unitaries(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockState:
-    """beamsplit with each sector's truncated unitary U_N formed and multiplied."""
+    """beamsplit with each sector's truncated unitary U_N formed from
+    bs_sector_eigh and multiplied."""
     state.layout._check_mode(mode_a)
     state.layout._check_mode(mode_b)
     if mode_a == mode_b:
@@ -72,12 +82,10 @@ def beamsplit_sector_unitaries(state: FockState, mode_a: int, mode_b: int, theta
     arr = arr.reshape(da, db, -1)
     out = np.empty_like(arr)
     for total in range(da + db - 1):
-        js, unitary = _bs_sector_unitary(da, db, total, theta)
+        js, lam, vec = bs_sector_eigh(da, db, total)
+        unitary = (vec * np.exp(1j * theta * lam)) @ vec.T
         ks = total - js
-        if js.size == 1:
-            out[js, ks, :] = arr[js, ks, :]
-        else:
-            out[js, ks, :] = unitary @ arr[js, ks, :]
+        out[js, ks, :] = unitary @ arr[js, ks, :]
     out = np.moveaxis(out.reshape((da, db) + rest), (0, 1), (mode_a, mode_b))
     return FockState(state.layout, out.reshape(-1), state.leakage)
 

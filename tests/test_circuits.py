@@ -1,7 +1,9 @@
 """Circuit elements against joint-exponential oracles and coherent-map algebra."""
 
 import cmath
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import beamsplit_sector_unitaries, interference_gadget
+from oracles import beamsplit_sector_unitaries, bs_sector_eigh, interference_gadget
 
 from dipnesim import circuits
 from dipnesim.circuits import (
     GadgetSpec,
     _bs_number_readout,
+    _bs_plan,
     _bs_vacuum_split,
     beamsplit,
     displace,
@@ -120,6 +123,44 @@ class TestBeamsplit:
         assert after == pytest.approx(before, abs=1e-10)
         back = beamsplit(out, 0, 2, -theta)
         np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-10)
+
+
+class TestSectorPlan:
+    @pytest.mark.parametrize("dims", [(31, 31), (61, 61), (5, 61), (61, 5), (161, 161)])
+    def test_svd_eigenpairs_match_eigh(self, dims):
+        # every sector: clipped and unclipped, odd and even sizes
+        da, db = dims
+        sectors = _bs_plan(da, db)[1]
+        assert len(sectors) == da + db - 1
+        for total, (js, ks, vec, lam) in enumerate(sectors):
+            want_js, want_lam, _ = bs_sector_eigh(da, db, total)
+            np.testing.assert_array_equal(js, want_js)
+            np.testing.assert_array_equal(ks, total - js)
+            gen = np.diag(np.sqrt((js[:-1] + 1.0) * ks[:-1]), -1)
+            gen = gen + gen.T
+            assert np.abs(gen @ vec - vec * lam).max() <= 1e-12
+            assert np.abs(vec.T @ vec - np.eye(js.size)).max() <= 1e-12
+            np.testing.assert_allclose(lam, want_lam, rtol=0, atol=1e-12)
+            if total < min(da, db):
+                # unclipped: 2 J_x of a spin-N/2 multiplet
+                np.testing.assert_allclose(lam, np.arange(-total, total + 1, 2.0), rtol=0, atol=1e-12)
+
+    def test_beamsplit_allocates_one_state(self):
+        # the loop over wide blocks indexes the moved (da, db, rest) view:
+        # flattening it to (da * db, rest) would copy the state for modes
+        # that are not adjacent
+        lay = ModeLayout((60, 60, 60))
+        rng = np.random.default_rng(3)
+        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim))
+        beamsplit(psi, 0, 1, 0.2)  # build the sector plan outside the trace
+        for modes in itertools.permutations(range(3), 2):
+            tracemalloc.start()
+            try:
+                beamsplit(psi, *modes, 0.3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.2 * psi.amplitudes.nbytes, modes
 
 
 class TestSectorGathers:

@@ -460,16 +460,27 @@ class TestDeterminism:
 
 
 class TestThreadIndependence:
-    def test_oracle_check_same_bytes_under_one_blas_thread(self):
-        # threaded BLAS reductions split their sums by thread count; the
-        # table must not depend on it
-        argv = [sys.executable, "-m", "dipnesim.cli", "oracle-check", "--seed", "7", "--circuits", "42"]
+    # threaded BLAS reductions split their sums by thread count; the tables
+    # must not depend on it
+    @staticmethod
+    def _stdout_default_and_one_thread(args):
+        argv = [sys.executable, "-m", "dipnesim.cli", *args]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         env.pop("OPENBLAS_NUM_THREADS", None)
         default = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
         env["OPENBLAS_NUM_THREADS"] = "1"
-        single = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        return default, subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+
+    def test_oracle_check_same_bytes_under_one_blas_thread(self):
+        default, single = self._stdout_default_and_one_thread(["oracle-check", "--seed", "7", "--circuits", "42"])
+        assert default and default == single
+
+    def test_interference_same_bytes_under_one_blas_thread(self):
+        # l_intf's reduced density matrices and sector gathers are BLAS products
+        default, single = self._stdout_default_and_one_thread(
+            ["interference", "--family", "photon-both+squeeze-i", "--cutoff", "30", "--fraction_count", "5"]
+        )
         assert default and default == single
 
 

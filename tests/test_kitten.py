@@ -202,6 +202,16 @@ class TestHeraldDistribution:
         p0 = kitten_probability(KittenSpec(photons, theta, 0, 10))
         assert p0 == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("photons,theta,want", [
+        (20.0, 0.393, 1.9401462350884964517e-17),
+        (19.17, math.pi / 8, 4.8766731685300286866e-18),
+    ])
+    def test_large_k_probability_matches_50_digit_value(self, photons, theta, want):
+        # (cosh r' / cosh r) c.c evaluated in 50-digit mpmath; r' taken
+        # through tanh r, which rounds near 1, is 1e-13 off at k = 220
+        got = kitten_probability(KittenSpec(photons, theta, 220, 10))
+        assert got == pytest.approx(want, rel=5e-14, abs=0.0)
+
     def test_odd_cumulative_peak_near_thirty_percent(self):
         # scanning the squeezing strength, the chance of an odd herald
         # (k = 1..9) tops out just under 0.3 at this subtraction angle
