@@ -3,7 +3,7 @@
 other kitten's, plus the squeeze-photon cost of the match.
 
 Runs the full source x target herald grid in the infinite-squeezing limit;
-takes a minute or two.
+takes tens of milliseconds.
 """
 
 import sys

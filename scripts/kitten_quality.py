@@ -3,7 +3,7 @@
 
 Writes kitten_quality.csv with per-point herald probability, mean photon
 number, squeezed-cat and plain-cat infidelities, and the fitted squeeze
-fraction. Takes a minute or two at the default cutoff of 1000.
+fraction. Takes tens of milliseconds at the default cutoff of 1000.
 """
 
 import sys

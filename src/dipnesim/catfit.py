@@ -70,12 +70,14 @@ class FitTarget:
     phi: float
 
 
-def kitten_target(spec: KittenSpec, rho: float = 0.0) -> FitTarget:
+def kitten_target(
+    spec: KittenSpec, rho: float = 0.0, core: tuple[float, np.ndarray] | None = None
+) -> FitTarget:
     """The kitten of spec antisqueezed by rho along its displacement axis
     (rho < 0 squeezes): squeezes along one axis add, so it is S(r' + rho) c
-    with (r', c) = spec.core(), and its photon number is
-    kitten.photon_number(r' + rho, c)."""
-    r_sub, coeffs = spec.core()
+    with (r', c) = spec.core() (or core, where the caller has it), and its
+    photon number is kitten.photon_number(r' + rho, c)."""
+    r_sub, coeffs = spec.core() if core is None else core
     if not coeffs.any():
         raise ValueError(
             f"the k={spec.k} kitten has no amplitude: a herald of probability 0 "

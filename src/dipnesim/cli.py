@@ -1,17 +1,23 @@
 """Command-line entry point.
 
-    dipne-sim <experiment> [--config FILE] [--out FILE] [--json] [--key value ...]
+    dipne-sim EXPERIMENT [--config FILE] [--out FILE] [--json] [--key value ...]
 
-Exit codes: 0 success, 2 config error or unwritable --out file (opened
-before the run, and replaced only once the table is ready), 3 oracle-check
-tolerance breach, 4 numerical failure (LinAlgError, FloatingPointError or
-MemoryError).
+Exit codes: 0 success (and -h/--help), 2 usage or config error or
+unwritable --out file (opened before the run, and replaced only once the
+table is ready), 3 oracle-check tolerance breach, 4 numerical failure
+(LinAlgError, FloatingPointError or MemoryError).
+
+The arguments are read by hand: a CLI call is often a run of a few
+milliseconds, and argparse's parser build and gettext lookup cost a
+noticeable share of that.  For the same reason a call pins numpy's
+bundled OpenBLAS to one thread (see _pin_blas).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
+import ctypes
+import os
 import sys
 
 import numpy as np
@@ -23,18 +29,40 @@ from .experiments import (
     run_experiment,
 )
 
+USAGE = "usage: dipne-sim EXPERIMENT [--config FILE] [--out FILE] [--json] [--key value ...]"
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dipne-sim",
-        description="Run a simulation experiment and print its table.",
-        epilog="Any extra --key value pairs override config-file entries.",
-    )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", help="write the table here instead of stdout")
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    return parser
+HELP = f"""{USAGE}
+
+Run a simulation experiment and print its table.
+
+experiments: {', '.join(EXPERIMENTS)}
+
+options:
+  -h, --help     show this message and exit
+  --config FILE  flat key=value config file
+  --out FILE     write the table here instead of stdout
+  --json         emit JSON instead of CSV
+
+Any extra --key value pairs override config-file entries.
+"""
+
+
+def _pin_blas() -> None:
+    """One thread for the OpenBLAS that numpy bundles, unless
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS says otherwise.  After an idle
+    pause, a call big enough to wake the pool's second thread runs ~70x
+    slow for about a second, and no experiment gains from a second thread.
+    Without the bundled library or its symbol this does nothing."""
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    with contextlib.suppress(OSError):
+        for name in os.listdir(libs):
+            if name.startswith("libscipy_openblas64_"):
+                with contextlib.suppress(OSError, AttributeError):
+                    set_threads = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_set_num_threads64_
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    set_threads(1)
 
 
 def _pair_overrides(extra: list[str]) -> dict[str, str]:
@@ -51,26 +79,58 @@ def _pair_overrides(extra: list[str]) -> dict[str, str]:
     return overrides
 
 
+def _parse(argv: list[str]) -> tuple[str, dict[str, str | None], bool, list[str]]:
+    """(experiment, {"--config": FILE, "--out": FILE}, json, extra tokens);
+    a missing or unknown experiment, or an option without its value, raises."""
+    experiment, files, as_json, extra = None, {"--config": None, "--out": None}, False, []
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name in files:
+            files[name] = value if eq else next(tokens, None)
+            if files[name] is None:
+                raise ValueError(f"{name} needs a value")
+        elif token == "--json":
+            as_json = True
+        elif experiment is None and not token.startswith("-"):
+            experiment = token
+        else:
+            extra.append(token)
+    if experiment not in EXPERIMENTS:
+        what = "missing experiment" if experiment is None else f"unknown experiment {experiment!r}"
+        raise ValueError(f"{what}: valid names are {', '.join(EXPERIMENTS)}")
+    return experiment, files, as_json, extra
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(HELP, end="")
+        return 0
+    try:
+        experiment, files, as_json, extra = _parse(argv)
+    except ValueError as exc:
+        print(f"error: {exc}\n{USAGE}", file=sys.stderr)
+        return 2
+    _pin_blas()
     try:
         params: dict[str, str] = {}
-        if args.config:
-            params.update(read_config_file(args.config))
+        if files["--config"]:
+            params.update(read_config_file(files["--config"]))
         params.update(_pair_overrides(extra))
-        config = make_config(args.experiment, params)
+        config = make_config(experiment, params)
         # open --out before the run, so an unwritable path fails fast; append
         # mode leaves an existing file as it is until the table is ready
+        out = files["--out"]
         sink = (
-            open(args.out, "a", encoding="utf-8", newline="")
-            if args.out
+            open(out, "a", encoding="utf-8", newline="")
+            if out
             else contextlib.nullcontext(sys.stdout)
         )
         with sink as fh:
             table = run_experiment(config)
-            text = table.to_json() if args.json else table.to_csv()
-            if args.out:
+            text = table.to_json() if as_json else table.to_csv()
+            if out:
                 fh.truncate(0)
             fh.write(text)
     # before ValueError, which LinAlgError subclasses
@@ -81,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.experiment == "oracle-check":
+    if experiment == "oracle-check":
         try:
             ok = table.meta("within_tolerance") == "yes"
         except KeyError:

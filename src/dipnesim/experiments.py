@@ -36,7 +36,7 @@ from .circuits import (
     squeeze_op,
 )
 from .fock import FockState, ModeLayout, basis_state, tensor, vacuum_state
-from .kitten import KittenSpec, KittenState, kitten_direct
+from .kitten import KittenSpec, _herald_probability, herald_tails, kitten_direct
 from .measure import joint_number_distribution, l_intf, mean_quadrature
 from .states import Squeeze, coherent
 
@@ -378,25 +378,32 @@ def _kitten_table(config: ExperimentConfig, columns: tuple[str, ...], project) -
     """Herald each (squeeze_photons, k) point of the sweep, then fit the
     kitten_target of every point in one lockstep call (k + 1 levels per
     row, no cutoff); the row is the point followed by
-    ``project(k, kitten, fit)``.  At zero squeezing there is nothing to
-    herald or fit, and both are None.  Every column is closed form; the
-    cutoff enters only the kitten states, whose largest truncated tail is
-    reported as max_leakage (and warned of by kitten_direct)."""
+    ``project(k, (probability, mean_n), fit)``.  At zero squeezing there is
+    nothing to herald or fit, and both are None.  Every column is closed
+    form from the point's spec.core(); the cutoff enters only the Fock
+    kittens' largest truncated tail, max_leakage, which kitten.herald_tails
+    measures for all points in one batched build (and warns of per point)."""
     sweep = _squeeze_sweep(config)
     theta, cutoff = config["theta_sub"], config["cutoff"]
 
     points = [(photons, k) for photons in sweep for k in config["k_list"]]
     specs = [KittenSpec(photons, theta, k, cutoff) for photons, k in points]
-    kits = [kitten_direct(spec) if spec.squeeze_photons != 0.0 else None for spec in specs]
-    fits = iter(fit_squeezed_cats([kitten_target(s) for s in specs if s.squeeze_photons != 0.0]))
+    live = [spec for spec in specs if spec.squeeze_photons != 0.0]
+    cores = [spec.core() for spec in live]
+    tails = herald_tails(live, cores)
+    targets = [kitten_target(spec, core=core) for spec, core in zip(live, cores)]
+    # target.photons is photon_number(r' + 0.0, c): kitten_direct's mean_photons
+    done = iter(
+        ((math.nan if spec.infinite else _herald_probability(spec, *core), target.photons), fit)
+        for spec, core, target, fit in zip(live, cores, targets, fit_squeezed_cats(targets))
+    )
     rows = [
-        (photons, k) + project(k, kit, None if kit is None else next(fits))
-        for (photons, k), kit in zip(points, kits)
+        (photons, k) + project(k, *(next(done) if photons != 0.0 else (None, None)))
+        for photons, k in points
     ]
 
     rows.sort(key=lambda r: (r[0], r[1]))
-    max_leak = max((kit.state.leakage for kit in kits if kit is not None), default=0.0)
-    extras = [("max_leakage", _fmt(max_leak))]
+    extras = [("max_leakage", _fmt(max(tails, default=0.0)))]
     return ResultTable(
         columns=("squeeze_photons", "k") + columns,
         rows=tuple(rows),
@@ -404,17 +411,11 @@ def _kitten_table(config: ExperimentConfig, columns: tuple[str, ...], project) -
     )
 
 
-def _kitten_columns(k: int, kit: KittenState | None, fit: CatFitResult | None) -> tuple:
-    if kit is None:
+def _kitten_columns(k: int, herald: tuple[float, float] | None, fit: CatFitResult | None) -> tuple:
+    if herald is None:
         prob, mean = (1.0, 0.0) if k == 0 else (0.0, math.nan)
         return (prob, mean, math.nan, math.nan, math.nan)
-    return (
-        kit.probability,
-        kit.mean_photons,
-        fit.infidelity,
-        1.0 - fit.plain_cat_fidelity,
-        fit.squeeze_fraction,
-    )
+    return (*herald, fit.infidelity, 1.0 - fit.plain_cat_fidelity, fit.squeeze_fraction)
 
 
 def run_kitten(config: ExperimentConfig) -> ResultTable:
@@ -430,7 +431,7 @@ def run_kitten(config: ExperimentConfig) -> ResultTable:
     return _kitten_table(config, columns, _kitten_columns)
 
 
-def _catfit_columns(k: int, kit: KittenState, fit: CatFitResult) -> tuple:
+def _catfit_columns(k: int, herald: tuple[float, float], fit: CatFitResult) -> tuple:
     return (
         fit.fidelity,
         fit.plain_cat_fidelity,
@@ -517,9 +518,9 @@ def run_match(config: ExperimentConfig) -> ResultTable:
     photons = config["squeeze_photons"]
     ks = sorted(set(config["source_k"]) | set(config["target_k"]))
     specs = {k: KittenSpec(photons, theta, k, cutoff) for k in ks}
-    kits = {k: kitten_direct(specs[k]) for k in ks}
-    fits = dict(zip(ks, fit_squeezed_cats([kitten_target(specs[k]) for k in ks])))
-    max_leak = max(kits[k].state.leakage for k in ks)
+    cores = [specs[k].core() for k in ks]
+    max_leak = max(herald_tails([specs[k] for k in ks], cores))
+    fits = dict(zip(ks, fit_squeezed_cats([kitten_target(specs[k], core=c) for k, c in zip(ks, cores)])))
 
     grid = sorted((s, t) for s in config["source_k"] for t in config["target_k"])
     off = sorted({(s, t) for s, t in grid if s != t})

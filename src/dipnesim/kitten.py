@@ -6,7 +6,9 @@ mode, with tanh r' = cos^2(theta_sub) tanh r (Dakna et al., PRA 55, 3184
 (1997)).  KittenSpec.core() is the one description of that state: r' and
 k + 1 amplitudes c.  The herald probability, the photon number and the
 Fock state on any cutoff all follow from it in closed form, at finite or
-infinite squeezing.  The two-mode simulation of the same circuit,
+infinite squeezing; one Horner pass (_build) makes the Fock states of a
+whole batch of kittens, and herald_tails reads a sweep's truncated tails
+from it.  The two-mode simulation of the same circuit,
 kitten_by_subtraction in tests/oracles.py, is the cross-check, and the
 log-space series of the shifted source there is the reference.
 """
@@ -118,37 +120,63 @@ def photon_number(squeeze: float, coeffs: np.ndarray) -> float:
     )
 
 
-def _build(spec: KittenSpec, r_sub: float, core: np.ndarray, rho: float, work_cutoff: int) -> FockState:
-    """antisqueezed_kitten from spec's (r', c), without the leak warning."""
-    k, dim, big, tan = spec.k, work_cutoff + 1, r_sub + rho, math.tan(spec.theta_sub)
-    vac = np.zeros(dim)  # S(R)|0>
-    if big == 0.0:
-        vac[0] = 1.0
-    else:
-        m = np.arange((dim + 1) // 2)
-        vac[::2] = np.sign(big) ** m * np.exp(squeezed_vacuum_log_even(abs(big), m))
+def _build(rows, work_cutoff: int) -> tuple[np.ndarray, list[float], list[float]]:
+    """The kittens of rows (spec, rho, (r', c) = spec.core()), each
+    antisqueezed by rho, on work_cutoff levels in one Horner pass:
+    unnormalized amplitudes (a row each), kept norm^2 and the tail cut
+    off against c.c.  Every row sees the arithmetic of its own one-row
+    call; a zero or non-finite kept mass raises."""
+    dim, n = work_cutoff + 1, len(rows)
+    bigs = np.array([r_sub + rho for _, rho, (r_sub, _) in rows])
+    vac, squeezed = np.zeros((n, dim)), bigs != 0.0  # S(R)|0> per row
+    vac[~squeezed, 0] = 1.0
+    big, m = bigs[squeezed, None], np.arange((dim + 1) // 2)
+    sign = np.where((big < 0.0) & (m % 2 == 1), -1.0, 1.0)  # sign(R)^m
+    vac[squeezed, ::2] = sign * np.exp(squeezed_vacuum_log_even(np.abs(big), m))
     # p_k solves p_{j+1} = c z p_j + h p_j', p_0 = 1, with c = sinh r' / cosh R
     # and h = cosh rho; with the herald scale tan^k / sqrt(k!), its
     # coefficient of z^p / sqrt(p!) is _ladder(k, x, x tan h / 2)[p], x = tan c
-    x = tan * math.sinh(r_sub) / math.cosh(big)
-    coeffs = _ladder(k, x, 0.5 * x * tan * math.cosh(rho))
-    # Horner in a+ / sqrt(p + 1); a+ only moves mass up, so the kept levels are exact
+    ks = np.array([spec.k for spec, _, _ in rows])
+    coeffs = np.zeros((n, ks.max(initial=0) + 1))
+    for i, (spec, rho, (r_sub, _)) in enumerate(rows):
+        tan = math.tan(spec.theta_sub)
+        x = tan * math.sinh(r_sub) / math.cosh(r_sub + rho)
+        coeffs[i, : spec.k + 1] = _ladder(spec.k, x, 0.5 * x * tan * math.cosh(rho))
+    # Horner in a+ / sqrt(p + 1); a+ only moves mass up, so the kept levels
+    # are exact.  With the rows in falling k, the rows under way at step p
+    # (k > p) are a prefix, and those with k = p enter right after it.
+    order = np.argsort(-ks, kind="stable")
+    ks, coeffs, vac = ks[order], coeffs[order], vac[order]
     root = np.sqrt(np.arange(1.0, dim))
-    amps = coeffs[k] * vac
-    for p in range(k - 1, -1, -1):
-        amps[1:] = amps[:-1] * root
-        amps[0] = 0.0
-        amps *= 1.0 / math.sqrt(p + 1)
-        if coeffs[p]:
-            amps += coeffs[p] * vac
-    kept = float(amps @ amps)
-    if not (math.isfinite(kept) and kept > 0.0):
-        raise ValueError(
-            f"the k={k} kitten has norm^2 {kept:.3g} on cutoff {work_cutoff}: a herald "
-            "of probability 0 (zero squeezing), or amplitudes that under- or overflow"
-        )
-    tail = max(0.0, 1.0 - kept / (core @ core))  # rounding leaves ~1e-16 of either sign
-    return FockState(ModeLayout((work_cutoff,)), amps / math.sqrt(kept), tail)
+    amps = np.zeros((n, dim))
+    for p in range(coeffs.shape[1] - 1, -1, -1):
+        on, enter = np.count_nonzero(ks > p), np.count_nonzero(ks >= p)
+        live = amps[:on]
+        live[:, 1:] = live[:, :-1] * root
+        live[:, 0] = 0.0
+        live *= 1.0 / math.sqrt(p + 1)
+        adds = coeffs[:on, p] != 0.0
+        if adds.any():
+            np.add(live, coeffs[:on, p, None] * vac[:on], out=live, where=adds[:, None])
+        amps[on:enter] = coeffs[on:enter, p, None] * vac[on:enter]
+    amps[order] = amps.copy()  # back to the callers' row order
+    kept, tails = [], []
+    for (spec, _, (_, core)), row in zip(rows, amps):
+        mass = float(row @ row)
+        if not (math.isfinite(mass) and mass > 0.0):
+            raise ValueError(
+                f"the k={spec.k} kitten has norm^2 {mass:.3g} on cutoff {work_cutoff}: a herald "
+                "of probability 0 (zero squeezing), or amplitudes that under- or overflow"
+            )
+        kept.append(mass)
+        tails.append(max(0.0, 1.0 - mass / (core @ core)))  # rounding leaves ~1e-16 of either sign
+    return amps, kept, tails
+
+
+def _one(spec: KittenSpec, rho: float, work_cutoff: int, core: tuple[float, np.ndarray]) -> FockState:
+    """The one-row _build, normalized."""
+    amps, kept, tails = _build([(spec, rho, core)], work_cutoff)
+    return FockState(ModeLayout((work_cutoff,)), amps[0] / math.sqrt(kept[0]), tails[0])
 
 
 def antisqueezed_kitten(spec: KittenSpec, rho: float, work_cutoff: int) -> FockState:
@@ -160,13 +188,36 @@ def antisqueezed_kitten(spec: KittenSpec, rho: float, work_cutoff: int) -> FockS
     axis and the even amplitudes alternate in sign).  Its leakage is the
     tail cut off, against the exact norm^2 c.c of KittenSpec.core; it warns
     above LEAK_THRESHOLD, and a zero or overflowed build raises."""
-    state = _build(spec, *spec.core(), rho, work_cutoff)
+    state = _one(spec, rho, work_cutoff, spec.core())
     _warn_leak(state.leakage, f"antisqueezed_kitten(k={spec.k}, rho={rho:.6g}) at work cutoff {work_cutoff}")
     return state
 
 
 def _herald_probability(spec: KittenSpec, r_sub: float, core: np.ndarray) -> float:
     return math.cosh(r_sub) / math.sqrt(1.0 + spec.squeeze_photons) * float(core @ core)
+
+
+def _check_herald(spec: KittenSpec, tail: float) -> None:
+    if spec.infinite and tail > TAIL_LIMIT:
+        raise ValueError(
+            f"cutoff {spec.cutoff} leaves relative tail mass {tail:.3e} "
+            f"(> {TAIL_LIMIT:.0e}) in the infinite-squeezing limit; raise it"
+        )
+    _warn_leak(tail, f"kitten_direct(k={spec.k}) at cutoff {spec.cutoff}")
+
+
+def herald_tails(specs: list[KittenSpec], cores: list[tuple[float, np.ndarray]]) -> list[float]:
+    """kitten_direct(spec).state.leakage of every spec (one cutoff for all),
+    with cores[i] = specs[i].core(), from one _build and with kitten_direct's
+    raise and warning per row, but no state kept."""
+    if not specs:
+        return []
+    if len({spec.cutoff for spec in specs}) > 1:
+        raise ValueError("herald_tails needs one cutoff for all specs")
+    _, _, tails = _build([(spec, 0.0, core) for spec, core in zip(specs, cores)], specs[0].cutoff)
+    for spec, tail in zip(specs, tails):
+        _check_herald(spec, tail)
+    return tails
 
 
 def kitten_direct(spec: KittenSpec) -> KittenState:
@@ -180,13 +231,8 @@ def kitten_direct(spec: KittenSpec) -> KittenState:
     where an infinite-squeezing tail beyond the cutoff exceeds TAIL_LIMIT.
     """
     r_sub, core = spec.core()
-    state = _build(spec, r_sub, core, 0.0, spec.cutoff)
-    if spec.infinite and state.leakage > TAIL_LIMIT:
-        raise ValueError(
-            f"cutoff {spec.cutoff} leaves relative tail mass {state.leakage:.3e} "
-            f"(> {TAIL_LIMIT:.0e}) in the infinite-squeezing limit; raise it"
-        )
-    _warn_leak(state.leakage, f"kitten_direct(k={spec.k}) at cutoff {spec.cutoff}")
+    state = _one(spec, 0.0, spec.cutoff, (r_sub, core))
+    _check_herald(spec, state.leakage)
     prob = math.nan if spec.infinite else _herald_probability(spec, r_sub, core)
     return KittenState(state, prob, photon_number(r_sub, core))
 

@@ -137,17 +137,22 @@ def coherent(alpha, layout) -> FockState:
     return _finish(amps, layout, f"coherent(alpha={a:.4g})")
 
 
-def squeezed_vacuum_log_even(r: float, m) -> np.ndarray:
-    """log |C_{2m}| of S(r e^{i theta})|0> for an array of even-level indices m.
+def squeezed_vacuum_log_even(r, m) -> np.ndarray:
+    """log |C_{2m}| of S(r e^{i theta})|0> for an array of even-level indices m,
+    at one r or at an array of them that broadcasts against m (a column of
+    r gives one row per r, each equal to its own one-r call).
 
     Phase is handled by callers; requires r > 0.
     """
-    m = np.asarray(m)
-    if r <= 0.0:
+    m, r = np.asarray(m), np.asarray(r, dtype=float)
+    if not (r > 0.0).all():
         raise ValueError("squeezed_vacuum_log_even needs r > 0")
+    log_cosh, log_tanh = (
+        np.array([math.log(f(x)) for x in r.flat]).reshape(r.shape) for f in (math.cosh, math.tanh)
+    )
     return (
-        -0.5 * math.log(math.cosh(r))
-        + m * math.log(math.tanh(r))
+        -0.5 * log_cosh
+        + m * log_tanh
         + 0.5 * log_factorial(2 * m)
         - m * math.log(2.0)
         - log_factorial(m)

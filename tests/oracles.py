@@ -11,7 +11,8 @@ full-state circuit loop behind the product factors of
 experiments.run_oracle_check, the cutoff-length candidate recurrence
 behind catfit's closed-form overlaps, and the squeeze_op antisqueeze and
 r bisection behind kitten.antisqueezed_kitten and the secant of
-analytics.squeeze_to_match.  A few closed forms no experiment uses
+analytics.squeeze_to_match, and the one-kitten-at-a-time Horner pass
+behind kitten._build's row batch.  A few closed forms no experiment uses
 (erasure_residual, poisson_pn, displacement_estimate) live here with
 their tests.
 """
@@ -48,7 +49,7 @@ from dipnesim.fock import (
     tensor,
     vacuum_state,
 )
-from dipnesim.kitten import KittenSpec, KittenState, peak_estimate
+from dipnesim.kitten import KittenSpec, KittenState, _ladder, peak_estimate
 from dipnesim.states import (
     Squeeze,
     _cat_norms_squared,
@@ -300,6 +301,33 @@ def squeeze_to_match_bisect(
         else:
             hi = mid
     return MatchResult(mid, fit_mid.squeeze_fraction, math.nan)
+
+
+def kitten_horner_row(spec: KittenSpec, rho: float, work_cutoff: int) -> tuple[np.ndarray, float, float]:
+    """(unnormalized amplitudes, kept norm^2, tail) of spec's kitten
+    antisqueezed by rho: the Horner pass kitten._build runs on a batch of
+    rows, here for one kitten at a time, a+ applied by a shift of one
+    vector and each zero coefficient skipped."""
+    r_sub, core = spec.core()
+    dim, big, tan = work_cutoff + 1, r_sub + rho, math.tan(spec.theta_sub)
+    vac = np.zeros(dim)
+    if big == 0.0:
+        vac[0] = 1.0
+    else:
+        m = np.arange((dim + 1) // 2)
+        vac[::2] = np.sign(big) ** m * np.exp(squeezed_vacuum_log_even(abs(big), m))
+    x = tan * math.sinh(r_sub) / math.cosh(big)
+    coeffs = _ladder(spec.k, x, 0.5 * x * tan * math.cosh(rho))
+    root = np.sqrt(np.arange(1.0, dim))
+    amps = coeffs[spec.k] * vac
+    for p in range(spec.k - 1, -1, -1):
+        amps[1:] = amps[:-1] * root
+        amps[0] = 0.0
+        amps *= 1.0 / math.sqrt(p + 1)
+        if coeffs[p]:
+            amps += coeffs[p] * vac
+    kept = float(amps @ amps)
+    return amps, kept, max(0.0, 1.0 - kept / (core @ core))
 
 
 def _unwrap(kitten) -> tuple[FockState, float]:

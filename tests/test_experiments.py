@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from dipnesim.experiments import (
     ResultTable,
     _enumerated_circuits,
     _product_factors,
+    _squeeze_sweep,
     make_config,
     read_config_file,
     run_experiment,
@@ -243,6 +245,26 @@ class TestKittenRun:
         assert want > 1e-2
         assert float(dict(table.metadata)["max_leakage"]) == want
 
+    def test_raises_at_infinite_squeezing_on_a_small_cutoff(self):
+        cfg = make_config("kitten", {"infinite": True, "k_list": "1,3", "cutoff": 60})
+        with pytest.raises(ValueError, match="infinite-squeezing limit; raise it"):
+            run_experiment(cfg)
+
+    def test_warns_once_per_truncated_point(self):
+        # one LeakageWarning per point whose kitten_direct warns: 13 of 25 here
+        params = {"theta_sub": 0.1, "squeeze_min": 0, "squeeze_max": 20, "squeeze_steps": 5, "cutoff": 441}
+        cfg = make_config("kitten", params)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        got = [str(w.message) for w in caught if issubclass(w.category, LeakageWarning)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for photons in _squeeze_sweep(cfg)[1:]:
+                for k in cfg["k_list"]:
+                    kitten_direct(KittenSpec(photons, 0.1, k, 441))
+        assert got == [str(w.message) for w in caught] and len(got) == 13
+
 
 class TestCatfitRun:
     def test_fit_parameters_exposed(self):
@@ -341,6 +363,15 @@ class TestMatchRun:
         own = fit_squeezed_cat(kitten_direct(KittenSpec(5.0, math.pi / 5, 3, 120)))
         assert table.rows[1] == (3, 3, 0.0, own.squeeze_fraction)
         assert 0.0 <= float(table.meta("max_guard_mass")) < 1e-8
+
+    def test_max_leakage_is_the_largest_kitten_tail(self):
+        params = {"source_k": "1,5", "target_k": "9", "squeeze_photons": 20, "theta_sub": 0.2,
+                  "cutoff": 150, "work_cutoff": 160}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LeakageWarning)
+            table = run_experiment(make_config("match", params))
+            tails = [kitten_direct(KittenSpec(20.0, 0.2, k, 150)).state.leakage for k in (1, 5, 9)]
+        assert float(table.meta("max_leakage")) == max(tails) > 1e-8
 
 
 class TestGaussdriveRun:
@@ -467,7 +498,9 @@ class TestThreadIndependence:
         argv = [sys.executable, "-m", "dipnesim.cli", *args]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        env.pop("OPENBLAS_NUM_THREADS", None)
+        # the CLI pins the pool to one thread unless told otherwise, so the
+        # other side asks for two
+        env["OPENBLAS_NUM_THREADS"] = "2"
         default = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
         env["OPENBLAS_NUM_THREADS"] = "1"
         return default, subprocess.run(argv, env=env, capture_output=True, check=True).stdout
@@ -515,6 +548,50 @@ class TestNumpyOnly:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         loaded = json.loads(proc.stdout)
         assert loaded == {"import": [], **{run[0]: [] for run in runs}}
+
+
+_BLAS_POOL_SCRIPT = """
+import ctypes, json, os, sys
+import numpy as np
+
+libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+names = [n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_")] if os.path.isdir(libs) else []
+if not names:
+    print("null")
+    sys.exit()
+pool = ctypes.CDLL(os.path.join(libs, names[0])).scipy_openblas_get_num_threads64_
+pool.argtypes, pool.restype = [], ctypes.c_int
+seen = [pool()]
+import dipnesim, dipnesim.cli
+seen.append(pool())
+seen.append(dipnesim.cli.main(["gaussdrive", "--r_steps", "2", "--out", sys.argv[1]]))
+seen.append(pool())
+print(json.dumps(seen))
+"""
+
+
+class TestBlasPool:
+    @staticmethod
+    def _pool_sizes(tmp_path, **threads):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+        env.update(threads)
+        argv = [sys.executable, "-c", _BLAS_POOL_SCRIPT, str(tmp_path / "table.csv")]
+        seen = json.loads(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+        if seen is None:
+            pytest.skip("numpy bundles no scipy-openblas library here")
+        return seen
+
+    def test_import_leaves_the_pool_and_a_call_pins_it(self, tmp_path):
+        start, imported, code, after = self._pool_sizes(tmp_path)
+        assert (imported, code, after) == (start, 0, 1)
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_thread_variable_leaves_the_pool_alone(self, tmp_path, variable):
+        start, imported, code, after = self._pool_sizes(tmp_path, **{variable: "2"})
+        assert (imported, code, after) == (start, 0, start)
 
 
 class TestCli:
@@ -610,6 +687,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert type(exc).__name__ in err and str(exc) in err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, flag, capsys):
+        assert main(["kitten", flag]) == 0 and main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: dipne-sim EXPERIMENT")
+        assert all(name in out for name in EXPERIMENTS)
+
+    @pytest.mark.parametrize("argv", [[], ["--json"], ["kitte"], ["bogus", "--r_steps", "2"]])
+    def test_unknown_or_missing_experiment_exit(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert all(name in captured.err for name in EXPERIMENTS)
+
+    def test_option_without_value_exit(self, capsys):
+        assert main(["gaussdrive", "--out"]) == 2
+        assert capsys.readouterr().err.startswith("error: --out needs a value")
+
+    def test_equals_forms(self, tmp_path, capsys):
+        config, target = tmp_path / "run.cfg", tmp_path / "table.csv"
+        config.write_text("r_steps = 2\n", encoding="utf-8")
+        assert main(["gaussdrive", f"--config={config}", f"--out={target}"]) == 0
+        assert capsys.readouterr().out == ""
+        assert "# r_steps = 2" in target.read_text(encoding="utf-8")
+
+    def test_import_loads_neither_argparse_nor_locale(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        script = "import sys, dipnesim.cli; print(sorted({'argparse', 'locale'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_experiment_names_complete(self):
         assert set(EXPERIMENTS) == {

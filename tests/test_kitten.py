@@ -20,6 +20,7 @@ import pytest
 from oracles import (
     displacement_estimate,
     kitten_by_subtraction,
+    kitten_horner_row,
     kitten_probability_series,
     kitten_series,
 )
@@ -28,7 +29,9 @@ from dipnesim.experiments import make_config, run_experiment
 from dipnesim.fock import LeakageWarning
 from dipnesim.kitten import (
     KittenSpec,
+    _build,
     antisqueezed_kitten,
+    herald_tails,
     kitten_direct,
     kitten_probability,
     peak_estimate,
@@ -341,6 +344,57 @@ class TestLoudFailure:
         for build in (spec.core, lambda: kitten_direct(spec), lambda: antisqueezed_kitten(spec, 0.0, 100)):
             with pytest.raises(ValueError, match="k=5000 kitten's amplitudes overflow"):
                 build()
+
+
+def _batch_rows(cutoff: int) -> list:
+    """(spec, rho, spec.core()) rows of mixed k (0-9), antisqueezing of both
+    signs, finite and infinite squeezing, and R = r' + rho = 0 exactly."""
+    rows = []
+    for k in range(10):
+        spec = KittenSpec(math.inf if k % 3 == 0 else 1.5 + 2.0 * k, THETA, k, cutoff)
+        core = spec.core()
+        rows += [(spec, rho, core) for rho in (-0.4, 0.0, 0.35, -core[0])]
+    return rows
+
+
+class TestRowBatch:
+    CUTOFF = 150
+
+    def test_rows_equal_one_row_calls_bit_for_bit(self):
+        rows = _batch_rows(self.CUTOFF)
+        for batch in (rows, rows[::-1]):
+            amps, kept, tails = _build(batch, self.CUTOFF)
+            for i, row in enumerate(batch):
+                one_amps, one_kept, one_tails = _build([row], self.CUTOFF)
+                assert amps[i].tobytes() == one_amps[0].tobytes()
+                assert (kept[i], tails[i]) == (one_kept[0], one_tails[0])
+
+    def test_rows_follow_the_one_kitten_oracle(self):
+        rows = _batch_rows(self.CUTOFF)
+        amps, kept, tails = _build(rows, self.CUTOFF)
+        for i, (spec, rho, _) in enumerate(rows):
+            want, want_kept, want_tail = kitten_horner_row(spec, rho, self.CUTOFF)
+            assert amps[i].tobytes() == want.tobytes()
+            assert (kept[i], tails[i]) == (want_kept, want_tail)
+
+    def test_public_builds_are_one_row_calls(self):
+        spec = KittenSpec(6.0, THETA, 5, self.CUTOFF)
+        for rho, state in ((0.0, kitten_direct(spec).state), (-0.3, antisqueezed_kitten(spec, -0.3, self.CUTOFF))):
+            amps, kept, tails = _build([(spec, rho, spec.core())], self.CUTOFF)
+            assert state.amplitudes.tobytes() == (amps[0] / math.sqrt(kept[0])).astype(complex).tobytes()
+            assert state.leakage == tails[0]
+
+    def test_herald_tails_are_kitten_direct_leakages(self):
+        specs = [KittenSpec(photons, 0.1, k, 441) for photons in (5.0, 20.0) for k in (1, 4, 9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LeakageWarning)
+            tails = herald_tails(specs, [spec.core() for spec in specs])
+            want = [kitten_direct(spec).state.leakage for spec in specs]
+        assert tails == want and max(want) > 1e-2
+        assert herald_tails([], []) == []
+        mixed = [specs[0], KittenSpec(5.0, 0.1, 1, 400)]
+        with pytest.raises(ValueError, match="one cutoff"):
+            herald_tails(mixed, [spec.core() for spec in mixed])
 
 
 _LAYERING_SCRIPT = """
