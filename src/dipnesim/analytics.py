@@ -228,8 +228,10 @@ class GaussianMoments:
             raise ValueError("mean must be a flat vector of length 2M")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("cov must be square and match the mean length")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("cov must be symmetric within 1e-12")
+        # propagation rounds relative to the size of cov, so the bound does too
+        asym = float(np.max(np.abs(cov - cov.T)))
+        if asym > 1e-12 and asym > 1e-12 * float(np.max(np.abs(cov))):
+            raise ValueError("cov must be symmetric within 1e-12 max(1, max |cov|)")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)

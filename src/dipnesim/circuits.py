@@ -33,13 +33,18 @@ truncated space, so
     S(r e^{i theta}) = R(theta/2) exp((r/2)(a^2 - a+^2)) R(-theta/2)
 
 are the same truncated-generator exponentials as the complex forms, while
-_expm (scaling and squaring, on numpy) sees only a real matrix.
+_expm (scaling and squaring, on numpy) sees only a real matrix.  _expm takes
+a stack, each matrix with its own scaling, so displacements applies every
+D(alpha) of a sweep to one state from stacked exponentials, in chunks that
+keep each stack within STACK_BYTES; displace and squeeze_op are one-row
+calls.
 
 GadgetSpec holds the pickoff gadget's parameters.  measure.l_intf reads that
-circuit out from single-mode marginals through two cached gathers, built from
+circuit out from single-mode marginals through two cached tables, built from
 the plan's stacks by batched products with no loop over sectors:
-_bs_vacuum_split (a split against vacuum: the last column of each U_N) and
-_bs_number_readout (the exit photon number in the Heisenberg picture).
+_bs_vacuum_split (a split against vacuum, as a gather: the last column of
+each U_N) and _bs_number_readout (the exit photon number in the Heisenberg
+picture, laid out on number-difference diagonals).
 """
 
 from __future__ import annotations
@@ -198,7 +203,8 @@ def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _expm(g: np.ndarray) -> np.ndarray:
-    """exp(g) for a real antisymmetric g: [13/13] Pade approximant, scaled and squared.
+    """exp(g) for a stack (..., d, d) of real antisymmetric g: [13/13] Pade
+    approximant, scaled and squared.
 
     Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), scales g by 2^-s until its
     one-norm is at most theta_13 = 5.37, which bounds the error in norm only.  Entry
@@ -207,11 +213,16 @@ def _expm(g: np.ndarray) -> np.ndarray:
     its relative accuracy, down to the ~1e-47 level-60 amplitude of a displaced
     vacuum.  Squaring 1 + f as f -> f^2 + 2f rounds relative to f, not to the
     identity, so the orthogonal result's norm drift is not doubled at each squaring.
+    Each matrix keeps its own s, and squaring step t touches only the matrices with
+    s > t, so every matrix of a stack comes out as it would alone.
     """
-    d = g.shape[0]
-    norm = float(np.abs(g).sum(axis=0).max())
-    s = max(0, math.ceil(math.log2(max(norm / 5.371920351148152, (d - 1) / 8, 1.0))))
-    a = g / 2.0**s
+    d = g.shape[-1]
+    stack = g.reshape(-1, d, d)
+    s = [
+        max(0, math.ceil(math.log2(max(norm / 5.371920351148152, (d - 1) / 8, 1.0))))
+        for norm in np.abs(stack).sum(axis=1).max(axis=1).tolist()
+    ]
+    a = stack / np.array([2.0**e for e in s])[:, None, None]
     b = _PADE13
     eye = np.eye(d)
     a2 = a @ a
@@ -220,9 +231,14 @@ def _expm(g: np.ndarray) -> np.ndarray:
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     f = np.linalg.solve(v - u, 2.0 * u)  # (v - u)^-1 (v + u) - 1
-    for _ in range(s):
-        f = f @ f + 2.0 * f
-    return f + eye
+    for step in range(max(s)):
+        if min(s) > step:
+            f = f @ f + 2.0 * f
+        else:
+            rows = [row for row, e in enumerate(s) if e > step]
+            part = f[rows]
+            f[rows] = part @ part + 2.0 * part
+    return (f + eye).reshape(g.shape)
 
 
 def _frozen(*parts) -> tuple:
@@ -256,26 +272,41 @@ def _bs_vacuum_split(da: int, db: int, theta: float):
     return _frozen(idx, src, u)
 
 
+# number-difference diagonals per block of the number readout
+DIAGONAL_RUN = 16
+
+
 @lru_cache(maxsize=16)
 def _bs_number_readout(da: int, db: int, theta: float):
-    """Photon number of mode b after B(theta), in the Heisenberg picture.
+    """Photon number of mode b after B(theta), in the Heisenberg picture,
+    laid out on number-difference diagonals.
 
     Per number sector N, H_N = U_N^dag diag(ks) U_N with ks = N - js.  Its
     parts C = V cos(theta Lambda) V^T and S = V sin(theta Lambda) V^T of
     U_N = C + i S are real symmetric, so H_N = CKC + SKS + i (CKS - (CKS)^T)
-    with K = diag(ks): five real batched products per stack.  The entries of
-    all sectors are flattened against flat indices into a da x da matrix of
-    mode a and a db x db matrix of mode b, so that for Hermitian rho_a and
-    rho_b
+    with K = diag(ks): five real batched products per stack.  For Hermitian
+    rho_a and rho_b, Tr[(rho_a (x) rho_b) B^dag n_b B] pairs rho_a[j, j + delta]
+    rho_b[k, k - delta] with H_{j+k}[j + delta, j]; the entries with delta < 0
+    add the complex conjugate of those with delta > 0, so
 
-        Tr[(rho_a (x) rho_b) B^dag n_b B] = sum(rho_a.flat[ia] * rho_b.flat[ib] * h).real.
+        Tr[...] = Re sum_delta s_delta^T G_delta e_delta,
 
-    Only the upper triangle of each sector is kept, with its off-diagonal
-    entries doubled: the lower triangle adds the complex conjugate.
-    Returns read-only (ia, ib, h).
+    with s_delta[j] = rho_a[j, j + delta] and e_delta[m] = rho_b[m + delta, m]
+    the delta-th diagonals of the two marginals and
+    G_delta[j, k - delta] = H_{j+k}[j + delta, j], doubled for delta > 0.  Every
+    (j, m) with j < da - delta and m < db - delta is a pair of states of one
+    sector, so G_delta is dense.  Runs of DIAGONAL_RUN diagonals share one
+    zero-padded block: block r is G[lo:lo + w] as (w, da - lo, db - lo) with
+    lo = r DIAGONAL_RUN.  ia (delta, j) and ib (delta, m) gather the diagonals
+    from rho_a and rho_b flattened with one trailing zero, which entries past
+    a diagonal's end point at.  Returns read-only (ia, ib, blocks).
     """
     stacks, _ = _bs_plan(da, db)
-    ia, ib, h = [], [], []
+    n = min(da, db)
+    los = range(0, n, DIAGONAL_RUN)
+    shapes = [(min(DIAGONAL_RUN, n - lo), da - lo, db - lo) for lo in los]
+    offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    flat = np.zeros(offsets[-1], dtype=np.complex128)
     for st in stacks:
         js, ks = st.occupations()
         vec_t = st.vec.transpose(0, 2, 1)
@@ -285,13 +316,21 @@ def _bs_number_readout(da: int, db: int, theta: float):
         real += sin @ (ks[..., None] * sin)
         cross = cos @ (ks[..., None] * sin)
         p, q = np.triu_indices(st.lam.shape[1])
-        # Tr[rho H] pairs rho[x, y] with H[y, x]; q >= p, so q in range keeps p
+        # q in range keeps p, since q >= p
         keep = st.valid()[:, q]
         heis = real[:, q, p] + 1j * (cross[:, q, p] - cross[:, p, q])
-        ia.append((js[:, p] * da + js[:, q])[keep])
-        ib.append((ks[:, p] * db + ks[:, q])[keep])
-        h.append((np.where(p == q, 1.0, 2.0) * heis)[keep])
-    return _frozen(ia, ib, h)
+        delta = q - p
+        lo = delta - delta % DIAGONAL_RUN
+        pos = offsets[delta // DIAGONAL_RUN] + ((delta - lo) * (da - lo) + js[:, p]) * (db - lo) + ks[:, p] - delta
+        flat[pos[keep]] = (np.where(delta == 0, 1.0, 2.0) * heis)[keep]
+    diag = np.arange(n)[:, None]
+    j, m = np.arange(da), np.arange(db)
+    ia = np.where(j + diag < da, j * (da + 1) + diag, da * da)
+    ib = np.where(m + diag < db, (m + diag) * db + m, db * db)
+    for arr in (flat, ia, ib):
+        arr.setflags(write=False)
+    blocks = tuple(flat[a:b].reshape(shape) for a, b, shape in zip(offsets[:-1], offsets[1:], shapes))
+    return ia, ib, blocks
 
 
 def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockState:
@@ -329,33 +368,69 @@ def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockS
     return FockState(state.layout, out.reshape(-1), state.leakage)
 
 
-def _apply_mode_generator(state: FockState, mode: int, phi: float, build, what: str) -> FockState:
-    """Apply R(phi) exp(G) R(-phi) along one axis, with G = build(a) real.
+# byte budget of one chunk of a stacked mode operation: of each (d, d)
+# exponential stack and of each stack of rotated copies of the state
+STACK_BYTES = 1 << 18
+
+
+def _lowering(d: int) -> np.ndarray:
+    """Dense d x d lowering operator."""
+    return np.diag(np.sqrt(np.arange(1.0, d)), 1)
+
+
+def _apply_mode_generator(state: FockState, mode: int, base: np.ndarray, scales, phis, whats) -> list[FockState]:
+    """Apply R(phi_i) exp(scale_i G) R(-phi_i) along one axis, for each row i.
 
     R(phi) = diag(e^{i phi n}) rotates the phase out of the generator:
     R(phi) a R(-phi) = e^{-i phi} a holds on the truncated space too, so
     D(alpha) and S(xi) are the same truncated-generator exponentials with a
-    real anti-symmetric G, and _expm never sees a complex matrix.
-    ``build(a)`` returns G in terms of the mode's dense d x d lowering
-    operator a.  The block is rotated by R(-phi) once, in C order, the real
-    exp(G) is applied as one real gemm on its float64 view, and the result is
-    scaled by R(phi) in place.
+    real anti-symmetric G = ``base``, and _expm never sees a complex matrix.
+    Rows go through in chunks of as many as fit in STACK_BYTES per stack (at
+    least one): one stacked exponential per chunk, the state rotated by each
+    R(-phi_i) in one C-order pass, each real exp(scale_i G) applied as a real
+    gemm on the float64 view of its copy, and the result scaled by R(phi_i)
+    in place.  Every row is bit for bit the one-row call, and each warns on
+    its own guard-band mass.
     """
-    state.layout._check_mode(mode)
     d = state.layout.dims[mode]
     arr = np.moveaxis(state.nd, mode, 0)
     shape = arr.shape
-    ladder = np.sqrt(np.arange(1.0, d))
-    ph = np.exp(1j * phi * np.arange(d)).reshape((d,) + (1,) * (arr.ndim - 1))
-    # R(-phi) applied while gathering the mode axis to the front, in one pass;
-    # rebinding block frees it as soon as the product exists
-    block = np.multiply(ph.conj(), arr, order="C").reshape(d, -1)
-    block = _real_matmul(_expm(build(np.diag(ladder, 1))), block)
-    block *= ph.reshape(d, 1)
-    out = np.moveaxis(block.reshape(shape), 0, mode)
-    result = FockState(state.layout, out.reshape(-1), state.leakage)
-    _warn_leak(result.guard_band_mass(), what)
-    return result
+    per = max(1, STACK_BYTES // (8 * max(d * d, 2 * arr.size)))
+    results = []
+    for lo in range(0, len(scales), per):
+        scale = np.array(scales[lo : lo + per], dtype=np.float64)
+        phi = np.array(phis[lo : lo + per], dtype=np.float64)
+        ph = np.exp(1j * phi[:, None] * np.arange(d)).reshape((phi.size, d) + (1,) * (arr.ndim - 1))
+        # R(-phi) applied while gathering the mode axis to the front, in one
+        # pass; rebinding block frees it as soon as the product exists
+        block = np.multiply(ph.conj(), arr, order="C").reshape(phi.size, d, -1)
+        block = _real_matmul(_expm(scale[:, None, None] * base), block)
+        block *= ph.reshape(phi.size, d, 1)
+        for row, what in zip(block, whats[lo : lo + per]):
+            out = np.moveaxis(row.reshape(shape), 0, mode)
+            result = FockState(state.layout, out.reshape(-1), state.leakage)
+            _warn_leak(result.guard_band_mass(), what)
+            results.append(result)
+    return results
+
+
+def displacements(state: FockState, mode: int, alphas) -> list[FockState]:
+    """[displace(state, mode, alpha) for alpha in alphas], from stacked exponentials."""
+    alphas = [complex(alpha) for alpha in alphas]
+    moved = [alpha for alpha in alphas if alpha != 0]
+    if not moved:
+        return [state] * len(alphas)
+    state.layout._check_mode(mode)
+    a = _lowering(state.layout.dims[mode])
+    out = iter(_apply_mode_generator(
+        state,
+        mode,
+        a.T - a,
+        [abs(alpha) for alpha in moved],
+        [cmath.phase(alpha) for alpha in moved],
+        [f"displace(alpha={alpha:.4g})" for alpha in moved],
+    ))
+    return [next(out) if alpha != 0 else state for alpha in alphas]
 
 
 def displace(state: FockState, mode: int, alpha: complex) -> FockState:
@@ -363,16 +438,7 @@ def displace(state: FockState, mode: int, alpha: complex) -> FockState:
 
     Computed as R(arg alpha) exp(|alpha| (a+ - a)) R(-arg alpha).
     """
-    alpha = complex(alpha)
-    if alpha == 0:
-        return state
-    mag = abs(alpha)
-
-    def build(a):
-        return mag * (a.T - a)
-
-    what = f"displace(alpha={alpha:.4g})"
-    return _apply_mode_generator(state, mode, cmath.phase(alpha), build, what)
+    return displacements(state, mode, (alpha,))[0]
 
 
 def squeeze_op(state: FockState, mode: int, squeeze: Squeeze) -> FockState:
@@ -383,14 +449,11 @@ def squeeze_op(state: FockState, mode: int, squeeze: Squeeze) -> FockState:
     """
     if squeeze.r == 0.0:
         return state
-    r = squeeze.r
-
-    def build(a):
-        a2 = a @ a
-        return (r / 2) * (a2 - a2.T)
-
-    what = f"squeeze_op(r={r:.4g})"
-    return _apply_mode_generator(state, mode, squeeze.theta / 2, build, what)
+    state.layout._check_mode(mode)
+    a = _lowering(state.layout.dims[mode])
+    a2 = a @ a
+    what = f"squeeze_op(r={squeeze.r:.4g})"
+    return _apply_mode_generator(state, mode, a2 - a2.T, [squeeze.r / 2], [squeeze.theta / 2], [what])[0]
 
 
 def apply_element(state: FockState, element) -> FockState:

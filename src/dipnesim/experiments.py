@@ -30,7 +30,7 @@ from .catfit import CatFitResult, fit_squeezed_cats, kitten_target
 from .circuits import (
     GadgetSpec,
     apply_element,
-    displace,
+    displacements,
     phase_shift,
     phase_to_dide,
     squeeze_op,
@@ -322,15 +322,17 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
         raise ValueError("displacement_photons must be nonnegative")
 
     core0, core1 = _interference_cores(config["family"], cutoff)
+    fractions = np.linspace(0.0, 1.0, count)
+    alphas0 = [math.sqrt(fraction * budget) for fraction in fractions]
+    alphas1 = [math.sqrt((1.0 - fraction) * budget) for fraction in fractions]
+    # every fraction's D(alpha) on each core from stacked exponentials
+    inputs0 = displacements(core0, 0, alphas0)
+    inputs1 = displacements(core1, 0, alphas1)
     rows = []
     max_leak = 0.0
     max_guard = 0.0
     max_clipped = 0.0
-    for fraction in np.linspace(0.0, 1.0, count):
-        alpha0 = math.sqrt(fraction * budget)
-        alpha1 = math.sqrt((1.0 - fraction) * budget)
-        input0 = displace(core0, 0, alpha0)
-        input1 = displace(core1, 0, alpha1)
+    for fraction, alpha0, alpha1, input0, input1 in zip(fractions, alphas0, alphas1, inputs0, inputs1):
         max_leak = max(max_leak, input0.leakage, input1.leakage)
         max_guard = max(
             max_guard, input0.guard_band_mass(), input1.guard_band_mass()

@@ -8,11 +8,13 @@ l_intf reads the interference gadget out factorised: each input is split
 against its own vacuum erasure mode as a two-mode pure state, and each exit
 photon count is a trace of two single-mode marginals against the cached
 Heisenberg-picture number operator of the recombining beamsplitter, so no
-4-mode vector is built.  Both cached gathers (circuits._bs_vacuum_split and
-circuits._bs_number_readout) come from the beamsplitter's sector plan, so a
-call costs two gathers, two reduced-density products per input and one
-trace per recombination.  The dense 4-mode gadget in tests/oracles.py is the
-test oracle for it.
+4-mode vector is built.  Both cached tables (circuits._bs_vacuum_split and
+circuits._bs_number_readout) come from the beamsplitter's sector plan.  A
+call costs one gather and two reduced-density products per input, and per
+recombination one gather of each marginal's number-difference diagonals and
+one batched product per run of diagonals.  The dense 4-mode gadget in
+tests/oracles.py is the test oracle for it, and the flat gathers there for
+the diagonal readout.
 """
 
 from __future__ import annotations
@@ -69,6 +71,27 @@ def _clip_matrix(ds: int, de: int) -> np.ndarray:
     return clip
 
 
+def _number_trace(a: np.ndarray, b: np.ndarray, theta: float) -> float:
+    """Re Tr[(a (x) b) B(theta)^dag n_b B(theta)] for Hermitian a and b.
+
+    circuits._bs_number_readout lays the Heisenberg-picture number operator
+    out on number-difference diagonals, so the trace is Re sum_delta
+    s_delta^T G_delta e_delta over the delta-th diagonals of a and b: one
+    gather of each matrix's diagonals, then one batched product per run of
+    diagonals.
+    """
+    da, db = a.shape[0], b.shape[0]
+    ia, ib, blocks = _bs_number_readout(da, db, theta)
+    a_diag, b_diag = np.append(a.ravel(), 0.0)[ia], np.append(b.ravel(), 0.0)[ib]
+    total = 0.0
+    for block in blocks:
+        width, rows, cols = block.shape
+        run = slice(da - rows, da - rows + width)
+        sg = np.matmul(a_diag[run, None, :rows], block)[:, 0]
+        total += float(np.einsum("dm,dm->", sg, b_diag[run, :cols]).real)
+    return total
+
+
 def l_intf(
     input0: FockState,
     input1: FockState,
@@ -88,7 +111,8 @@ def l_intf(
     different factors, and the later B(s0, e1) does not touch e0.  B(s1, e0)
     leaves the reduced state rho_s0 (x) rho_e1 unchanged, so B(s0, e1) sees
     that product.  Each exit count is Tr[(rho_s (x) rho_e) B^dag n_e B]
-    (circuits._bs_number_readout).  That trace is bilinear and zero on
+    = Re sum_delta s_delta^T G_delta e_delta over the delta-th diagonals of
+    the two marginals (_number_trace).  That trace is bilinear and zero on
     vacuum (x) vacuum, and a vacuum input splits into the exact vacuum V, so
     the three runs combine into Tr[((rho_s - V) (x) (rho_e - V)) B^dag n_e B]
     per recombination.  The dense 4-mode gadget in tests/oracles.py is the
@@ -107,15 +131,10 @@ def l_intf(
     total = 0.0
     clipped = 0.0
     for rho_s, rho_e in ((sys1, era0), (sys0, era1)):
-        ia, ib, h = _bs_number_readout(rho_s.shape[0], rho_e.shape[0], spec.theta_interfere)
-        dev_s, dev_e = rho_s.ravel().copy(), rho_e.ravel().copy()
-        dev_s[0] -= 1.0
-        dev_e[0] -= 1.0
-        # 4096-entry slices: their 64 KiB gathers stay under glibc's 128 KiB mmap
-        # threshold, so they reuse heap pages instead of faulting in new ones
-        for lo in range(0, h.size, 4096):
-            part = slice(lo, lo + 4096)
-            total += float(np.sum(dev_s[ia[part]] * dev_e[ib[part]] * h[part]).real)
+        dev_s, dev_e = rho_s.copy(), rho_e.copy()
+        dev_s[0, 0] -= 1.0
+        dev_e[0, 0] -= 1.0
+        total += _number_trace(dev_s, dev_e, spec.theta_interfere)
         # mass in clipped sectors of p_s (x) p_e and of each against vacuum
         p_s, p_e = np.diagonal(rho_s).real, np.diagonal(rho_e).real
         clip = _clip_matrix(p_s.size, p_e.size)

@@ -6,15 +6,16 @@ two-mode subtraction circuit (with number post-selection) and the
 log-space series of the shifted source (kitten_series,
 kitten_probability_series) behind kitten.kitten_direct and
 kitten.kitten_probability, the dense eigh sector eigenpairs and the
-per-sector unitaries behind circuits.beamsplit and its SVD sector plan, the
-full-state circuit loop behind the product factors of
-experiments.run_oracle_check, the cutoff-length candidate recurrence
-behind catfit's closed-form overlaps, and the squeeze_op antisqueeze and
-r bisection behind kitten.antisqueezed_kitten and the secant of
-analytics.squeeze_to_match, and the one-kitten-at-a-time Horner pass
-behind kitten._build's row batch.  A few closed forms no experiment uses
-(erasure_residual, poisson_pn, displacement_estimate) live here with
-their tests.
+per-sector unitaries behind circuits.beamsplit and its SVD sector plan,
+the flat gathers of the exit photon number behind l_intf's readout on
+number-difference diagonals, the full-state circuit loop behind the
+product factors of experiments.run_oracle_check, the cutoff-length
+candidate recurrence behind catfit's closed-form overlaps, and the
+squeeze_op antisqueeze and r bisection behind kitten.antisqueezed_kitten
+and the secant of analytics.squeeze_to_match, and the one-kitten-at-a-time
+Horner pass behind kitten._build's row batch.  A few closed forms no
+experiment uses (erasure_residual, poisson_pn, displacement_estimate) live
+here with their tests.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dipnesim.analytics import (
 from dipnesim.catfit import _budget_split, fit_squeezed_cat
 from dipnesim.circuits import (
     GadgetSpec,
+    _bs_plan,
     apply_element,
     beamsplit,
     phase_shift,
@@ -50,6 +52,7 @@ from dipnesim.fock import (
     vacuum_state,
 )
 from dipnesim.kitten import KittenSpec, KittenState, _ladder, peak_estimate
+from dipnesim.measure import _split_marginals
 from dipnesim.states import (
     Squeeze,
     _cat_norms_squared,
@@ -157,6 +160,55 @@ def interference_gadget(
     out = beamsplit(out, s1, e0, spec.theta_interfere)
     out = beamsplit(out, s0, e1, spec.theta_interfere)
     return out
+
+
+def bs_number_gathers(da: int, db: int, theta: float):
+    """The Heisenberg-picture exit photon number of B(theta) as flat gathers.
+
+    Per number sector N, H_N = U_N^dag diag(ks) U_N from the plan's stacks,
+    as in circuits._bs_number_readout.  Only the upper triangle of each
+    sector is kept, with its off-diagonal entries doubled, against flat
+    indices into a da x da matrix of mode a and a db x db matrix of mode b,
+    so that for Hermitian rho_a and rho_b
+
+        Tr[(rho_a (x) rho_b) B^dag n_b B] = sum(rho_a.flat[ia] * rho_b.flat[ib] * h).real.
+
+    Returns (ia, ib, h).
+    """
+    stacks, _ = _bs_plan(da, db)
+    ia, ib, h = [], [], []
+    for st in stacks:
+        js, ks = st.occupations()
+        vec_t = st.vec.transpose(0, 2, 1)
+        cos = (st.vec * np.cos(theta * st.lam)[:, None, :]) @ vec_t
+        sin = (st.vec * np.sin(theta * st.lam)[:, None, :]) @ vec_t
+        real = cos @ (ks[..., None] * cos)
+        real += sin @ (ks[..., None] * sin)
+        cross = cos @ (ks[..., None] * sin)
+        p, q = np.triu_indices(st.lam.shape[1])
+        # Tr[rho H] pairs rho[x, y] with H[y, x]; q >= p, so q in range keeps p
+        keep = st.valid()[:, q]
+        heis = real[:, q, p] + 1j * (cross[:, q, p] - cross[:, p, q])
+        ia.append((js[:, p] * da + js[:, q])[keep])
+        ib.append((ks[:, p] * db + ks[:, q])[keep])
+        h.append((np.where(p == q, 1.0, 2.0) * heis)[keep])
+    return tuple(np.concatenate(part) for part in (ia, ib, h))
+
+
+def l_intf_gathers(input0: FockState, input1: FockState, spec: GadgetSpec) -> float:
+    """measure.l_intf with each recombination read out by bs_number_gathers."""
+    erasure_cutoff = max(input0.layout.cutoffs[0], input1.layout.cutoffs[0])
+    (sys0, era0), (sys1, era1) = (
+        _split_marginals(state, erasure_cutoff, spec) for state in (input0, input1)
+    )
+    total = 0.0
+    for rho_s, rho_e in ((sys1, era0), (sys0, era1)):
+        ia, ib, h = bs_number_gathers(rho_s.shape[0], rho_e.shape[0], spec.theta_interfere)
+        dev_s, dev_e = rho_s.ravel().copy(), rho_e.ravel().copy()
+        dev_s[0] -= 1.0
+        dev_e[0] -= 1.0
+        total += float(np.sum(dev_s[ia] * dev_e[ib] * h).real)
+    return total
 
 
 @dataclass(frozen=True)

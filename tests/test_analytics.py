@@ -242,6 +242,33 @@ class TestGaussianMoments:
         with pytest.raises(ValueError):
             GaussianMoments(np.zeros(2), np.eye(4))
 
+    def test_symmetry_tolerance_scales_with_cov(self):
+        # a 1e-9 asymmetry is rounding on entries of 1e5, not on entries of 1
+        big = np.array([[1e5, 2.0], [2.0 + 1e-9, 1e-5]])
+        GaussianMoments(np.zeros(2), big)
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianMoments(np.zeros(2), np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]))
+
+    def test_strongly_squeezed_state_propagates(self):
+        # big @ cov @ big.T rounds relative to max |cov| ~ 1.4e5, past an
+        # absolute 1e-12 symmetry bound
+        g = gaussian_propagate(vacuum_moments(1), ("squeeze", 0, Squeeze(6.0, 0.7)))
+        assert np.abs(g.cov).max() > 1e5
+        g = gaussian_propagate(g, ("phase", 0, 0.3))
+        assert np.abs(g.cov - g.cov.T).max() <= 1e-12 * np.abs(g.cov).max()
+
+    def test_strongly_squeezed_two_mode_circuit(self):
+        g = vacuum_moments(2)
+        for element in (
+            ("squeeze", 0, Squeeze(3.0, 1.1)),
+            ("beamsplit", 0, 1, 1.1),
+            ("squeeze", 1, Squeeze(3.0, 2.2)),
+            ("phase", 0, 0.9),
+            ("beamsplit", 0, 1, 0.4),
+        ):
+            g = gaussian_propagate(g, element)
+        assert mean_photons_from_moments(g, 0) + mean_photons_from_moments(g, 1) > 0.0
+
     def test_arrays_frozen(self):
         g = vacuum_moments(1)
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import beamsplit_sector_unitaries, bs_sector_eigh, interference_gadget
+from oracles import beamsplit_sector_unitaries, bs_number_gathers, bs_sector_eigh, interference_gadget
 
 from dipnesim import circuits
 from dipnesim.circuits import (
@@ -21,11 +22,14 @@ from dipnesim.circuits import (
     _bs_vacuum_split,
     beamsplit,
     displace,
+    displacements,
     phase_shift,
     phase_to_dide,
     squeeze_op,
 )
-from dipnesim.fock import FockState, ModeLayout, basis_state, tensor, vacuum_state
+from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
+from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, tensor, vacuum_state
+from dipnesim.measure import _number_trace
 from dipnesim.states import Squeeze, coherent, squeezed_coherent, squeezed_vacuum
 
 
@@ -188,8 +192,7 @@ class TestSectorGathers:
         weights = (0.3, 0.7)
         rho_a = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, pure[0]))
         rho_b = np.outer(pure[1][0], pure[1][0].conj())
-        ia, ib, h = _bs_number_readout(cutoffs[0] + 1, cutoffs[1] + 1, theta)
-        got = np.sum(rho_a.ravel()[ia] * rho_b.ravel()[ib] * h).real
+        got = _number_trace(rho_a, rho_b, theta)
         want = 0.0
         for w, v in zip(weights, pure[0]):
             pair = tensor(
@@ -198,12 +201,46 @@ class TestSectorGathers:
             want += w * beamsplit(pair, 0, 1, theta).mean_photons(1)
         assert got == pytest.approx(want, abs=1e-13)
 
+    @pytest.mark.parametrize("dims", [(3, 7), (7, 7), (9, 3), (40, 23), (23, 40)])
+    def test_readout_diagonals_hold_the_gather_entries(self, dims):
+        # every flat gather entry h at (rho_a[j, j + delta], rho_b[k, k - delta])
+        # sits at G_delta[j, k - delta], and the zero padding holds nothing else
+        da, db = dims
+        ia, ib, blocks = _bs_number_readout(da, db, 0.7)
+        runs = np.zeros((min(da, db), da, db), dtype=np.complex128)
+        for block in blocks:
+            lo = da - block.shape[1]
+            runs[lo : lo + block.shape[0], : block.shape[1], : block.shape[2]] = block
+        g_ia, g_ib, h = bs_number_gathers(da, db, 0.7)
+        j, delta = g_ia // da, g_ia % da - g_ia // da
+        want = np.zeros_like(runs)
+        want[delta, j, g_ib % db] = h
+        np.testing.assert_array_equal(runs, want)
+        assert np.count_nonzero(runs) <= h.size
+
+    def test_readout_diagonal_gathers(self):
+        da, db = 4, 6
+        ia, ib, _ = _bs_number_readout(da, db, 0.2)
+        rho_a = np.append(np.arange(da * da), -1)
+        rho_b = np.append(np.arange(db * db), -1)
+        for delta in range(min(da, db)):
+            np.testing.assert_array_equal(rho_a[ia[delta, : da - delta]], np.diagonal(rho_a[:-1].reshape(da, da), delta))
+            np.testing.assert_array_equal(rho_b[ib[delta, : db - delta]], np.diagonal(rho_b[:-1].reshape(db, db), -delta))
+            assert (ia[delta, da - delta :] == da * da).all()
+            assert (ib[delta, db - delta :] == db * db).all()
+
+    def test_readout_bytes_at_cutoff_120(self):
+        # the flat gathers held 18.2 MB here; the diagonals hold about d^3 / 3 entries
+        ia, ib, blocks = _bs_number_readout(121, 121, 0.3)
+        assert ia.nbytes + ib.nbytes + sum(block.nbytes for block in blocks) <= 18.2e6
+
     @pytest.mark.parametrize("gather", [_bs_number_readout, _bs_vacuum_split])
     def test_cached_per_key(self, gather):
         first = gather(5, 7, 0.3)
         assert gather(5, 7, 0.3) is first
         assert gather(5, 7, 0.31) is not first
-        assert not any(arr.flags.writeable for arr in first)
+        arrays = [arr for part in first for arr in (part if isinstance(part, tuple) else (part,))]
+        assert not any(arr.flags.writeable for arr in arrays)
 
 
 class TestPhaseShift:
@@ -349,6 +386,72 @@ class TestDisplaceSqueeze:
         squeeze_op(displace(psi, 0, -0.3 + 0.8j), 0, Squeeze(0.3, 2.2))
         assert len(seen) == 2
         assert not any(np.issubdtype(dtype, np.complexfloating) for dtype in seen)
+
+
+class TestStackedExponential:
+    # mixed scaling exponents in every stack but d = 2's squeeze (a zero
+    # generator): s from 0 to 5 at d = 2, up to 13 at d = 121
+    SCALES = (0.0, 0.05, 0.9, 3.0, 11.0, 40.0, 170.0, 0.4)
+
+    @pytest.mark.parametrize("d", [2, 5, 31, 61, 121])
+    @pytest.mark.parametrize("op", ["displace", "squeeze"])
+    def test_stack_matches_one_matrix_calls(self, d, op):
+        a = circuits._lowering(d)
+        base = a.T - a if op == "displace" else a @ a - (a @ a).T
+        stack = np.array(self.SCALES)[:, None, None] * base
+        got = circuits._expm(stack.reshape(2, 4, d, d))
+        assert got.shape == (2, 4, d, d)
+        for g, one in zip(stack, got.reshape(-1, d, d)):
+            want = circuits._expm(g)
+            assert want.shape == (d, d)
+            assert one.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
+    def test_mixed_chunks_and_phases(self):
+        # complex alphas, zeros between them and more rows than one chunk holds
+        psi = squeezed_coherent(0.3 - 0.2j, Squeeze(0.3, 0.8), 120)
+        alphas = [0.7 + 0.4j, 0, -0.5 + 0.9j, -0.8 - 0.3j, 0.2 - 1.1j, 0.0j, 1.3, -0.6, 0.25j, 0.9 + 0.9j]
+        assert len(alphas) > circuits.STACK_BYTES // (8 * 121**2)
+        swept = displacements(psi, 0, alphas)
+        for alpha, state in zip(alphas, swept):
+            want = displace(psi, 0, alpha)
+            assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert swept[1] is psi and swept[5] is psi
+
+    @pytest.mark.parametrize("family", INTERFERENCE_FAMILIES)
+    @pytest.mark.parametrize("cutoff", [6, 30, 120])
+    def test_sweep_matches_one_point_calls(self, family, cutoff):
+        # the interference sweep's alphas, alpha = 0 first; cutoff 6 leaks
+        alphas = [math.sqrt(f * 3.0) for f in np.linspace(0.0, 1.0, 21)]
+        for core in _interference_cores(family, cutoff):
+            with warnings.catch_warnings(record=True) as swept_warnings:
+                warnings.simplefilter("always")
+                swept = displacements(core, 0, alphas)
+            with warnings.catch_warnings(record=True) as one_warnings:
+                warnings.simplefilter("always")
+                ones = [displace(core, 0, alpha) for alpha in alphas]
+            assert [str(w.message) for w in swept_warnings] == [str(w.message) for w in one_warnings]
+            assert all(w.category is LeakageWarning for w in swept_warnings)
+            assert swept_warnings or cutoff > 6
+            assert swept[0] is core and ones[0] is core
+            for state, one in zip(swept, ones):
+                assert state.amplitudes.tobytes() == one.amplitudes.tobytes()
+                assert state.guard_band_mass() == one.guard_band_mass()
+                assert state.leakage == one.leakage
+
+    def test_sweep_stack_stays_in_its_chunks(self):
+        # 21 fractions at cutoff 120: unchunked, each (21, 121, 121) stack
+        # temporary of the exponential would be 2.5 MB
+        core = basis_state(ModeLayout((120,)), (1,))
+        alphas = [math.sqrt(f) for f in np.linspace(0.0, 1.0, 21)]
+        displacements(core, 0, alphas[:2])
+        tracemalloc.start()
+        try:
+            displacements(core, 0, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * circuits.STACK_BYTES
 
 
 class TestTranslations:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import interference_gadget, measure_count
+from oracles import interference_gadget, l_intf_gathers, measure_count
 
 from dipnesim.circuits import GadgetSpec, beamsplit, displace
 from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
@@ -195,6 +195,18 @@ class TestLIntf:
         input1 = displace(core1, 0, 0.8)
         got = l_intf(input0, input1, spec)
         assert got == pytest.approx(dense_l_intf(input0, input1, spec, erasure_modes), abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
+    @pytest.mark.parametrize("family", INTERFERENCE_FAMILIES)
+    @pytest.mark.parametrize("pi_shift", [False, True])
+    @pytest.mark.parametrize("cutoffs", [(30, 30), (8, 45), (45, 8), (60, 17)])
+    def test_matches_gather_oracle(self, family, pi_shift, cutoffs):
+        # the diagonal readout against the flat gathers it replaced
+        spec = GadgetSpec(0.9, 0.4, pi_shift)
+        input0 = displace(_interference_cores(family, cutoffs[0])[0], 0, 0.6)
+        input1 = displace(_interference_cores(family, cutoffs[1])[1], 0, 0.8 - 0.3j)
+        got = l_intf(input0, input1, spec)
+        assert got == pytest.approx(l_intf_gathers(input0, input1, spec), abs=1e-14)
 
     def test_clipped_sector_mass(self):
         # coherent inputs split into coherent marginals, so the larger

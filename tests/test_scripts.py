@@ -23,3 +23,37 @@ def test_scripts_load_and_driving_fractions_runs(tmp_path, monkeypatch):
     assert done.value.code == 0
     lines = (tmp_path / "driving_fractions.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "# experiment = gaussdrive"
+
+
+def test_table_diff_reports_metadata_and_column_deviations(tmp_path, capsys, monkeypatch):
+    from dipnesim.cli import main
+
+    old, same, new = (tmp_path / name for name in ("old.csv", "same.csv", "new.csv"))
+    for path in (old, same):
+        assert main(["interference", "--fraction_count", "3", "--out", str(path)]) == 0
+    lines = old.read_text(encoding="utf-8").splitlines()
+    body = lines.index("fraction,L_intf_sim,L_intf_theory,abs_error")
+    lines[1] = lines[1] + "0"
+    fraction, sim, theory, error = lines[body + 2].split(",")
+    lines[body + 2] = ",".join((fraction, repr(float(sim) + 0.25), theory, error))
+    new.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    def run(*argv):
+        with pytest.raises(SystemExit) as done:
+            monkeypatch.setattr(sys, "argv", ["table_diff.py", *map(str, argv)])
+            runpy.run_path(str(SCRIPTS / "table_diff.py"), run_name="__main__")
+        return done.value.code, capsys.readouterr().out.splitlines()
+
+    code, out = run(old, same)
+    assert (code, out) == (0, ["byte-identical"])
+    code, out = run(old, new)
+    assert code == 1
+    assert out[:2] == ["not byte-identical", "metadata: 1 line(s) differ"]
+    assert out[2:5] == [f"  - {old.read_text().splitlines()[1]}", f"  + {lines[1]}", "rows: 3"]
+    columns = {line.split()[0]: line.split()[1:] for line in out[6:]}
+    assert columns["fraction"] == ["0", "0"]
+    assert columns["L_intf_sim"] == ["1", "0.25"]
+    assert columns["L_intf_theory"] == ["0", "0"]
+    code, _ = run(old)
+    assert code == 2
