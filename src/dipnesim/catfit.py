@@ -29,7 +29,7 @@ from itertools import islice
 import numpy as np
 
 from .fock import FockState
-from .kitten import KittenSpec, KittenState, photon_number
+from .kitten import KittenSpec, photon_number
 from .states import _cat_norms_squared, _parity_filter, _squeezed_coherent_levels
 
 # absolute tolerance of the fraction search
@@ -133,7 +133,7 @@ def _row_fidelities(targets: list[FitTarget], ss: np.ndarray) -> np.ndarray:
     weight = _parity_filter(phis, dim).real.T * (levels < dims)
     conj_re, conj_im = coeffs.real * weight, -coeffs.imag * weight
 
-    amplitudes = _squeezed_coherent_levels(alphas * np.exp(-bigs), rs - bigs, math.pi, dim)
+    amplitudes = _squeezed_coherent_levels(alphas * np.exp(-bigs), rs - bigs, dim)
     # running overlap (real, imaginary part) and mass on c's levels per row
     sums = np.zeros((3,) + ss.shape)
     level_type = np.dtype((np.float64, ss.shape))
@@ -159,19 +159,15 @@ def _row_fidelities(targets: list[FitTarget], ss: np.ndarray) -> np.ndarray:
 
 
 def _prepare(kitten) -> FitTarget:
-    """A validated FitTarget: as given, or R = 0 with a KittenState's or a
-    bare FockState's own amplitudes."""
+    """A validated FitTarget: as given, or R = 0 with a bare FockState's own
+    amplitudes and mean photon number."""
     target = kitten
     if not isinstance(kitten, FitTarget):
-        state = kitten.state if isinstance(kitten, KittenState) else kitten
-        if state.layout.n_modes != 1:
+        if kitten.layout.n_modes != 1:
             raise ValueError("fit expects a single-mode state")
-        if isinstance(kitten, KittenState):
-            total = kitten.mean_photons
-        else:
-            weights = np.abs(state.amplitudes) ** 2
-            total = float(np.arange(state.layout.dim) @ weights / weights.sum())
-        target = FitTarget(0.0, state.amplitudes, total, _parity_phase(state))
+        weights = np.abs(kitten.amplitudes) ** 2
+        total = float(np.arange(kitten.layout.dim) @ weights / weights.sum())
+        target = FitTarget(0.0, kitten.amplitudes, total, _parity_phase(kitten))
     if target.photons <= 0.0:
         raise ValueError("cannot fit a zero-photon input")
     return target
@@ -180,8 +176,8 @@ def _prepare(kitten) -> FitTarget:
 def fit_squeezed_cats(kittens) -> list[CatFitResult]:
     """Best squeezed-cat approximation of each kitten at its photon number.
 
-    Accepts FitTargets (kitten_target), KittenStates or normalized
-    single-mode FockStates with definite parity.  Each fraction search
+    Accepts FitTargets (kitten_target) or normalized single-mode
+    FockStates with definite parity.  Each fraction search
     evaluates a 64-point grid, then refines in rounds of 33 points spread
     over its argmax's neighbours until its bracket is at most S_TOLERANCE
     wide (three or four rounds).  The fits advance in lockstep: a round is

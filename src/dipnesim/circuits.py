@@ -409,7 +409,7 @@ def _apply_mode_generator(state: FockState, mode: int, base: np.ndarray, scales,
         for row, what in zip(block, whats[lo : lo + per]):
             out = np.moveaxis(row.reshape(shape), 0, mode)
             result = FockState(state.layout, out.reshape(-1), state.leakage)
-            _warn_leak(result.guard_band_mass(), what)
+            _warn_leak(result.guard_band_mass, what)
             results.append(result)
     return results
 

@@ -334,9 +334,7 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
     max_clipped = 0.0
     for fraction, alpha0, alpha1, input0, input1 in zip(fractions, alphas0, alphas1, inputs0, inputs1):
         max_leak = max(max_leak, input0.leakage, input1.leakage)
-        max_guard = max(
-            max_guard, input0.guard_band_mass(), input1.guard_band_mass()
-        )
+        max_guard = max(max_guard, input0.guard_band_mass, input1.guard_band_mass)
         diagnostics = {}
         sim = l_intf(input0, input1, spec, diagnostics)
         max_clipped = max(max_clipped, diagnostics["clipped_sector_mass"])

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,15 +125,19 @@ class FockState:
             raise ValueError("cannot normalize the zero vector")
         return FockState(self.layout, self.amplitudes / n, self.leakage)
 
-    def guard_band_mass(self, g: int = GUARD_BAND) -> float:
-        """Probability with any occupation in the top g levels of its mode."""
+    @cached_property
+    def guard_band_mass(self) -> float:
+        """Probability with any occupation in the top GUARD_BAND levels of
+        its mode, computed on first read."""
         probs = np.abs(self.nd) ** 2
-        interior = probs[tuple(slice(0, max(d - g, 0)) for d in self.layout.dims)]
+        interior = probs[tuple(slice(0, max(d - GUARD_BAND, 0)) for d in self.layout.dims)]
         return float(probs.sum() - interior.sum())
 
     def mean_photons(self, mode: int) -> float:
-        """Expectation of the number operator on one mode."""
-        dist = marginal_number_distribution(self, mode, _allow_unnormalized=True)
+        """Expectation of the number operator on one mode, normalized or not."""
+        self.layout._check_mode(mode)
+        others = tuple(ax for ax in range(self.layout.n_modes) if ax != mode)
+        dist = (np.abs(self.nd) ** 2).sum(axis=others)
         return float(np.dot(np.arange(dist.size), dist))
 
 
@@ -185,20 +190,11 @@ def inner(a: FockState, b: FockState) -> complex:
     return complex(np.einsum("i,i->", a.amplitudes.conj(), b.amplitudes))
 
 
-def fidelity(a: FockState, b: FockState) -> float:
-    """|<a|b>|^2 for normalized states on the same layout."""
-    for name, s in (("first", a), ("second", b)):
-        if not s.is_normalized():
-            raise ValueError(f"fidelity requires normalized inputs; {name} has norm {s.norm()}")
-    return float(abs(inner(a, b)) ** 2)
-
-
-def marginal_number_distribution(
-    state: FockState, mode: int, _allow_unnormalized: bool = False
-) -> np.ndarray:
-    """Photon-number probabilities of one mode, tracing out the rest."""
+def marginal_number_distribution(state: FockState, mode: int) -> np.ndarray:
+    """Photon-number probabilities of one mode of a normalized state,
+    tracing out the rest."""
     state.layout._check_mode(mode)
-    if not _allow_unnormalized and not state.is_normalized():
+    if not state.is_normalized():
         raise ValueError(f"state is not normalized (norm {state.norm()})")
     probs = np.abs(state.nd) ** 2
     axes = tuple(ax for ax in range(state.layout.n_modes) if ax != mode)

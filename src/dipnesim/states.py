@@ -10,9 +10,10 @@ each kept level, with the probability lost to truncation reported in
 so theta = 0 squeezes the X = a + a+ quadrature and "S photons of squeezing"
 means sinh^2 r = S.  Squeezed-displaced states are D(alpha) S(xi) |0>.
 
-The squeezed-cat kernel lives here alone: the levels of D(alpha) S(xi)|0>
+The squeezed-cat kernel that catfit's fit scores its candidates with lives
+here: the levels of D(alpha) S(r e^{i pi})|0> for real alpha
 (_squeezed_coherent_levels), the parity filter that makes the cat, and the
-cat norm (_cat_norms_squared), which cat_state and catfit's fit both use.
+cat norm (_cat_norms_squared).
 """
 
 from __future__ import annotations
@@ -30,19 +31,6 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class Displacement:
-    """Coherent displacement amplitude; |alpha|^2 photons on vacuum."""
-
-    alpha: complex
-
-    def __post_init__(self):
-        a = complex(self.alpha)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError(f"displacement must be finite, got {a}")
-        object.__setattr__(self, "alpha", a)
-
-
-@dataclass(frozen=True)
 class Squeeze:
     """Squeeze parameter xi = r e^{i theta} with r >= 0, theta in [0, 2pi)."""
 
@@ -55,28 +43,6 @@ class Squeeze:
             raise ValueError(f"squeeze magnitude must be finite and >= 0, got {r}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-
-    @property
-    def mean_photons(self) -> float:
-        return math.sinh(self.r) ** 2
-
-
-@dataclass(frozen=True)
-class CatSpec:
-    """Two-component superposition (D(alpha) + e^{i phi} D(-alpha)) S(xi) |0>."""
-
-    alpha: Displacement
-    phi: float
-    squeeze: Squeeze
-
-    def __post_init__(self):
-        if not isinstance(self.alpha, Displacement):
-            object.__setattr__(self, "alpha", Displacement(self.alpha))
-        if not isinstance(self.squeeze, Squeeze):
-            raise TypeError("CatSpec.squeeze must be a Squeeze")
-        if not math.isfinite(float(self.phi)):
-            raise ValueError("relative phase must be finite")
-        object.__setattr__(self, "phi", float(self.phi))
 
 
 @lru_cache(maxsize=None)
@@ -94,13 +60,6 @@ def log_factorial(n) -> np.ndarray:
     return _log_factorial_table(size)[n]
 
 
-def r_from_squeeze_photons(photons: float) -> float:
-    """Squeeze magnitude r with sinh^2 r equal to the given photon number."""
-    if photons < 0:
-        raise ValueError("photon number must be >= 0")
-    return math.asinh(math.sqrt(photons))
-
-
 def _as_layout(layout) -> ModeLayout:
     # constructors build single-mode states; an int is shorthand for a cutoff
     if isinstance(layout, ModeLayout):
@@ -108,12 +67,6 @@ def _as_layout(layout) -> ModeLayout:
             raise ValueError("state constructors build single-mode states; use tensor to combine")
         return layout
     return ModeLayout((int(layout),))
-
-
-def _alpha_value(alpha) -> complex:
-    if isinstance(alpha, Displacement):
-        return alpha.alpha
-    return Displacement(alpha).alpha
 
 
 def _finish(amps: np.ndarray, layout: ModeLayout, what: str) -> FockState:
@@ -125,7 +78,9 @@ def _finish(amps: np.ndarray, layout: ModeLayout, what: str) -> FockState:
 def coherent(alpha, layout) -> FockState:
     """Coherent state |alpha>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
     layout = _as_layout(layout)
-    a = _alpha_value(alpha)
+    a = complex(alpha)
+    if not cmath.isfinite(a):
+        raise ValueError(f"displacement must be finite, got {a}")
     d = layout.dim
     if a == 0:
         amps = np.zeros(d, dtype=np.complex128)
@@ -181,64 +136,26 @@ def _unit_phase(phi):
     return np.where(red == math.pi, -1.0 + 0.0j, np.exp(1j * red))
 
 
-def _squeezed_coherent_levels(alphas, rs, theta: float, dim: int):
-    """Levels 0 .. dim - 1 of D(alpha) S(r e^{i theta}) |0>, a new array per
-    level, elementwise over broadcast alpha and r arrays.
+def _squeezed_coherent_levels(alphas, rs, dim: int):
+    """Levels 0 .. dim - 1 of D(alpha) S(r e^{i pi}) |0> for real alpha and
+    real r of either sign (r < 0 is S(|r|) at angle 0), a new array per level,
+    elementwise over broadcast alpha and r arrays.
 
-    The recurrence of Miatto & Quesada (Quantum 4, 366 (2020)), exact in
-    floating point: c_0 = exp(-conj(alpha) a / 2) / sqrt(cosh r),
-    c_n = (a c_{n-1} + t sqrt(n - 1) c_{n-2}) / sqrt(n), with t = -e^{i theta}
-    tanh r and a = alpha + conj(alpha) e^{i theta} tanh r.  Real alpha (a
-    real dtype) at theta = 0, pi runs in real arithmetic with a = alpha
-    e^{+-r} / cosh r, free of the cancellation in 1 -+ tanh r at large r.
+    The recurrence of Miatto & Quesada (Quantum 4, 366 (2020)) in real
+    arithmetic: c_0 = exp(-alpha a / 2) / sqrt(cosh r),
+    c_n = (a c_{n-1} + tanh(r) sqrt(n - 1) c_{n-2}) / sqrt(n), with
+    a = alpha e^{-r} / cosh r, free of the cancellation in 1 - tanh r at
+    large r.
     """
-    ph = _unit_phase(theta)
-    alphas, rs = np.asarray(alphas), np.asarray(rs, dtype=np.float64)
-    ch, th = np.cosh(rs), np.tanh(rs)
-    if ph.imag == 0.0 and not np.iscomplexobj(alphas):
-        ph = ph.real
-        alphas = alphas.astype(np.float64, copy=False)
-        a = alphas * np.exp(ph * rs) / ch
-    else:
-        alphas = alphas.astype(np.complex128)
-        a = alphas + np.conj(alphas) * ph * th
-    first = np.exp(-0.5 * np.conj(alphas) * a) / np.sqrt(ch)
-    t = -ph * th
+    alphas, rs = np.asarray(alphas, dtype=np.float64), np.asarray(rs, dtype=np.float64)
+    ch, t = np.cosh(rs), np.tanh(rs)
+    a = alphas * np.exp(-rs) / ch
+    first = np.exp(-0.5 * alphas * a) / np.sqrt(ch)
     prev, cur = 0.0, first
     yield first
     for n in range(1, dim):
         prev, cur = cur, a * cur / math.sqrt(n) + t * prev * math.sqrt((n - 1) / n)
         yield cur
-
-
-def _squeezed_coherent_batch(alphas, rs, theta: float, dim: int) -> np.ndarray:
-    """Amplitudes of D(alpha) S(r e^{i theta}) |0> for broadcast alpha/r
-    arrays, shape broadcast(alphas, rs) + (dim,): the levels of
-    _squeezed_coherent_levels stacked."""
-    return np.stack(list(_squeezed_coherent_levels(alphas, rs, theta, dim)), axis=-1)
-
-
-def _require_representable(amps: np.ndarray, alpha: complex, r: float, layout: ModeLayout) -> None:
-    """Raise where the recurrence of _squeezed_coherent_batch under- or
-    overflowed: its first amplitude is exp(-|alpha|^2/2 ...), which is 0.0 in
-    floating point once |alpha|^2 passes ~1400."""
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
-        raise ValueError(
-            f"alpha={alpha:.6g}, r={r:.6g} has truncated norm^2 {norm_sq} at cutoff "
-            f"{layout.cutoffs[0]}: the amplitude recurrence under- or overflows"
-        )
-
-
-def squeezed_coherent(alpha, squeeze: Squeeze, layout) -> FockState:
-    """Displaced squeezed state D(alpha) S(xi) |0>."""
-    layout = _as_layout(layout)
-    a = _alpha_value(alpha)
-    if squeeze.r == 0.0:
-        return coherent(a, layout)
-    amps = _squeezed_coherent_batch(a, squeeze.r, squeeze.theta, layout.dim)
-    _require_representable(amps, a, squeeze.r, layout)
-    return _finish(amps, layout, f"squeezed_coherent(alpha={a:.4g}, r={squeeze.r:.4g})")
 
 
 def _cat_norms_squared(alphas, rs, theta: float, phis) -> np.ndarray:
@@ -262,31 +179,8 @@ def _cat_norms_squared(alphas, rs, theta: float, phis) -> np.ndarray:
     return norm_sq
 
 
-def cat_norm_squared(spec: CatSpec) -> float:
-    """Norm^2 of the unnormalized superposition (D(a) + e^{i phi} D(-a)) S |0>;
-    raises where the two branches cancel exactly."""
-    sq = spec.squeeze
-    return float(_cat_norms_squared(spec.alpha.alpha, sq.r, sq.theta, spec.phi))
-
-
 def _parity_filter(phi, dim: int) -> np.ndarray:
     """Level weights 1 + e^{i phi} (-1)^n that add e^{i phi} D(-alpha)S|0>
     to D(alpha)S|0>; exactly 2 and 0 at phi = 0, pi.  An array of phases
     broadcasts against the levels, which run along the last axis."""
     return 1.0 + _unit_phase(phi) * (-1.0) ** np.arange(dim)
-
-
-def cat_state(spec: CatSpec, layout) -> FockState:
-    """Normalized (D(alpha) + e^{i phi} D(-alpha)) S(xi) |0>.
-
-    Componentwise D(-alpha)S|0> has amplitudes (-1)^n times those of
-    D(alpha)S|0>, so the superposition is a parity filter on the displaced
-    squeezed state.
-    """
-    layout = _as_layout(layout)
-    a, sq = spec.alpha.alpha, spec.squeeze
-    norm_sq = _cat_norms_squared(a, sq.r, sq.theta, spec.phi)
-    base = _squeezed_coherent_batch(a, sq.r, sq.theta, layout.dim)
-    amps = base * _parity_filter(spec.phi, layout.dim) / math.sqrt(norm_sq)
-    _require_representable(amps, a, sq.r, layout)
-    return _finish(amps, layout, f"cat_state(alpha={a:.4g}, phi={spec.phi:.4g}, r={sq.r:.4g})")

@@ -10,10 +10,13 @@ per-sector unitaries behind circuits.beamsplit and its SVD sector plan,
 the flat gathers of the exit photon number behind l_intf's readout on
 number-difference diagonals, the full-state circuit loop behind the
 product factors of experiments.run_oracle_check, the cutoff-length
-candidate recurrence behind catfit's closed-form overlaps, and the
-squeeze_op antisqueeze and r bisection behind kitten.antisqueezed_kitten
-and the secant of analytics.squeeze_to_match, and the one-kitten-at-a-time
-Horner pass behind kitten._build's row batch.  A few closed forms no
+candidate recurrence behind catfit's closed-form overlaps, the
+cutoff-length squeezed-cat constructors (cat_state, squeezed_coherent and
+the complex-arithmetic recurrence behind them) that states' real
+squeezed-cat kernel is checked against, the squeeze_op antisqueeze and r
+bisection behind kitten.antisqueezed_kitten and the secant of
+analytics.squeeze_to_match, and the one-kitten-at-a-time Horner pass
+behind kitten._build's row batch.  A few closed forms no
 experiment uses (erasure_residual, poisson_pn, displacement_estimate) live
 here with their tests.
 """
@@ -32,7 +35,7 @@ from dipnesim.analytics import (
     mean_photons_from_moments,
     vacuum_moments,
 )
-from dipnesim.catfit import _budget_split, fit_squeezed_cat
+from dipnesim.catfit import FitTarget, _budget_split, _parity_phase, fit_squeezed_cat
 from dipnesim.circuits import (
     GadgetSpec,
     _bs_plan,
@@ -47,7 +50,6 @@ from dipnesim.fock import (
     LeakageWarning,
     ModeLayout,
     basis_state,
-    marginal_number_distribution,
     tensor,
     vacuum_state,
 )
@@ -55,10 +57,13 @@ from dipnesim.kitten import KittenSpec, KittenState, _ladder, peak_estimate
 from dipnesim.measure import _split_marginals
 from dipnesim.states import (
     Squeeze,
+    _as_layout,
     _cat_norms_squared,
+    _finish,
     _parity_filter,
+    _unit_phase,
+    coherent,
     log_factorial,
-    r_from_squeeze_photons,
     squeezed_vacuum,
     squeezed_vacuum_log_even,
 )
@@ -126,8 +131,8 @@ def full_state_oracle_rows(seed: int, circuits: int, cutoff: int, max_modes: int
 
 
 def _require_vacuum(state: FockState, mode: int) -> None:
-    dist = marginal_number_distribution(state, mode, _allow_unnormalized=True)
-    occupied = float(dist[1:].sum())
+    probs = np.abs(np.moveaxis(state.nd, mode, 0)) ** 2
+    occupied = float(probs[1:].sum())
     if occupied > 1e-10:
         raise ValueError(f"erasure mode {mode} must start in vacuum, P(n>0) = {occupied:.6g}")
 
@@ -270,7 +275,7 @@ def kitten_by_subtraction(spec: KittenSpec, pickoff_cutoff: int | None = None) -
         return kitten_series(spec)
     if pickoff_cutoff is None:
         pickoff_cutoff = spec.cutoff + spec.k
-    r = r_from_squeeze_photons(spec.squeeze_photons)
+    r = math.asinh(math.sqrt(spec.squeeze_photons))
     # source truncation above cutoff + k cannot reach the kept window
     # after a k count, so the leak warning would be noise here
     with warnings.catch_warnings():
@@ -382,6 +387,11 @@ def kitten_horner_row(spec: KittenSpec, rho: float, work_cutoff: int) -> tuple[n
     return amps, kept, max(0.0, 1.0 - kept / (core @ core))
 
 
+def fit_target(kitten: KittenState) -> FitTarget:
+    """A kitten's own amplitudes at R = 0, fitted at its photon number."""
+    return FitTarget(0.0, kitten.state.amplitudes, kitten.mean_photons, _parity_phase(kitten.state))
+
+
 def _unwrap(kitten) -> tuple[FockState, float]:
     """Accept a KittenState or a bare FockState; return (state, N)."""
     if isinstance(kitten, KittenState):
@@ -480,6 +490,83 @@ def _family_fidelities(targets, totals, phis, ss: np.ndarray) -> np.ndarray:
     return (overlap_re**2 + overlap_im**2) / norms
 
 
+# The cutoff-length squeezed-cat constructors, which no experiment builds:
+# the recurrence of states._squeezed_coherent_levels in complex arithmetic,
+# at any alpha and squeeze angle, and the states and cat norm built on it.
+
+
+def squeezed_coherent_batch(alphas, rs, theta: float, dim: int) -> np.ndarray:
+    """Amplitudes of D(alpha) S(r e^{i theta}) |0> for broadcast alpha/r
+    arrays, shape broadcast(alphas, rs) + (dim,): c_0 = exp(-conj(alpha)
+    a / 2) / sqrt(cosh r), c_n = (a c_{n-1} + t sqrt(n - 1) c_{n-2}) /
+    sqrt(n), with t = -e^{i theta} tanh r and a = alpha + conj(alpha)
+    e^{i theta} tanh r."""
+    ph = _unit_phase(theta)
+    alphas = np.asarray(alphas).astype(np.complex128)
+    rs = np.asarray(rs, dtype=np.float64)
+    ch, th = np.cosh(rs), np.tanh(rs)
+    a = alphas + np.conj(alphas) * ph * th
+    t = -ph * th
+    prev, cur = 0.0, np.exp(-0.5 * np.conj(alphas) * a) / np.sqrt(ch)
+    levels = [cur]
+    for n in range(1, dim):
+        prev, cur = cur, a * cur / math.sqrt(n) + t * prev * math.sqrt((n - 1) / n)
+        levels.append(cur)
+    return np.stack(levels, axis=-1)
+
+
+def _require_representable(amps: np.ndarray, alpha: complex, r: float, layout: ModeLayout) -> None:
+    """Raise where the recurrence under- or overflowed: its first amplitude
+    is exp(-|alpha|^2/2 ...), which is 0.0 in floating point once |alpha|^2
+    passes ~1400."""
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if not (norm_sq > 0.0 and math.isfinite(norm_sq)):
+        raise ValueError(
+            f"alpha={alpha:.6g}, r={r:.6g} has truncated norm^2 {norm_sq} at cutoff "
+            f"{layout.cutoffs[0]}: the amplitude recurrence under- or overflows"
+        )
+
+
+def squeezed_coherent(alpha, squeeze: Squeeze, layout) -> FockState:
+    """Displaced squeezed state D(alpha) S(xi) |0>."""
+    layout = _as_layout(layout)
+    a = complex(alpha)
+    if squeeze.r == 0.0:
+        return coherent(a, layout)
+    amps = squeezed_coherent_batch(a, squeeze.r, squeeze.theta, layout.dim)
+    _require_representable(amps, a, squeeze.r, layout)
+    return _finish(amps, layout, f"squeezed_coherent(alpha={a:.4g}, r={squeeze.r:.4g})")
+
+
+@dataclass(frozen=True)
+class CatSpec:
+    """Two-component superposition (D(alpha) + e^{i phi} D(-alpha)) S(xi) |0>."""
+
+    alpha: complex
+    phi: float
+    squeeze: Squeeze
+
+
+def cat_norm_squared(spec: CatSpec) -> float:
+    """Norm^2 of the unnormalized superposition; raises where the two
+    branches cancel exactly."""
+    sq = spec.squeeze
+    return float(_cat_norms_squared(complex(spec.alpha), sq.r, sq.theta, spec.phi))
+
+
+def cat_state(spec: CatSpec, layout) -> FockState:
+    """Normalized (D(alpha) + e^{i phi} D(-alpha)) S(xi) |0>: D(-alpha)S|0>
+    has amplitudes (-1)^n times those of D(alpha)S|0>, so the superposition
+    is a parity filter on the displaced squeezed state."""
+    layout = _as_layout(layout)
+    a, sq = complex(spec.alpha), spec.squeeze
+    norm_sq = _cat_norms_squared(a, sq.r, sq.theta, spec.phi)
+    base = squeezed_coherent_batch(a, sq.r, sq.theta, layout.dim)
+    amps = base * _parity_filter(spec.phi, layout.dim) / math.sqrt(norm_sq)
+    _require_representable(amps, a, sq.r, layout)
+    return _finish(amps, layout, f"cat_state(alpha={a:.4g}, phi={spec.phi:.4g}, r={sq.r:.4g})")
+
+
 def erasure_residual(alpha_weak: float, alpha_strong: float) -> tuple[float, float]:
     """Displacement left after erasing against a strong reference.
 
@@ -546,7 +633,7 @@ def _log_kept_amplitudes(spec: KittenSpec, j_max: int):
     if spec.infinite:
         log_c = infinite_squeeze_log_even(n // 2)
     else:
-        r = r_from_squeeze_photons(spec.squeeze_photons)
+        r = math.asinh(math.sqrt(spec.squeeze_photons))
         log_c = squeezed_vacuum_log_even(r, n // 2)
     log_amp = (
         0.5 * (log_factorial(n) - log_factorial(j))

@@ -42,6 +42,7 @@ from dipnesim.catfit import kitten_target
 from oracles import (
     antisqueezed,
     erasure_residual,
+    fit_target,
     kitten_series,
     poisson_pn,
     squeeze_to_match_bisect,
@@ -446,14 +447,14 @@ def _match_one(spec, source_alpha, target, work_cutoff=1000):
 class TestSqueezeToMatch:
 
     def test_diagonal_needs_no_squeezing(self, spec, kitten):
-        fit = fit_squeezed_cat(kitten)
+        fit = fit_squeezed_cat(fit_target(kitten))
         res = _match_one(spec, fit.alpha, fit.alpha, work_cutoff=200)
         assert isinstance(res, MatchResult)
         assert abs(res.r_required) < 1e-6
         assert res.excess_fraction == pytest.approx(fit.squeeze_fraction, abs=1e-6)
 
     def test_reaches_higher_target(self, spec, kitten):
-        fit = fit_squeezed_cat(kitten)
+        fit = fit_squeezed_cat(fit_target(kitten))
         target = fit.alpha * 1.3
         res = _match_one(spec, fit.alpha, target, work_cutoff=200)
         assert res.r_required > 0.0
@@ -464,7 +465,7 @@ class TestSqueezeToMatch:
         assert 0.0 < res.excess_fraction < 1.0
 
     def test_lower_target_squeezes(self, spec, kitten):
-        fit = fit_squeezed_cat(kitten)
+        fit = fit_squeezed_cat(fit_target(kitten))
         res = _match_one(spec, fit.alpha, fit.alpha * 0.8, work_cutoff=200)
         assert res.r_required < 0.0
 
@@ -475,11 +476,11 @@ class TestSqueezeToMatch:
     def test_displacement_free_source_rejected(self):
         flat = KittenSpec(3.0, math.pi / 5, 0, 60)
         with pytest.raises(ValueError, match="displacement"):
-            _match_one(flat, fit_squeezed_cat(kitten_direct(flat)).alpha, 1.0, work_cutoff=120)
+            _match_one(flat, fit_squeezed_cat(fit_target(kitten_direct(flat))).alpha, 1.0, work_cutoff=120)
 
     @pytest.mark.parametrize("scale", [0.8, 1.3])
     def test_agrees_with_squeeze_op_bisection(self, spec, kitten, scale):
-        fit = fit_squeezed_cat(kitten)
+        fit = fit_squeezed_cat(fit_target(kitten))
         res = _match_one(spec, fit.alpha, fit.alpha * scale, work_cutoff=200)
         ref = squeeze_to_match_bisect(kitten.state, fit.alpha, fit.alpha * scale, 200)
         assert res.r_required == pytest.approx(ref.r_required, abs=1e-6)
@@ -488,7 +489,7 @@ class TestSqueezeToMatch:
     def test_few_fits_on_the_bench_pair(self, monkeypatch):
         # the match-grid pair: k = 1 onto k = 3 at infinite squeezing
         specs = [KittenSpec(math.inf, math.pi / 5, k, 300) for k in (1, 3)]
-        source, target = (f.alpha for f in fit_squeezed_cats([kitten_direct(s) for s in specs]))
+        source, target = (f.alpha for f in fit_squeezed_cats([fit_target(kitten_direct(s)) for s in specs]))
         grid_rows = []
         real = catfit._row_fidelities
 
@@ -559,7 +560,7 @@ class TestSqueezeToMatch:
             assert abs(got[3] - want[3]) <= 1e-6
 
     def test_lockstep_pairs_match_single_searches(self, spec, kitten):
-        fit = fit_squeezed_cat(kitten)
+        fit = fit_squeezed_cat(fit_target(kitten))
         pairs = [(spec, fit.alpha, fit.alpha * s) for s in (0.8, 1.1, 1.3)]
         together = squeeze_to_match(pairs, work_cutoff=200)
         assert together == [squeeze_to_match([p], work_cutoff=200)[0] for p in pairs]

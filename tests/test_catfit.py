@@ -31,17 +31,17 @@ from dipnesim.catfit import (
 from dipnesim.experiments import make_config, run_experiment
 from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, inner, vacuum_state
 from dipnesim.kitten import KittenSpec, KittenState, kitten_direct
-from dipnesim.states import (
+from dipnesim.states import Squeeze, _cat_norms_squared, _parity_filter
+from oracles import (
     CatSpec,
-    Displacement,
-    Squeeze,
-    _cat_norms_squared,
-    _parity_filter,
-    _squeezed_coherent_batch,
+    _family_fidelities,
+    _unwrap,
     cat_norm_squared,
     cat_state,
+    fit_target,
+    kitten_series,
+    squeezed_coherent_batch,
 )
-from oracles import _family_fidelities, _unwrap, kitten_series
 
 THETA = math.pi / 5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -55,14 +55,14 @@ def wrap(state: FockState, budget: float) -> KittenState:
 
 
 def member(alpha: float, r: float, phi: float) -> KittenState:
-    cat = cat_state(CatSpec(Displacement(alpha), phi, Squeeze(r, math.pi)), 80)
+    cat = cat_state(CatSpec(alpha, phi, Squeeze(r, math.pi)), 80)
     return wrap(cat, alpha**2 + math.sinh(r) ** 2)
 
 
 def serial_family_fidelity(target: FockState, total: float, phi: float, s: float) -> float:
     """Fidelity of the candidate at fraction s, built alone by cat_state."""
     alpha, r = _budget_split(s, total, phi)
-    spec = CatSpec(Displacement(alpha), phi, Squeeze(r, math.pi))
+    spec = CatSpec(alpha, phi, Squeeze(r, math.pi))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakageWarning)
         cand = cat_state(spec, target.layout)
@@ -111,7 +111,7 @@ class TestSelfFit:
     @pytest.mark.parametrize("alpha,r,phi", FAMILY_MEMBERS)
     def test_exact_family_member_recovered(self, alpha, r, phi):
         kit = member(alpha, r, phi)
-        res = fit_squeezed_cat(kit)
+        res = fit_squeezed_cat(fit_target(kit))
         assert res.fidelity >= 1.0 - 1e-9
         assert res.squeeze_fraction == pytest.approx(
             math.sinh(r) ** 2 / kit.mean_photons, abs=1e-4
@@ -120,12 +120,12 @@ class TestSelfFit:
 
     def test_plain_cat_recovered(self):
         alpha = 1.4
-        cat = cat_state(CatSpec(Displacement(alpha), math.pi, Squeeze(0.0, 0.0)), 80)
-        assert fit_squeezed_cat(wrap(cat, alpha**2)).plain_cat_fidelity >= 1.0 - 1e-9
+        cat = cat_state(CatSpec(alpha, math.pi, Squeeze(0.0, 0.0)), 80)
+        assert fit_squeezed_cat(fit_target(wrap(cat, alpha**2))).plain_cat_fidelity >= 1.0 - 1e-9
 
     def test_squeezed_vacuum_pushes_fraction_to_one(self):
         kit = kitten_direct(KittenSpec(5.0, THETA, 0, 80))
-        res = fit_squeezed_cat(kit)
+        res = fit_squeezed_cat(fit_target(kit))
         assert res.fidelity >= 1.0 - 1e-9
         assert res.squeeze_fraction == pytest.approx(1.0, abs=1e-6)
         assert res.alpha == 0.0
@@ -134,29 +134,29 @@ class TestSelfFit:
 class TestKittenFits:
     def test_single_subtraction_level(self):
         kit = kitten_direct(KittenSpec(10.0, THETA, 1, 140))
-        res = fit_squeezed_cat(kit)
+        res = fit_squeezed_cat(fit_target(kit))
         assert res.infidelity < 0.02
         assert res.squeeze_fraction < 0.10
         assert res.phi == math.pi
 
     def test_triple_subtraction_level(self):
         kit = kitten_direct(KittenSpec(10.0, THETA, 3, 140))
-        res = fit_squeezed_cat(kit)
+        res = fit_squeezed_cat(fit_target(kit))
         assert res.infidelity < 0.005
         assert res.squeeze_fraction < 0.05
 
     def test_plain_cat_level(self):
         kit = kitten_direct(KittenSpec(10.0, THETA, 3, 140))
-        plain = fit_squeezed_cat(kit).plain_cat_fidelity
+        plain = fit_squeezed_cat(fit_target(kit)).plain_cat_fidelity
         assert 0.85 < plain < 0.95
 
     def test_plain_never_beats_family_best(self):
         kit = kitten_direct(KittenSpec(8.0, THETA, 2, 120))
-        res = fit_squeezed_cat(kit)
+        res = fit_squeezed_cat(fit_target(kit))
         assert res.fidelity >= res.plain_cat_fidelity - 1e-12
         # the plain cat spends the whole photon budget on displacement
         plain = cat_state(
-            CatSpec(Displacement(math.sqrt(kit.mean_photons)), 0.0, Squeeze(0.0, math.pi)),
+            CatSpec(math.sqrt(kit.mean_photons), 0.0, Squeeze(0.0, math.pi)),
             kit.state.layout,
         )
         assert res.plain_cat_fidelity == pytest.approx(
@@ -165,13 +165,13 @@ class TestKittenFits:
 
     def test_even_parity_detected(self):
         kit = kitten_direct(KittenSpec(10.0, THETA, 2, 120))
-        assert fit_squeezed_cat(kit).phi == 0.0
+        assert fit_squeezed_cat(fit_target(kit)).phi == 0.0
 
 
 class TestContract:
     def test_budget_split_exact(self):
         kit = kitten_direct(KittenSpec(10.0, THETA, 3, 140))
-        res = fit_squeezed_cat(kit)
+        res = fit_squeezed_cat(fit_target(kit))
         assert res.alpha**2 + math.sinh(res.r) ** 2 == pytest.approx(
             kit.mean_photons, rel=1e-12
         )
@@ -179,11 +179,11 @@ class TestContract:
 
     def test_deterministic(self):
         kit = kitten_direct(KittenSpec(6.0, THETA, 2, 100))
-        assert fit_squeezed_cat(kit) == fit_squeezed_cat(kit)
+        assert fit_squeezed_cat(fit_target(kit)) == fit_squeezed_cat(fit_target(kit))
 
     def test_bitwise_repeatable_at_production_cutoff(self):
         kit = kitten_direct(KittenSpec(10.0, THETA, 3, 1000))
-        first, second = fit_squeezed_cat(kit), fit_squeezed_cat(kit)
+        first, second = fit_squeezed_cat(fit_target(kit)), fit_squeezed_cat(fit_target(kit))
         assert [v.hex() for v in dataclasses.astuple(first)] == [
             v.hex() for v in dataclasses.astuple(second)
         ]
@@ -193,8 +193,8 @@ class TestContract:
         rotated = FockState(
             kit.state.layout, kit.state.amplitudes * np.exp(0.7j)
         )
-        res_a = fit_squeezed_cat(wrap(rotated, kit.mean_photons))
-        res_b = fit_squeezed_cat(kit)
+        res_a = fit_squeezed_cat(fit_target(wrap(rotated, kit.mean_photons)))
+        res_b = fit_squeezed_cat(fit_target(kit))
         assert res_a.squeeze_fraction == res_b.squeeze_fraction
         assert res_a.fidelity == pytest.approx(res_b.fidelity, abs=1e-13)
 
@@ -206,7 +206,7 @@ class TestContract:
 
     def test_result_type(self):
         kit = kitten_direct(KittenSpec(4.0, THETA, 1, 80))
-        assert isinstance(fit_squeezed_cat(kit), CatFitResult)
+        assert isinstance(fit_squeezed_cat(fit_target(kit)), CatFitResult)
 
 
 class TestErrors:
@@ -235,9 +235,9 @@ class TestErrors:
     def test_underflowing_candidate_rejected(self):
         # the s = 0 candidate, a plain cat of alpha = 40, starts its
         # recurrence at exp(-800) and underflows to the zero vector
-        cat = cat_state(CatSpec(Displacement(20.0), 0.0, Squeeze(0.05, math.pi)), 2600)
+        cat = cat_state(CatSpec(20.0, 0.0, Squeeze(0.05, math.pi)), 2600)
         with pytest.raises(ValueError, match="squeeze fraction 0 of a 1600-photon budget"):
-            fit_squeezed_cat(wrap(cat, 1600.0))
+            fit_squeezed_cat(fit_target(wrap(cat, 1600.0)))
 
 
 class TestKittenProperties:
@@ -248,7 +248,7 @@ class TestKittenProperties:
     )
     def test_fidelity_order_and_parity(self, photons, k):
         cutoff = math.ceil(21.0 * (photons + 1.0))
-        res = fit_squeezed_cat(kitten_direct(KittenSpec(photons, THETA, k, cutoff)))
+        res = fit_squeezed_cat(fit_target(kitten_direct(KittenSpec(photons, THETA, k, cutoff))))
         assert 0.0 <= res.plain_cat_fidelity <= res.fidelity <= 1.0 + 1e-12
         assert res.phi == (math.pi if k % 2 else 0.0)
 
@@ -289,17 +289,17 @@ class TestClosedForm:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         # the candidates' mass beyond the oracle's cutoff, read off 6000 levels
         alphas, rs = _budget_split(ss, target.photons, target.phi)
-        wide = _squeezed_coherent_batch(alphas, rs, math.pi, 6001) * _parity_filter(target.phi, 6001)
-        norms = [cat_norm_squared(CatSpec(Displacement(a), target.phi, Squeeze(r, math.pi))) for a, r in zip(alphas, rs)]
+        wide = squeezed_coherent_batch(alphas, rs, math.pi, 6001) * _parity_filter(target.phi, 6001)
+        norms = [cat_norm_squared(CatSpec(a, target.phi, Squeeze(r, math.pi))) for a, r in zip(alphas, rs)]
         assert np.max(np.sum(np.abs(wide[:, 3001:]) ** 2, axis=1) / norms) < 1e-14
 
     def test_batch_advances_only_k_max_plus_one_levels(self, monkeypatch):
         levels = []
         real = catfit._squeezed_coherent_levels
 
-        def spy(alphas, rs, theta, dim):
+        def spy(alphas, rs, dim):
             levels.append(0)
-            for level in real(alphas, rs, theta, dim):
+            for level in real(alphas, rs, dim):
                 levels[-1] += 1
                 yield level
 
@@ -325,7 +325,7 @@ class TestSerialOracle:
             kit = kitten_direct(KittenSpec(case[1], THETA, case[2], 1000))
         else:
             kit = member(*case[1:])
-        got, want = fit_squeezed_cat(kit), serial_fit(kit)
+        got, want = fit_squeezed_cat(fit_target(kit)), serial_fit(kit)
         assert abs(got.fidelity - want.fidelity) <= 1e-11
         assert abs(got.squeeze_fraction - want.squeeze_fraction) <= 1e-6
         assert got.phi == want.phi
@@ -358,7 +358,7 @@ class TestLockstep:
             ]
         ]
         rotated = FockState(kits[3].state.layout, kits[3].state.amplitudes * np.exp(0.7j))
-        targets = kits + [member(*FAMILY_MEMBERS[1]), rotated]
+        targets = [fit_target(kit) for kit in kits + [member(*FAMILY_MEMBERS[1])]] + [rotated]
         lockstep = fit_squeezed_cats(targets)
         assert len(lockstep) == len(targets)
         for got, target in zip(lockstep, targets):
@@ -405,9 +405,10 @@ class TestLockstep:
         ]
         stored_bytes = len(kits) * GRID_POINTS * kits[0].state.layout.dim * 16
         assert stored_bytes > 100e6
+        targets = [fit_target(kit) for kit in kits]
         tracemalloc.start()
         try:
-            fits = fit_squeezed_cats(kits)
+            fits = fit_squeezed_cats(targets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,15 +418,15 @@ class TestLockstep:
     def test_underflow_names_failing_target(self):
         # the second target's s = 0 candidate, a plain cat of alpha = 40,
         # starts its recurrence at exp(-800) and underflows
-        cat = cat_state(CatSpec(Displacement(20.0), 0.0, Squeeze(0.05, math.pi)), 2600)
+        cat = cat_state(CatSpec(20.0, 0.0, Squeeze(0.05, math.pi)), 2600)
         good = kitten_direct(KittenSpec(10.0, THETA, 3, 140))
         with pytest.raises(
             ValueError, match="squeeze fraction 0 of a 1600-photon budget .* at cutoff 2600"
         ):
-            fit_squeezed_cats([good, wrap(cat, 1600.0)])
+            fit_squeezed_cats([fit_target(good), fit_target(wrap(cat, 1600.0))])
 
     def test_degenerate_check_text_matches_cat_state(self):
-        spec = CatSpec(Displacement(0.0), math.pi, Squeeze(0.0, math.pi))
+        spec = CatSpec(0.0, math.pi, Squeeze(0.0, math.pi))
         with pytest.raises(ValueError) as want:
             cat_state(spec, 20)
         with pytest.raises(ValueError) as norm:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import full_state_oracle_rows
+from oracles import fit_target, full_state_oracle_rows
 
 from dipnesim import cli
 from dipnesim.circuits import apply_element
@@ -26,7 +26,7 @@ from dipnesim.experiments import (
     run_experiment,
 )
 from dipnesim.catfit import fit_squeezed_cat
-from dipnesim.fock import LeakageWarning, ModeLayout, vacuum_state
+from dipnesim.fock import FockState, LeakageWarning, ModeLayout, vacuum_state
 from dipnesim.kitten import KittenSpec, kitten_direct
 from dipnesim.measure import mean_quadrature
 from dipnesim.states import Squeeze
@@ -174,6 +174,23 @@ class TestInterferenceRun:
         table = run_experiment(cfg)
         assert max(table.column("abs_error")) <= 1e-9
         assert 0.0 <= float(table.meta("max_clipped_sector_mass")) < 1e-100
+
+    def test_each_input_guard_mass_computed_once(self, monkeypatch):
+        # the LeakageWarning check and max_input_guard_mass read the same
+        # cached value: one computation per distinct input state, the two
+        # undisplaced cores included
+        calls = []
+        real = FockState.guard_band_mass.func
+
+        def spy(state):
+            calls.append(state)
+            return real(state)
+
+        monkeypatch.setattr(FockState.guard_band_mass, "func", spy)
+        cfg = make_config("interference", {"fraction_count": 5, "cutoff": 20, "family": "photon0"})
+        table = run_experiment(cfg)
+        assert len(calls) == len({id(state) for state in calls}) == 10
+        assert float(table.meta("max_input_guard_mass")) == max(real(state) for state in calls)
 
     def test_erasure_cutoff_key_removed(self):
         with pytest.raises(ValueError, match="unknown keys for interference: erasure_cutoff"):
@@ -360,7 +377,7 @@ class TestMatchRun:
              "cutoff": 120, "work_cutoff": 240},
         )
         table = run_experiment(cfg)
-        own = fit_squeezed_cat(kitten_direct(KittenSpec(5.0, math.pi / 5, 3, 120)))
+        own = fit_squeezed_cat(fit_target(kitten_direct(KittenSpec(5.0, math.pi / 5, 3, 120))))
         assert table.rows[1] == (3, 3, 0.0, own.squeeze_fraction)
         assert 0.0 <= float(table.meta("max_guard_mass")) < 1e-8
 
@@ -725,3 +742,23 @@ class TestCli:
             "catfit", "gaussdrive", "interference", "kitten",
             "match", "numberdiff", "oracle-check",
         }
+
+
+def test_package_exports_resolve():
+    # the names the output checks of bench/workloads.py import from the
+    # package: a missing one would fail every run of their workload
+    from dipnesim import (  # noqa: F401
+        FockState,
+        KittenSpec,
+        ModeLayout,
+        Squeeze,
+        fit_squeezed_cat,
+        interference_loss_theory,
+        kitten_direct,
+        make_config,
+        squeeze_op,
+    )
+    import dipnesim
+
+    assert [name for name in dipnesim.__all__ if not hasattr(dipnesim, name)] == []
+    assert len(set(dipnesim.__all__)) == len(dipnesim.__all__)
