@@ -7,7 +7,8 @@ Prints whether the two files are byte-identical, each "# key = value"
 metadata line that differs, and for every column the number of cells that
 differ and, when both sides parse as numbers, the largest absolute
 deviation |new - old|.  Exits 0 when the files are byte-identical, 1 when
-they differ and 2 on a usage error.
+they differ, and 2 on a usage error or a file that cannot be read as UTF-8
+text.
 """
 
 import math
@@ -77,7 +78,11 @@ def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    report = compare(*argv)
+    try:
+        report = compare(*argv)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("\n".join(report))
     return 0 if report == ["byte-identical"] else 1
 

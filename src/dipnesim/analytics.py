@@ -118,9 +118,9 @@ def squeeze_fraction_strong(d0: float, r0: float, r: float) -> tuple[float, floa
     photons.  Returns (exact fraction, strong-limit fraction) where the
     limit replaces the ratio by 4 d0^2 / e^{2 r0}.
     """
-    if d0 <= 0.0:
+    if not d0 > 0.0:
         raise ValueError("d0 must be positive")
-    if r0 < 0.0 or r < 0.0:
+    if not (r0 >= 0.0 and r >= 0.0):
         raise ValueError("squeezing magnitudes must be nonnegative")
     strong = 1.0 / (1.0 + 4.0 * d0**2 / math.exp(2.0 * r0))
     squeeze_photons = math.sinh(r + r0) ** 2

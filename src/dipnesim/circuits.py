@@ -40,11 +40,10 @@ keep each stack within STACK_BYTES; displace and squeeze_op are one-row
 calls.
 
 GadgetSpec holds the pickoff gadget's parameters.  measure.l_intf reads that
-circuit out from single-mode marginals through two cached tables, built from
-the plan's stacks by batched products with no loop over sectors:
-_bs_vacuum_split (a split against vacuum, as a gather: the last column of
-each U_N) and _bs_number_readout (the exit photon number in the Heisenberg
-picture, laid out on number-difference diagonals).
+circuit out from single-mode marginals through _bs_number_readout: the exit
+photon number in the Heisenberg picture, laid out on number-difference
+diagonals and built from the plan's stacks by batched products with no loop
+over sectors.
 """
 
 from __future__ import annotations
@@ -241,37 +240,6 @@ def _expm(g: np.ndarray) -> np.ndarray:
     return (f + eye).reshape(g.shape)
 
 
-def _frozen(*parts) -> tuple:
-    out = tuple(np.concatenate(p) for p in parts)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=16)
-def _bs_vacuum_split(da: int, db: int, theta: float):
-    """B(theta) on (mode-a state) (x) vacuum, as one gather.
-
-    Occupation N of mode a sits in sector N as |N, 0>, the last state of the
-    sector, so it maps to the last column of U_N = V e^{i theta Lambda} V^T,
-    which is V (e^{i theta lam} * V[last]): one batched product per stack.
-    For a mode-a amplitude vector c, the da x db output has flat amplitudes
-    out.flat[idx] = u * c[src].  Returns read-only (idx, src, u).
-    """
-    stacks, _ = _bs_plan(da, db)
-    idx, src, u = [], [], []
-    for st in stacks:
-        rows = st.totals < da
-        vec, sizes = st.vec[rows], st.sizes[rows]
-        last = vec[np.arange(sizes.size), sizes - 1] * np.exp(1j * theta * st.lam[rows])
-        cols = _real_matmul(vec, last[..., None])[..., 0]
-        valid = st.valid()[rows]
-        idx.append(st.idx[rows][valid])
-        src.append(np.broadcast_to(st.totals[rows, None], valid.shape)[valid])
-        u.append(cols[valid])
-    return _frozen(idx, src, u)
-
-
 # number-difference diagonals per block of the number readout
 DIAGONAL_RUN = 16
 
@@ -420,13 +388,16 @@ def displacements(state: FockState, mode: int, alphas) -> list[FockState]:
     moved = [alpha for alpha in alphas if alpha != 0]
     if not moved:
         return [state] * len(alphas)
+    scales = [abs(alpha) for alpha in moved]
+    if not math.isfinite(sum(scales)):
+        raise ValueError("displacement must be finite")
     state.layout._check_mode(mode)
     a = _lowering(state.layout.dims[mode])
     out = iter(_apply_mode_generator(
         state,
         mode,
         a.T - a,
-        [abs(alpha) for alpha in moved],
+        scales,
         [cmath.phase(alpha) for alpha in moved],
         [f"displace(alpha={alpha:.4g})" for alpha in moved],
     ))

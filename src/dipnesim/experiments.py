@@ -90,14 +90,19 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        """RFC 8259 JSON: a non-finite float cell is written as the string
+        the CSV writes for it ("nan", "inf", "-inf")."""
         import json
 
         payload = {
             "metadata": dict(self.metadata),
             "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
+            "rows": [
+                [_fmt(cell) if isinstance(cell, float) and not math.isfinite(cell) else cell for cell in row]
+                for row in self.rows
+            ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
@@ -318,8 +323,8 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
     if count < 2:
         raise ValueError("fraction_count must be at least 2")
     budget = config["displacement_photons"]
-    if budget < 0.0:
-        raise ValueError("displacement_photons must be nonnegative")
+    if not 0.0 <= budget < math.inf:
+        raise ValueError("displacement_photons must be finite and nonnegative")
 
     core0, core1 = _interference_cores(config["family"], cutoff)
     fractions = np.linspace(0.0, 1.0, count)
@@ -361,8 +366,8 @@ def _linear_sweep(config: ExperimentConfig, name: str) -> list[float]:
     lo, hi, steps = config[f"{name}_min"], config[f"{name}_max"], config[f"{name}_steps"]
     if steps < 1:
         raise ValueError(f"{name}_steps must be at least 1")
-    if lo < 0.0 or hi < lo:
-        raise ValueError(f"need 0 <= {name}_min <= {name}_max")
+    if not 0.0 <= lo <= hi < math.inf:
+        raise ValueError(f"need 0 <= {name}_min <= {name}_max < inf")
     if steps == 1:
         return [lo]
     return [float(x) for x in np.linspace(lo, hi, steps)]
@@ -548,7 +553,7 @@ def run_gaussdrive(config: ExperimentConfig) -> ResultTable:
     rows = []
     for d0 in config["d0_list"]:
         for photons in config["r0_photons"]:
-            if photons < 0.0:
+            if not photons >= 0.0:
                 raise ValueError("r0_photons entries must be nonnegative")
             r0 = math.asinh(math.sqrt(photons))
             for r in r_values:

@@ -7,10 +7,11 @@ and a coherent state with real amplitude alpha has mean X of 2 alpha.
 l_intf reads the interference gadget out factorised: each input is split
 against its own vacuum erasure mode as a two-mode pure state, and each exit
 photon count is a trace of two single-mode marginals against the cached
-Heisenberg-picture number operator of the recombining beamsplitter, so no
-4-mode vector is built.  Both cached tables (circuits._bs_vacuum_split and
-circuits._bs_number_readout) come from the beamsplitter's sector plan.  A
-call costs one gather and two reduced-density products per input, and per
+Heisenberg-picture number operator of the recombining beamsplitter
+(circuits._bs_number_readout), so no 4-mode vector is built.  The split is
+the closed-form binomial of a beamsplitter with one vacuum port (Campos,
+Saleh & Teich, Phys. Rev. A 40, 1371 (1989)), cached as a gather.  A call
+costs one gather and two reduced-density products per input, and per
 recombination one gather of each marginal's number-difference diagonals and
 one batched product per run of diagonals.  The dense 4-mode gadget in
 tests/oracles.py is the test oracle for it, and the flat gathers there for
@@ -19,11 +20,12 @@ the diagonal readout.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import GadgetSpec, _bs_number_readout, _bs_vacuum_split
+from .circuits import GadgetSpec, _bs_number_readout
 from .fock import FockState, apply_annihilation, inner
 
 
@@ -45,20 +47,38 @@ def mean_quadrature(state: FockState, mode: int) -> tuple[float, float]:
     return 2.0 * a_expect.real, 2.0 * a_expect.imag
 
 
+@lru_cache(maxsize=16)
+def _vacuum_split(ds: int, de: int, theta: float):
+    """B(theta) on (system state) (x) vacuum, as one gather: the binomial
+    B(theta)|n, 0> = sum_b sqrt(C(n, b)) cos^{n-b}(theta) (i sin theta)^b |n - b, b>.
+    It is the truncated beamsplitter exactly when de >= ds, since every
+    sector n < ds is then whole.  For a system amplitude vector c, the
+    ds x de output has flat amplitudes out.flat[idx] = u * c[src].  Returns
+    read-only (idx, src, u).
+    """
+    if de < ds:
+        raise ValueError(f"the erasure mode needs at least {ds} levels, got {de}")
+    n, b = np.tril_indices(ds)
+    mag = np.sqrt([float(math.comb(*nb)) for nb in zip(n.tolist(), b.tolist())])
+    u = mag * np.power(math.cos(theta), n - b) * np.power(math.sin(theta), b) * np.array([1, 1j, -1, -1j])[b % 4]
+    idx = (n - b) * de + b
+    for arr in (idx, n, u):
+        arr.setflags(write=False)
+    return idx, n, u
+
+
 def _split_marginals(state: FockState, erasure_cutoff: int, spec: GadgetSpec):
     """Reduced density matrices (system, erasure) of one input after its pickoff.
 
     The split B(s, e) acts on the input and its own vacuum erasure mode only,
-    so the two-mode state after it is pure.  The optional pi phase on e is
-    e^{i pi n}: a sign flip of the odd erasure columns.
+    so the two-mode state after it is pure.  The optional pi phase on e,
+    e^{i pi n_e}, turns (i sin theta)^b into (i sin(-theta))^b: the split at -theta.
     """
     ds, de = state.layout.dims[0], erasure_cutoff + 1
-    idx, src, u = _bs_vacuum_split(ds, de, spec.theta_split)
+    idx, src, u = _vacuum_split(ds, de, -spec.theta_split if spec.pi_shift else spec.theta_split)
     psi = np.zeros(ds * de, dtype=np.complex128)
     psi[idx] = u * state.amplitudes[src]
     psi = psi.reshape(ds, de)
-    if spec.pi_shift:
-        psi[:, 1::2] *= -1.0
     return psi @ psi.conj().T, psi.T @ psi.conj()
 
 
@@ -135,11 +155,11 @@ def l_intf(
         dev_s[0, 0] -= 1.0
         dev_e[0, 0] -= 1.0
         total += _number_trace(dev_s, dev_e, spec.theta_interfere)
-        # mass in clipped sectors of p_s (x) p_e and of each against vacuum
+        # mass in clipped sectors of p_s (x) p_e and of vacuum (x) p_e; with
+        # de >= ds, p_s (x) vacuum has none
         p_s, p_e = np.diagonal(rho_s).real, np.diagonal(rho_e).real
-        clip = _clip_matrix(p_s.size, p_e.size)
-        clip_e = clip @ p_e
-        clipped = max(clipped, float(p_s @ clip_e), float(clip_e[0]), float(p_s @ clip[:, 0]))
+        clip_e = _clip_matrix(p_s.size, p_e.size) @ p_e
+        clipped = max(clipped, float(p_s @ clip_e), float(clip_e[0]))
     if diagnostics is not None:
         diagnostics["clipped_sector_mass"] = clipped
     return total

@@ -227,6 +227,11 @@ class TestSqueezeFractionStrong:
         with pytest.raises(ValueError):
             squeeze_fraction_strong(1.0, 0.1, -1.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 0.1, 1.0), (1.0, math.nan, 1.0), (1.0, 0.1, math.nan)])
+    def test_nan_rejected(self, args):
+        with pytest.raises(ValueError):
+            squeeze_fraction_strong(*args)
+
 
 class TestGaussianMoments:
     def test_vacuum(self):

@@ -25,7 +25,6 @@ from dipnesim.circuits import (
     GadgetSpec,
     _bs_number_readout,
     _bs_plan,
-    _bs_vacuum_split,
     beamsplit,
     displace,
     displacements,
@@ -35,7 +34,7 @@ from dipnesim.circuits import (
 )
 from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
 from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, tensor, vacuum_state
-from dipnesim.measure import _number_trace
+from dipnesim.measure import _number_trace, _vacuum_split
 from dipnesim.states import Squeeze, coherent, squeezed_vacuum
 
 
@@ -174,16 +173,24 @@ class TestSectorPlan:
 
 
 class TestSectorGathers:
-    @pytest.mark.parametrize("cutoffs", [(3, 7), (6, 6), (8, 2)])
+    @pytest.mark.parametrize("cutoffs", [(3, 7), (6, 6), (30, 30)])
     def test_vacuum_split_matches_beamsplit(self, cutoffs):
+        # the closed-form split of measure against the sector plan; -theta
+        # is the split behind a pi phase on the erasure mode
         rng = np.random.default_rng(5)
-        d = cutoffs[0] + 1
-        psi = FockState(ModeLayout((cutoffs[0],)), rng.normal(size=d) + 1j * rng.normal(size=d))
-        idx, src, u = _bs_vacuum_split(cutoffs[0] + 1, cutoffs[1] + 1, 0.7)
-        got = np.zeros((cutoffs[0] + 1) * (cutoffs[1] + 1), dtype=np.complex128)
-        got[idx] = u * psi.amplitudes[src]
-        want = beamsplit(tensor(psi, vacuum_state(ModeLayout((cutoffs[1],)))), 0, 1, 0.7)
-        np.testing.assert_allclose(got, want.amplitudes, atol=1e-13)
+        ds, de = (c + 1 for c in cutoffs)
+        psi = FockState(ModeLayout((cutoffs[0],)), rng.normal(size=ds) + 1j * rng.normal(size=ds))
+        pair = tensor(psi, vacuum_state(ModeLayout((cutoffs[1],))))
+        for theta in (0.7, -0.7, 0.0):
+            idx, src, u = _vacuum_split(ds, de, theta)
+            got = np.zeros(ds * de, dtype=np.complex128)
+            got[idx] = u * psi.amplitudes[src]
+            np.testing.assert_allclose(got, beamsplit(pair, 0, 1, theta).amplitudes, atol=1e-13)
+
+    def test_vacuum_split_needs_whole_sectors(self):
+        # with fewer erasure levels than system levels the split would clip
+        with pytest.raises(ValueError, match="erasure mode"):
+            _vacuum_split(9, 3, 0.7)
 
     @pytest.mark.parametrize("cutoffs", [(3, 7), (6, 6), (8, 2)])
     def test_readout_matches_beamsplit_on_product_states(self, cutoffs):
@@ -240,7 +247,7 @@ class TestSectorGathers:
         ia, ib, blocks = _bs_number_readout(121, 121, 0.3)
         assert ia.nbytes + ib.nbytes + sum(block.nbytes for block in blocks) <= 18.2e6
 
-    @pytest.mark.parametrize("gather", [_bs_number_readout, _bs_vacuum_split])
+    @pytest.mark.parametrize("gather", [_bs_number_readout, _vacuum_split])
     def test_cached_per_key(self, gather):
         first = gather(5, 7, 0.3)
         assert gather(5, 7, 0.3) is first
@@ -274,6 +281,13 @@ class TestDisplaceSqueeze:
     def test_displace_zero_identity(self):
         psi = coherent(0.4, 10)
         assert displace(psi, 0, 0) is psi
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.3, math.nan)])
+    def test_non_finite_displacement_rejected(self, alpha):
+        with pytest.raises(ValueError, match="displacement must be finite"):
+            displace(coherent(0.4, 10), 0, alpha)
+        with pytest.raises(ValueError, match="displacement must be finite"):
+            displacements(coherent(0.4, 10), 0, [0.2, alpha, 0.0])
 
     def test_displace_inverse(self):
         psi = squeezed_vacuum(Squeeze(0.3, 1.0), 40)

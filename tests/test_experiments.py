@@ -34,6 +34,10 @@ from dipnesim.states import Squeeze
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-RFC 8259 JSON token {token}")
+
+
 class TestConfig:
     def test_defaults_fill_in(self):
         cfg = make_config("interference")
@@ -110,6 +114,16 @@ class TestResultTable:
         assert payload["columns"] == ["a"]
         assert payload["rows"] == [[1]]
         assert payload["metadata"]["experiment"] == "demo"
+
+    def test_json_writes_non_finite_cells_as_csv_text(self):
+        # RFC 8259 has no NaN or Infinity token
+        table = ResultTable(
+            columns=("a", "b", "c"),
+            rows=((float("inf"), float("nan"), 0.5), (-math.inf, 1, "x")),
+            metadata=(("experiment", "demo"),),
+        )
+        payload = json.loads(table.to_json(), parse_constant=_reject_constant)
+        assert payload["rows"] == [["inf", "nan", 0.5], ["-inf", 1, "x"]]
 
     def test_row_width_checked(self):
         with pytest.raises(ValueError):
@@ -192,6 +206,11 @@ class TestInterferenceRun:
         assert len(calls) == len({id(state) for state in calls}) == 10
         assert float(table.meta("max_input_guard_mass")) == max(real(state) for state in calls)
 
+    @pytest.mark.parametrize("budget", ["inf", "nan"])
+    def test_budget_must_be_finite(self, budget):
+        with pytest.raises(ValueError, match="displacement_photons must be finite"):
+            run_experiment(make_config("interference", {"displacement_photons": budget}))
+
     def test_erasure_cutoff_key_removed(self):
         with pytest.raises(ValueError, match="unknown keys for interference: erasure_cutoff"):
             make_config("interference", {"erasure_cutoff": 24})
@@ -241,6 +260,11 @@ class TestKittenRun:
         assert math.isinf(row[0])
         assert math.isnan(row[2])
         assert row[3] == pytest.approx(3.2483, abs=2e-3)
+
+    def test_infinite_squeeze_max_rejected(self):
+        # an infinite grid end is not the infinite=true point
+        with pytest.raises(ValueError, match="squeeze_max < inf"):
+            run_experiment(make_config("kitten", {"squeeze_max": "inf"}))
 
     def test_rows_do_not_depend_on_cutoff(self):
         # every column is closed form; the cutoff enters only max_leakage
@@ -401,6 +425,18 @@ class TestGaussdriveRun:
         assert strong[(1.0, 0.0)] == pytest.approx(0.2, abs=1e-12)
         r0 = round(math.asinh(math.sqrt(0.1)), 6)
         assert strong[(1.0, r0)] == pytest.approx(0.3177932267776061, abs=1e-9)
+
+    @pytest.mark.parametrize("key,value", [("r_max", "inf"), ("r_min", "nan")])
+    def test_non_finite_sweep_end_rejected(self, key, value):
+        with pytest.raises(ValueError, match="r_max < inf"):
+            run_experiment(make_config("gaussdrive", {key: value}))
+
+    @pytest.mark.parametrize(
+        "key,message", [("d0_list", "d0 must be positive"), ("r0_photons", "r0_photons")], ids=["d0_list", "r0_photons"]
+    )
+    def test_nan_list_entry_rejected(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(make_config("gaussdrive", {key: "nan"}))
 
     def test_zero_drive_row(self):
         cfg = make_config("gaussdrive", {"r_steps": 1, "r0_photons": "0.0"})
@@ -624,6 +660,12 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metadata"]["experiment"] == "gaussdrive"
+
+    def test_json_flag_is_rfc_8259(self, capsys):
+        # infinite squeezing gives inf and nan cells
+        assert main(["kitten", "--infinite", "true", "--k_list", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert payload["rows"][0][:3] == ["inf", 1, "nan"]
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"

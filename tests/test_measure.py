@@ -10,7 +10,7 @@ from oracles import interference_gadget, l_intf_gathers, measure_count
 from dipnesim.circuits import GadgetSpec, beamsplit, displace
 from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
 from dipnesim.fock import ModeLayout, basis_state, tensor, vacuum_state
-from dipnesim.measure import joint_number_distribution, l_intf, mean_quadrature
+from dipnesim.measure import _vacuum_split, joint_number_distribution, l_intf, mean_quadrature
 from dipnesim.states import Squeeze, coherent, squeezed_vacuum
 
 
@@ -130,6 +130,27 @@ class TestMeanQuadrature:
         x, p = mean_quadrature(squeezed_vacuum(Squeeze(0.7, 1.1), 60), 0)
         assert x == pytest.approx(0.0, abs=1e-12)
         assert p == pytest.approx(0.0, abs=1e-12)
+
+
+class TestVacuumSplit:
+    @pytest.mark.parametrize("theta", [math.pi / 5, -0.9])
+    @pytest.mark.parametrize("d", [31, 61, 121])
+    def test_matches_30_digit_binomial(self, d, theta):
+        # every entry sqrt(C(n, b)) cos^{n-b} (i sin)^b against mpmath at the
+        # same double theta
+        import mpmath
+
+        idx, src, u = _vacuum_split(d, d, theta)
+        b = idx % d
+        with mpmath.workdps(30):
+            c, s = mpmath.cos(theta), mpmath.sin(theta)
+            want = [
+                mpmath.sqrt(mpmath.binomial(n, k)) * c ** (n - k) * (1j * s) ** k
+                for n, k in zip(src.tolist(), b.tolist())
+            ]
+            worst = max(abs(got - w) / abs(w) for got, w in zip(u.tolist(), want))
+        assert idx.tolist() == ((src - b) * d + b).tolist()
+        assert worst < 1e-14
 
 
 def loss_theory(alpha0, alpha1, spec):

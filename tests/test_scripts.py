@@ -43,11 +43,12 @@ def test_table_diff_reports_metadata_and_column_deviations(tmp_path, capsys, mon
         with pytest.raises(SystemExit) as done:
             monkeypatch.setattr(sys, "argv", ["table_diff.py", *map(str, argv)])
             runpy.run_path(str(SCRIPTS / "table_diff.py"), run_name="__main__")
-        return done.value.code, capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        return done.value.code, captured.out.splitlines(), captured.err
 
-    code, out = run(old, same)
+    code, out, _ = run(old, same)
     assert (code, out) == (0, ["byte-identical"])
-    code, out = run(old, new)
+    code, out, _ = run(old, new)
     assert code == 1
     assert out[:2] == ["not byte-identical", "metadata: 1 line(s) differ"]
     assert out[2:5] == [f"  - {old.read_text().splitlines()[1]}", f"  + {lines[1]}", "rows: 3"]
@@ -55,5 +56,11 @@ def test_table_diff_reports_metadata_and_column_deviations(tmp_path, capsys, mon
     assert columns["fraction"] == ["0", "0"]
     assert columns["L_intf_sim"] == ["1", "0.25"]
     assert columns["L_intf_theory"] == ["0", "0"]
-    code, _ = run(old)
+    code, _, _ = run(old)
     assert code == 2
+    # an unreadable file is a usage error, not a differing table
+    code, out, err = run(old, tmp_path / "missing.csv")
+    assert (code, out) == (2, []) and err.startswith("error:") and "missing.csv" in err
+    new.write_bytes(b"\xff\xfe")
+    code, out, err = run(old, new)
+    assert (code, out) == (2, []) and err.startswith("error:")
