@@ -32,12 +32,16 @@ truncated space, so
     D(alpha) = R(arg alpha) exp(|alpha| (a+ - a)) R(-arg alpha)
     S(r e^{i theta}) = R(theta/2) exp((r/2)(a^2 - a+^2)) R(-theta/2)
 
-are the same truncated-generator exponentials as the complex forms, while
-_expm (scaling and squaring, on numpy) sees only a real matrix.  _expm takes
-a stack, each matrix with its own scaling, so displacements applies every
-D(alpha) of a sweep to one state from stacked exponentials, in chunks that
-keep each stack within STACK_BYTES; displace and squeeze_op are one-row
-calls.
+are the same truncated-generator exponentials as the complex forms, with a
+real G.  On a one-mode state they go through _mode_action: the generators
+are banded (a+ - a tridiagonal, a^2 - a+^2 tridiagonal in even-then-odd
+order), so a stack of vectors, each with its own generator, scale and
+phase, takes Taylor steps of shifted-slice products (Al-Mohy & Higham, SIAM
+J. Sci. Comput. 33, 488 (2011)), with no d^3 work and no BLAS call.
+displacements applies a sweep's D(alpha) to a state as one batch, and
+oracle-check runs its circuits' one-mode prefixes through it in lockstep.
+_expm (scaling and squaring, on numpy) serves multi-mode factors only, where
+one dense exponential and one gemm cover every column.
 
 GadgetSpec holds the pickoff gadget's parameters.  measure.l_intf reads that
 circuit out from single-mode marginals through _bs_number_readout: the exit
@@ -336,71 +340,130 @@ def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockS
     return FockState(state.layout, out.reshape(-1), state.leakage)
 
 
-# byte budget of one chunk of a stacked mode operation: of each (d, d)
-# exponential stack and of each stack of rotated copies of the state
-STACK_BYTES = 1 << 18
-
-
 def _lowering(d: int) -> np.ndarray:
     """Dense d x d lowering operator."""
     return np.diag(np.sqrt(np.arange(1.0, d)), 1)
 
 
-def _apply_mode_generator(state: FockState, mode: int, base: np.ndarray, scales, phis, whats) -> list[FockState]:
-    """Apply R(phi_i) exp(scale_i G) R(-phi_i) along one axis, for each row i.
+# (m, theta_m): m Taylor terms of exp(A) keep a backward error <= 2^-53 while
+# ||A||_1 <= theta_m (Al-Mohy & Higham 2011, Table 3.1)
+_TAYLOR = ((5, 2.4e-3), (10, 0.144), (15, 0.641), (20, 1.44), (25, 2.43), (30, 3.54),
+           (35, 4.7), (40, 6.0), (45, 7.2), (50, 8.5), (55, 9.9))
 
-    R(phi) = diag(e^{i phi n}) rotates the phase out of the generator:
-    R(phi) a R(-phi) = e^{-i phi} a holds on the truncated space too, so
-    D(alpha) and S(xi) are the same truncated-generator exponentials with a
-    real anti-symmetric G = ``base``, and _expm never sees a complex matrix.
-    Rows go through in chunks of as many as fit in STACK_BYTES per stack (at
-    least one): one stacked exponential per chunk, the state rotated by each
-    R(-phi_i) in one C-order pass, each real exp(scale_i G) applied as a real
-    gemm on the float64 view of its copy, and the result scaled by R(phi_i)
-    in place.  Every row is bit for bit the one-row call, and each warns on
-    its own guard-band mass.
+
+def _mode_action(vecs: np.ndarray, powers, scales, phis) -> np.ndarray:
+    """R(phi_i) exp(scale_i G_i) R(-phi_i) vecs[i] for a (k, d) stack of
+    one-mode vectors, with G_i = a+ - a (powers[i] = 1) or a^2 - a+^2 (2).
+
+    Row i takes s_i steps of up to m_i Taylor terms, the least m_i s_i with
+    ||scale_i G_i||_1 / s_i <= theta_m (Al-Mohy & Higham) and a mean reach
+    per step, r / s_i of the r generator applications that lead to level
+    d - 1, of at most m_i / 3.  That is _expm's relative tail rule,
+    (d - 1) / 2^s <= 8 for a degree-26-exact approximant: every level keeps
+    its relative accuracy.  A step ends early once two consecutive terms lie
+    below 2^-53 of the sum in every entry (Al-Mohy & Higham's test, taken
+    entrywise and checked every eighth term).  Rows are held level-first,
+    between two zero levels, so a term is two products on shifted slices of
+    the float64 view and a sum.  Every row is bit for bit the row run alone.
     """
+    k, d = vecs.shape
+    # G_i in level order (even then odd levels for power 2) is tridiagonal:
+    # (G x)[j] = low[j] x[j - 1] + high[j] x[j + 1]
+    power = np.asarray(powers)[:, None]
+    order = np.where(power == 1, np.arange(d), np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)]))
+    n = order.astype(np.float64)
+    high = np.where(n + power < d, np.where(power == 2, np.sqrt((n + 1) * (n + 2)), -np.sqrt(n + 1)), 0.0)
+    low = np.where(power == 2, -np.sqrt(n * (n - 1)), np.sqrt(n))
+    # (m, s) per row: the least m s, ties to the larger m
+    degrees, thetas = np.array(_TAYLOR).T
+    beta = np.asarray(scales, dtype=np.float64) * (np.abs(low) + np.abs(high)).max(axis=1)
+    reach = np.ceil((d - 1) / power[:, 0])
+    counts = np.maximum(np.ceil(beta[:, None] / thetas), np.ceil(3 * reach[:, None] / degrees)).clip(min=1)
+    pick = degrees.size - 1 - (degrees * counts)[:, ::-1].argmin(axis=1)
+    plans = np.stack([degrees[pick], counts[np.arange(k), pick]], axis=1).astype(int)
+    # each row's coefficients, scaled to one step, for both of its float columns
+    step_scale = (np.asarray(scales, dtype=np.float64) / plans[:, 1])[:, None]
+    low, high = (np.repeat((band * step_scale).T, 2, axis=1) for band in (low, high))
+    rot = np.exp(1j * np.asarray(phis, dtype=np.float64)[:, None] * np.arange(d))
+    rows = np.arange(k)[:, None]
+    cur = np.ascontiguousarray((vecs * rot.conj())[rows, order].T)
+    for step in range(int(plans[:, 1].max(initial=0))):
+        live = np.flatnonzero(plans[:, 1] > step)
+        cols, degree = (2 * live[:, None] + np.arange(2)).reshape(-1), plans[live, 0]
+        lo, hi = np.ascontiguousarray(low[:, cols]), np.ascontiguousarray(high[:, cols])
+        term, nxt = np.zeros((2, d + 2, cols.size))
+        term[1:-1] = np.ascontiguousarray(cur[:, live]).view(np.float64)
+        total, out, tmp = term[1:-1].copy(), term[1:-1].copy(), np.empty((d, cols.size))
+        done, ends = np.zeros(live.size, dtype=bool), set(degree.tolist())
+        for j in range(1, max(ends) + 1):
+            np.multiply(lo, term[:-2], out=tmp)
+            np.multiply(hi, term[2:], out=nxt[1:-1])
+            tmp += nxt[1:-1]
+            np.multiply(tmp, 1.0 / j, out=nxt[1:-1])
+            term, nxt = nxt, term
+            total += term[1:-1]
+            if j % 8 and j not in ends:
+                continue
+            stop = degree == j
+            if j % 8 == 0:  # nxt still holds term j - 1
+                small = (np.abs(term[1:-1]) + np.abs(nxt[1:-1]) <= 2.0**-53 * np.abs(total)).all(axis=0)
+                stop |= small[0::2] & small[1::2]
+            new = stop & ~done
+            if new.any():
+                out[:, np.repeat(new, 2)] = total[:, np.repeat(new, 2)]
+                done |= new
+                if done.all():
+                    break
+        cur[:, live] = out.view(np.complex128)
+    result = np.empty_like(cur.T)
+    result[rows, order] = cur.T
+    return result * rot
+
+
+def _mode_step(element) -> tuple[int, float, float, str]:
+    """(power, scale, phi, what) of a displace or squeeze element, applied as
+    R(phi) exp(scale G) R(-phi) with a real G, and its warning label."""
+    if element[0] == "displace":
+        alpha = complex(element[2])
+        return 1, abs(alpha), cmath.phase(alpha), f"displace(alpha={alpha:.4g})"
+    squeeze = element[2]
+    return 2, squeeze.r / 2, squeeze.theta / 2, f"squeeze_op(r={squeeze.r:.4g})"
+
+
+def _apply_mode_steps(state: FockState, mode: int, steps) -> list[FockState]:
+    """Apply each (power, scale, phi, what) step of _mode_step along one mode:
+    on a one-mode state as one _mode_action batch, on a multi-mode state one
+    real _expm per row, applied by a real gemm to the state rotated by
+    R(-phi) while its mode axis is gathered to the front."""
+    state.layout._check_mode(mode)
+    powers, scales, phis, whats = zip(*steps)
     d = state.layout.dims[mode]
-    arr = np.moveaxis(state.nd, mode, 0)
-    shape = arr.shape
-    per = max(1, STACK_BYTES // (8 * max(d * d, 2 * arr.size)))
-    results = []
-    for lo in range(0, len(scales), per):
-        scale = np.array(scales[lo : lo + per], dtype=np.float64)
-        phi = np.array(phis[lo : lo + per], dtype=np.float64)
-        ph = np.exp(1j * phi[:, None] * np.arange(d)).reshape((phi.size, d) + (1,) * (arr.ndim - 1))
-        # R(-phi) applied while gathering the mode axis to the front, in one
-        # pass; rebinding block frees it as soon as the product exists
-        block = np.multiply(ph.conj(), arr, order="C").reshape(phi.size, d, -1)
-        block = _real_matmul(_expm(scale[:, None, None] * base), block)
-        block *= ph.reshape(phi.size, d, 1)
-        for row, what in zip(block, whats[lo : lo + per]):
-            out = np.moveaxis(row.reshape(shape), 0, mode)
-            result = FockState(state.layout, out.reshape(-1), state.leakage)
-            _warn_leak(result.guard_band_mass, what)
-            results.append(result)
-    return results
+    if state.layout.n_modes == 1:
+        rows = _mode_action(np.broadcast_to(state.amplitudes, (len(steps), d)), powers, scales, phis)
+    else:
+        arr, a, rows = np.moveaxis(state.nd, mode, 0), _lowering(d), []
+        for power, scale, phi in zip(powers, scales, phis):
+            base = a.T - a if power == 1 else a @ a - (a @ a).T
+            ph = np.exp(1j * phi * np.arange(d)).reshape((d,) + (1,) * (arr.ndim - 1))
+            block = _real_matmul(_expm(scale * base), np.multiply(ph.conj(), arr, order="C").reshape(d, -1))
+            block = block.reshape(arr.shape)
+            block *= ph
+            rows.append(np.moveaxis(block, 0, mode).reshape(-1))
+    states = [FockState(state.layout, row, state.leakage) for row in rows]
+    for result, what in zip(states, whats):
+        _warn_leak(result.guard_band_mass, what)
+    return states
 
 
 def displacements(state: FockState, mode: int, alphas) -> list[FockState]:
-    """[displace(state, mode, alpha) for alpha in alphas], from stacked exponentials."""
+    """[displace(state, mode, alpha) for alpha in alphas], as one batch."""
     alphas = [complex(alpha) for alpha in alphas]
     moved = [alpha for alpha in alphas if alpha != 0]
     if not moved:
         return [state] * len(alphas)
-    scales = [abs(alpha) for alpha in moved]
-    if not math.isfinite(sum(scales)):
+    if not math.isfinite(sum(abs(alpha) for alpha in moved)):
         raise ValueError("displacement must be finite")
-    state.layout._check_mode(mode)
-    a = _lowering(state.layout.dims[mode])
-    out = iter(_apply_mode_generator(
-        state,
-        mode,
-        a.T - a,
-        scales,
-        [cmath.phase(alpha) for alpha in moved],
-        [f"displace(alpha={alpha:.4g})" for alpha in moved],
-    ))
+    out = iter(_apply_mode_steps(state, mode, [_mode_step(("displace", mode, alpha)) for alpha in moved]))
     return [next(out) if alpha != 0 else state for alpha in alphas]
 
 
@@ -420,11 +483,7 @@ def squeeze_op(state: FockState, mode: int, squeeze: Squeeze) -> FockState:
     """
     if squeeze.r == 0.0:
         return state
-    state.layout._check_mode(mode)
-    a = _lowering(state.layout.dims[mode])
-    a2 = a @ a
-    what = f"squeeze_op(r={squeeze.r:.4g})"
-    return _apply_mode_generator(state, mode, a2 - a2.T, [squeeze.r / 2], [squeeze.theta / 2], [what])[0]
+    return _apply_mode_steps(state, mode, [_mode_step(("squeeze", mode, squeeze))])[0]
 
 
 def apply_element(state: FockState, element) -> FockState:

@@ -29,13 +29,15 @@ from .analytics import (
 from .catfit import CatFitResult, fit_squeezed_cats, kitten_target
 from .circuits import (
     GadgetSpec,
+    _mode_action,
+    _mode_step,
     apply_element,
     displacements,
     phase_shift,
     phase_to_dide,
     squeeze_op,
 )
-from .fock import FockState, ModeLayout, basis_state, tensor, vacuum_state
+from .fock import FockState, ModeLayout, _warn_leak, basis_state, tensor, vacuum_state
 from .kitten import KittenSpec, _herald_probability, herald_tails, kitten_direct
 from .measure import joint_number_distribution, l_intf, mean_quadrature
 from .states import Squeeze, coherent
@@ -609,27 +611,57 @@ def _enumerated_circuits(seed: int, count: int, max_modes: int):
         yield f"g{i:03d}", n_modes, elements
 
 
-def _product_factors(n_modes: int, cutoff: int, elements) -> dict[int, tuple]:
-    """Run a circuit on product-state factors: {mode: (modes, state)}.
+def _product_factors(circuits, cutoff: int):
+    """Run (n_modes, elements) circuits on product-state factors, yielding
+    {mode: (modes, state)} for each circuit in turn.
 
-    Every mode starts as its own 1-mode vacuum.  Each element acts, through
-    apply_element with local mode indices, on the factor that holds its
-    modes; a beamsplit that spans two factors first joins them with tensor.
-    Modes no beamsplit couples never share an amplitude array.
+    A lane is one (circuit, mode) pair; its prefix is every element before
+    the first beamsplit that touches the mode, which commutes with all work
+    on other modes.  Phase 1 runs every lane's prefix from vacuum in
+    lockstep: step t is one _mode_action call for the t-th displace and
+    squeeze elements of all lanes, and one product for their phases.  Phase
+    2 runs each circuit's other elements depth-first through apply_element on
+    the factor that holds their modes, joining two factors with tensor at a
+    beamsplit that spans them, and yields the circuit before the next starts.
     """
-    vacuum = vacuum_state(ModeLayout((cutoff,)))
-    factors = {mode: ((mode,), vacuum) for mode in range(n_modes)}
-    for element in elements:
-        targets = element[1:3] if element[0] == "beamsplit" else element[1:2]
-        modes, state = factors[targets[0]]
-        if targets[-1] not in modes:
-            other, state_b = factors[targets[-1]]
-            modes, state = modes + other, tensor(state, state_b)
-        local = tuple(modes.index(m) for m in targets)
-        state = apply_element(state, (element[0], *local, *element[1 + len(targets):]))
-        for mode in modes:
-            factors[mode] = (modes, state)
-    return factors
+    circuits, layout, levels = list(circuits), ModeLayout((cutoff,)), np.arange(cutoff + 1)
+    lanes, rests = [], []
+    for n_modes, elements in circuits:
+        coupled, rest, prefixes = set(), [], [[] for _ in range(n_modes)]
+        for element in elements:
+            if element[0] == "beamsplit":
+                coupled.update(element[1:3])
+            (rest if element[1] in coupled else prefixes[element[1]]).append(element)
+        lanes += prefixes
+        rests.append(rest)
+    vecs = np.zeros((len(lanes), cutoff + 1), dtype=np.complex128)
+    vecs[:, 0] = 1.0
+    for step in range(max(map(len, lanes), default=0)):
+        moves = []
+        for lane, prefix in enumerate(lanes):
+            if len(prefix) > step and prefix[step][0] == "phase":
+                vecs[lane] *= np.exp(1j * prefix[step][2] * levels)
+            elif len(prefix) > step:
+                moves.append((lane, _mode_step(prefix[step])))
+        if moves:
+            at, (powers, scales, phis, whats) = [lane for lane, _ in moves], zip(*(op for _, op in moves))
+            vecs[at] = _mode_action(vecs[at], powers, scales, phis)
+            for lane, what in zip(at, whats):
+                _warn_leak(FockState(layout, vecs[lane]).guard_band_mass, what)
+    starts = np.cumsum([0] + [n_modes for n_modes, _ in circuits])
+    for (n_modes, _), rest, lane in zip(circuits, rests, starts):
+        factors = {mode: ((mode,), FockState(layout, vecs[lane + mode])) for mode in range(n_modes)}
+        for element in rest:
+            targets = element[1:3] if element[0] == "beamsplit" else element[1:2]
+            modes, state = factors[targets[0]]
+            if targets[-1] not in modes:
+                other, state_b = factors[targets[-1]]
+                modes, state = modes + other, tensor(state, state_b)
+            local = tuple(modes.index(m) for m in targets)
+            state = apply_element(state, (element[0], *local, *element[1 + len(targets):]))
+            for mode in modes:
+                factors[mode] = (modes, state)
+        yield factors
 
 
 def run_oracle_check(config: ExperimentConfig) -> ResultTable:
@@ -637,10 +669,11 @@ def run_oracle_check(config: ExperimentConfig) -> ResultTable:
     Gaussian circuits, plus the equal-count amplitude against brute
     force.
 
-    The Fock side runs each circuit on product-state factors
-    (_product_factors), so a mode's photon number and quadratures are read
-    from the factor that holds it, and the full n-mode array is built only
-    when beamsplits join every mode.
+    The Fock side runs on product-state factors (_product_factors): every
+    circuit's one-mode prefixes first, in lockstep across circuits, then each
+    circuit's rest in turn, read out and dropped before the next.  A mode's
+    photon number and quadratures are read from the factor that holds it,
+    and the full n-mode array is built only when beamsplits join every mode.
     """
     cutoff = config["cutoff"]
     if config["circuits"] < 1:
@@ -650,28 +683,20 @@ def run_oracle_check(config: ExperimentConfig) -> ResultTable:
 
     rows = []
     all_ok = True
-    for circuit_id, n_modes, elements in _enumerated_circuits(
-        config["seed"], config["circuits"], config["max_modes"]
-    ):
+    circuits = list(_enumerated_circuits(config["seed"], config["circuits"], config["max_modes"]))
+    runs = _product_factors([(n_modes, elements) for _, n_modes, elements in circuits], cutoff)
+    for (circuit_id, n_modes, elements), factors in zip(circuits, runs):
         moments = vacuum_moments(n_modes)
         for element in elements:
             moments = gaussian_propagate(moments, element)
-        factors = _product_factors(n_modes, cutoff, elements)
-        photon_err = 0.0
-        quad_err = 0.0
+        photon_err = quad_err = 0.0
         for mode in range(n_modes):
             modes, state = factors[mode]
             local = modes.index(mode)
-            photon_err = max(
-                photon_err,
-                abs(mean_photons_from_moments(moments, mode) - state.mean_photons(local)),
-            )
+            n_err = abs(mean_photons_from_moments(moments, mode) - state.mean_photons(local))
             qx, qp = mean_quadrature(state, local)
-            quad_err = max(
-                quad_err,
-                abs(moments.mean[2 * mode] - qx),
-                abs(moments.mean[2 * mode + 1] - qp),
-            )
+            photon_err = max(photon_err, n_err)
+            quad_err = max(quad_err, abs(moments.mean[2 * mode] - qx), abs(moments.mean[2 * mode + 1] - qp))
         all_ok &= photon_err <= MEANPHOTON_TOL and quad_err <= QUADRATURE_TOL
         rows.append((circuit_id, photon_err, quad_err))
 

@@ -1,4 +1,4 @@
-"""Truncated multimode Fock spaces: layouts, state vectors, the annihilation operator.
+"""Truncated multimode Fock spaces: layouts, state vectors, marginals, tensor products.
 
 A mode with cutoff c holds occupations 0..c inclusive (dimension c+1).  Joint
 states are dense complex vectors over the mixed-radix basis with the LAST mode
@@ -111,8 +111,8 @@ class FockState:
         return self.amplitudes.reshape(self.layout.dims)
 
     def norm(self) -> float:
-        # einsum, not BLAS, for the same reason as inner: a threaded dot
-        # splits the sum by thread count and wakes numpy's OpenBLAS pool
+        # einsum, not BLAS: a threaded dot splits the sum by thread count, so
+        # results would depend on OPENBLAS_NUM_THREADS
         flat = self.amplitudes.view(np.float64)
         return math.sqrt(np.einsum("i,i->", flat, flat))
 
@@ -133,12 +133,17 @@ class FockState:
         interior = probs[tuple(slice(0, max(d - GUARD_BAND, 0)) for d in self.layout.dims)]
         return float(probs.sum() - interior.sum())
 
-    def mean_photons(self, mode: int) -> float:
-        """Expectation of the number operator on one mode, normalized or not."""
+    def _mode_rows(self, mode: int) -> np.ndarray:
+        """The float64 view of the amplitudes as (before, d, 2 after): axis 1
+        counts the photons in ``mode``, with no copy."""
         self.layout._check_mode(mode)
-        others = tuple(ax for ax in range(self.layout.n_modes) if ax != mode)
-        dist = (np.abs(self.nd) ** 2).sum(axis=others)
-        return float(np.dot(np.arange(dist.size), dist))
+        return self.amplitudes.view(np.float64).reshape(math.prod(self.layout.dims[:mode]), self.layout.dims[mode], -1)
+
+    def mean_photons(self, mode: int) -> float:
+        """Expectation of the number operator on one mode, normalized or not:
+        the level probabilities, weighted and summed exactly."""
+        rows = self._mode_rows(mode)
+        return math.fsum((np.arange(rows.shape[1]) * np.einsum("pnr,pnr->n", rows, rows)).tolist())
 
 
 def _warn_leak(mass: float, what: str) -> None:
@@ -160,34 +165,6 @@ def basis_state(layout: ModeLayout, occupation) -> FockState:
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[layout.index(occupation)] = 1.0
     return FockState(layout, amps)
-
-
-def apply_annihilation(state: FockState, mode: int) -> FockState:
-    """Apply the annihilation operator to one mode.  Does not renormalize."""
-    state.layout._check_mode(mode)
-    nd = state.nd
-    d = state.layout.dims[mode]
-    out = np.zeros_like(nd)
-    weights = np.sqrt(np.arange(1, d))
-    shape = [1] * nd.ndim
-    shape[mode] = d - 1
-    src = [slice(None)] * nd.ndim
-    dst = [slice(None)] * nd.ndim
-    src[mode] = slice(1, d)
-    dst[mode] = slice(0, d - 1)
-    out[tuple(dst)] = nd[tuple(src)] * weights.reshape(shape)
-    return FockState(state.layout, out.reshape(-1), state.leakage)
-
-
-def inner(a: FockState, b: FockState) -> complex:
-    """Inner product <a|b>, conjugate-linear in the first argument.
-
-    Summed by einsum, not BLAS: a threaded vdot splits the sum by thread
-    count, so results would depend on OPENBLAS_NUM_THREADS.
-    """
-    if a.layout != b.layout:
-        raise ValueError("inner product requires identical layouts")
-    return complex(np.einsum("i,i->", a.amplitudes.conj(), b.amplitudes))
 
 
 def marginal_number_distribution(state: FockState, mode: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import GadgetSpec, _bs_number_readout
-from .fock import FockState, apply_annihilation, inner
+from .fock import FockState
 
 
 def _require_normalized(state: FockState, tol: float = 1e-6) -> None:
@@ -41,10 +41,17 @@ def joint_number_distribution(state: FockState) -> np.ndarray:
 
 
 def mean_quadrature(state: FockState, mode: int) -> tuple[float, float]:
-    """Expectation pair (X, P) of one mode."""
+    """Expectation pair (X, P) = 2 (Re, Im) <a> of one mode, with
+    <a> = sum_n sqrt(n + 1) <psi_n, psi_{n+1}> over the slices psi_n with n
+    photons in the mode, read off the float64 view with no copy."""
     _require_normalized(state)
-    a_expect = inner(state, apply_annihilation(state, mode))
-    return 2.0 * a_expect.real, 2.0 * a_expect.imag
+    rows = state._mode_rows(mode)
+    lo, up = rows[:, :-1], rows[:, 1:]
+    pairs_lo, pairs_up = lo.reshape(lo.shape[:2] + (-1, 2)), up.reshape(up.shape[:2] + (-1, 2))
+    re = np.einsum("pnr,pnr->n", lo, up)
+    im = np.einsum("pnr,pnr->n", pairs_lo[..., 0], pairs_up[..., 1]) - np.einsum("pnr,pnr->n", pairs_lo[..., 1], pairs_up[..., 0])
+    weights = np.sqrt(np.arange(1.0, rows.shape[1]))
+    return 2.0 * math.fsum((weights * re).tolist()), 2.0 * math.fsum((weights * im).tolist())
 
 
 @lru_cache(maxsize=16)

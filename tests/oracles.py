@@ -69,6 +69,38 @@ from dipnesim.states import (
 )
 
 
+def apply_annihilation(state: FockState, mode: int) -> FockState:
+    """The annihilation operator on one mode, as a shifted and weighted copy.
+    Does not renormalize."""
+    state.layout._check_mode(mode)
+    nd = state.nd
+    d = state.layout.dims[mode]
+    out = np.zeros_like(nd)
+    shape = [1] * nd.ndim
+    shape[mode] = d - 1
+    src = [slice(None)] * nd.ndim
+    dst = [slice(None)] * nd.ndim
+    src[mode] = slice(1, d)
+    dst[mode] = slice(0, d - 1)
+    out[tuple(dst)] = nd[tuple(src)] * np.sqrt(np.arange(1, d)).reshape(shape)
+    return FockState(state.layout, out.reshape(-1), state.leakage)
+
+
+def inner(a: FockState, b: FockState) -> complex:
+    """Inner product <a|b>, conjugate-linear in the first argument, summed by
+    einsum so that it does not depend on the BLAS thread count."""
+    if a.layout != b.layout:
+        raise ValueError("inner product requires identical layouts")
+    return complex(np.einsum("i,i->", a.amplitudes.conj(), b.amplitudes))
+
+
+def readout_oracle(state: FockState, mode: int) -> tuple[float, complex]:
+    """(<n>, <a>) of one mode from the shifted copy: the readout oracle for
+    FockState.mean_photons and measure.mean_quadrature."""
+    lowered = apply_annihilation(state, mode)
+    return inner(lowered, lowered).real, inner(state, lowered)
+
+
 def bs_sector_eigh(da: int, db: int, total: int):
     """Mode-a occupations and the eigenpairs (ascending) of the beamsplitter
     generator in number sector ``total``, from a dense np.linalg.eigh."""
@@ -97,6 +129,25 @@ def beamsplit_sector_unitaries(state: FockState, mode_a: int, mode_b: int, theta
         out[js, ks, :] = unitary @ arr[js, ks, :]
     out = np.moveaxis(out.reshape((da, db) + rest), (0, 1), (mode_a, mode_b))
     return FockState(state.layout, out.reshape(-1), state.leakage)
+
+
+def depth_first_factors(n_modes: int, cutoff: int, elements) -> dict[int, tuple]:
+    """One circuit on product-state factors, element by element through
+    apply_element: {mode: (modes, state)}.  The oracle for the lockstep
+    phase of experiments._product_factors, which must give the same bits."""
+    vacuum = vacuum_state(ModeLayout((cutoff,)))
+    factors = {mode: ((mode,), vacuum) for mode in range(n_modes)}
+    for element in elements:
+        targets = element[1:3] if element[0] == "beamsplit" else element[1:2]
+        modes, state = factors[targets[0]]
+        if targets[-1] not in modes:
+            other, state_b = factors[targets[-1]]
+            modes, state = modes + other, tensor(state, state_b)
+        local = tuple(modes.index(m) for m in targets)
+        state = apply_element(state, (element[0], *local, *element[1 + len(targets):]))
+        for mode in modes:
+            factors[mode] = (modes, state)
+    return factors
 
 
 def full_state_oracle_rows(seed: int, circuits: int, cutoff: int, max_modes: int) -> list[tuple]:

@@ -29,7 +29,7 @@ from dipnesim.catfit import (
     kitten_target,
 )
 from dipnesim.experiments import make_config, run_experiment
-from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, inner, vacuum_state
+from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, vacuum_state
 from dipnesim.kitten import KittenSpec, KittenState, kitten_direct
 from dipnesim.states import Squeeze, _cat_norms_squared, _parity_filter
 from oracles import (
@@ -39,6 +39,7 @@ from oracles import (
     cat_norm_squared,
     cat_state,
     fit_target,
+    inner,
     kitten_series,
     squeezed_coherent_batch,
 )

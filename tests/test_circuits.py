@@ -404,6 +404,10 @@ class TestDisplaceSqueeze:
         monkeypatch.setattr(circuits, "_expm", spy(circuits._expm))
         psi = coherent(0.5, cutoff)
         squeeze_op(displace(psi, 0, -0.3 + 0.8j), 0, Squeeze(0.3, 2.2))
+        # a one-mode state goes through the banded action, with no exponential
+        assert seen == []
+        pair = tensor(psi, vacuum_state(ModeLayout((1,))))
+        squeeze_op(displace(pair, 0, -0.3 + 0.8j), 0, Squeeze(0.3, 2.2))
         assert len(seen) == 2
         assert not any(np.issubdtype(dtype, np.complexfloating) for dtype in seen)
 
@@ -431,7 +435,6 @@ class TestStackedExponential:
         # complex alphas, zeros between them and more rows than one chunk holds
         psi = squeezed_coherent(0.3 - 0.2j, Squeeze(0.3, 0.8), 120)
         alphas = [0.7 + 0.4j, 0, -0.5 + 0.9j, -0.8 - 0.3j, 0.2 - 1.1j, 0.0j, 1.3, -0.6, 0.25j, 0.9 + 0.9j]
-        assert len(alphas) > circuits.STACK_BYTES // (8 * 121**2)
         swept = displacements(psi, 0, alphas)
         for alpha, state in zip(alphas, swept):
             want = displace(psi, 0, alpha)
@@ -460,8 +463,9 @@ class TestStackedExponential:
                 assert state.leakage == one.leakage
 
     def test_sweep_stack_stays_in_its_chunks(self):
-        # 21 fractions at cutoff 120: unchunked, each (21, 121, 121) stack
-        # temporary of the exponential would be 2.5 MB
+        # 21 fractions at cutoff 120: a stacked dense exponential would hold
+        # 2.5 MB per (21, 121, 121) temporary; the banded action holds
+        # (123, 42) float arrays
         core = basis_state(ModeLayout((120,)), (1,))
         alphas = [math.sqrt(f) for f in np.linspace(0.0, 1.0, 21)]
         displacements(core, 0, alphas[:2])
@@ -471,7 +475,67 @@ class TestStackedExponential:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * circuits.STACK_BYTES
+        assert peak <= 4 << 20
+
+
+class TestModeAction:
+    @staticmethod
+    def dense(vec, power, scale, phi):
+        # oracle: the Pade exponential of the same real generator
+        d = vec.size
+        a = circuits._lowering(d)
+        base = a.T - a if power == 1 else a @ a - (a @ a).T
+        rot = np.exp(1j * phi * np.arange(d))
+        return rot * (circuits._expm(scale * base) @ (rot.conj() * vec))
+
+    @pytest.mark.parametrize("family", INTERFERENCE_FAMILIES)
+    @pytest.mark.parametrize("cutoff", [6, 30, 60, 120])
+    def test_matches_expm_on_interference_cores(self, family, cutoff):
+        scales = [math.sqrt(f * 3.0) for f in np.linspace(0.05, 1.0, 20)] + [0.05, 0.2, 0.44]
+        powers = [1] * 20 + [2] * 3
+        phis = np.linspace(0.0, 6.0, len(scales))
+        for core in _interference_cores(family, cutoff):
+            vecs = np.broadcast_to(core.amplitudes, (len(scales), core.layout.dim))
+            got = circuits._mode_action(vecs, powers, scales, phis)
+            for row, power, scale, phi in zip(got, powers, scales, phis):
+                np.testing.assert_allclose(row, self.dense(core.amplitudes, power, scale, phi), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [31, 61, 121])
+    def test_matches_scipy_expm_multiply(self, d):
+        # oracle: scipy's sparse action of the complex generator, phase included
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        a = scipy.sparse.diags(np.sqrt(np.arange(1.0, d)), 1, format="csc")
+        rng = np.random.default_rng(d)
+        vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+        vec /= np.linalg.norm(vec)
+        for power, scale, phi in ((1, 1.3, 0.4), (1, 0.02, 5.0), (2, 0.2, 2.0), (2, 0.45, 0.7)):
+            if power == 1:
+                alpha = scale * cmath.exp(1j * phi)
+                gen = alpha * a.T - np.conj(alpha) * a
+            else:
+                xi = 2 * scale * cmath.exp(2j * phi)
+                gen = (np.conj(xi) * (a @ a) - xi * (a.T @ a.T)) / 2
+            want = scipy.sparse.linalg.expm_multiply(gen.astype(np.complex128), vec)
+            got = circuits._mode_action(vec[None], [power], [scale], [phi])[0]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_mixed_batch_rows_match_rows_alone(self):
+        # displace, squeeze and zero rows of different magnitudes and inputs
+        d = 61
+        rng = np.random.default_rng(11)
+        vecs = rng.normal(size=(9, d)) + 1j * rng.normal(size=(9, d))
+        vecs[3] = 0.0
+        vecs[3, 0] = 1.0
+        powers = [1, 2, 1, 2, 1, 2, 1, 2, 1]
+        scales = [1.8, 0.225, 0.0, 0.0, 0.05, 0.01, 3.0, 0.6, 0.3]
+        phis = [0.3, 1.2, 2.0, 0.0, 5.5, 3.3, 0.1, 4.0, 2.2]
+        got = circuits._mode_action(vecs, powers, scales, phis)
+        for i in range(len(scales)):
+            alone = circuits._mode_action(vecs[i : i + 1], powers[i : i + 1], scales[i : i + 1], phis[i : i + 1])
+            assert got[i].tobytes() == alone[0].tobytes()
+        np.testing.assert_allclose(got[2], vecs[2], rtol=0, atol=1e-15)
 
 
 class TestTranslations:

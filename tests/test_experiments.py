@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import fit_target, full_state_oracle_rows
+from oracles import depth_first_factors, fit_target, full_state_oracle_rows
 
 from dipnesim import cli
 from dipnesim.circuits import apply_element
@@ -494,10 +494,41 @@ class TestProductFactors:
     def test_some_circuit_joins_all_modes(self, seed):
         # keeps the tensor merge and the 3-mode kernels on the checked path
         joined = 0
-        for _, n_modes, elements in _enumerated_circuits(seed, 100, 3):
-            factors = _product_factors(n_modes, 60, elements)
+        circuits = [(n_modes, elements) for _, n_modes, elements in _enumerated_circuits(seed, 100, 3)]
+        for factors in _product_factors(circuits, 60):
             joined += any(len(modes) == 3 for modes, _ in factors.values())
         assert joined >= 1
+
+    @pytest.mark.parametrize("seed", [7, 501])
+    def test_lockstep_matches_depth_first_bits(self, seed):
+        # each circuit alone, element by element, gives the same amplitudes
+        circuits = [(n_modes, elements) for _, n_modes, elements in _enumerated_circuits(seed, 60, 3)]
+        for (n_modes, elements), factors in zip(circuits, _product_factors(circuits, 20)):
+            want = depth_first_factors(n_modes, 20, elements)
+            for mode in range(n_modes):
+                assert factors[mode][0] == want[mode][0]
+                assert factors[mode][1].amplitudes.tobytes() == want[mode][1].amplitudes.tobytes()
+
+    def test_rows_do_not_depend_on_circuit_count(self):
+        few = run_experiment(make_config("oracle-check", {"seed": 7, "circuits": 42})).to_csv()
+        many = run_experiment(make_config("oracle-check", {"seed": 7, "circuits": 100})).to_csv()
+        rows = lambda csv: [line for line in csv.splitlines() if line.startswith("g")]
+        assert len(rows(few)) == 42
+        assert rows(few) == rows(many)[:42]
+
+    def test_leakage_warning_texts_per_row(self):
+        # at cutoff 8 the guard band holds more than LEAK_THRESHOLD; the
+        # lockstep run warns with the same texts as each circuit run alone
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            run_experiment(make_config("oracle-check", {"seed": 7, "circuits": 30, "cutoff": 8}))
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            for _, n_modes, elements in _enumerated_circuits(7, 30, 3):
+                depth_first_factors(n_modes, 8, elements)
+        texts = sorted(str(w.message) for w in got if w.category is LeakageWarning)
+        assert len(texts) >= 5
+        assert texts == sorted(str(w.message) for w in want if w.category is LeakageWarning)
 
     def test_merge_order(self):
         # each mode is touched first, so the merged factors list their modes
@@ -513,7 +544,7 @@ class TestProductFactors:
         full = vacuum_state(ModeLayout((30, 30, 30)))
         for count, element in enumerate(elements, start=1):
             full = apply_element(full, element)
-            factors = _product_factors(3, 30, elements[:count])
+            (factors,) = _product_factors([(3, elements[:count])], 30)
             for mode in range(3):
                 modes, state = factors[mode]
                 local = modes.index(mode)
@@ -560,6 +591,13 @@ class TestThreadIndependence:
 
     def test_oracle_check_same_bytes_under_one_blas_thread(self):
         default, single = self._stdout_default_and_one_thread(["oracle-check", "--seed", "7", "--circuits", "42"])
+        assert default and default == single
+
+    def test_interference_cutoff_120_same_bytes_under_one_blas_thread(self):
+        # the displaced inputs come from the banded action, with no BLAS call
+        default, single = self._stdout_default_and_one_thread(
+            ["interference", "--family", "photon-both", "--cutoff", "120"]
+        )
         assert default and default == single
 
     def test_interference_same_bytes_under_one_blas_thread(self):

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import drop
+from oracles import apply_annihilation, drop, inner
 
 from dipnesim.fock import (
     FockState,
     ModeLayout,
-    apply_annihilation,
     basis_state,
-    inner,
     marginal_number_distribution,
     tensor,
     vacuum_state,

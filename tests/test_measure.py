@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import interference_gadget, l_intf_gathers, measure_count
+from oracles import interference_gadget, l_intf_gathers, measure_count, readout_oracle
 
-from dipnesim.circuits import GadgetSpec, beamsplit, displace
+from dipnesim.circuits import GadgetSpec, beamsplit, displace, squeeze_op
 from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
 from dipnesim.fock import ModeLayout, basis_state, tensor, vacuum_state
 from dipnesim.measure import _vacuum_split, joint_number_distribution, l_intf, mean_quadrature
@@ -130,6 +130,24 @@ class TestMeanQuadrature:
         x, p = mean_quadrature(squeezed_vacuum(Squeeze(0.7, 1.1), 60), 0)
         assert x == pytest.approx(0.0, abs=1e-12)
         assert p == pytest.approx(0.0, abs=1e-12)
+
+
+    @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
+    @pytest.mark.parametrize("cutoffs", [(30,), (12, 9), (6, 7, 5)])
+    def test_one_pass_readouts_match_shifted_copy_oracle(self, cutoffs):
+        # a displaced, squeezed and beamsplit state, so every mode has <a> != 0
+        layout = ModeLayout(cutoffs)
+        state = vacuum_state(layout)
+        for mode in range(len(cutoffs)):
+            state = squeeze_op(displace(state, mode, 0.4 - 0.3j * mode), mode, Squeeze(0.2, 1.0 + mode))
+        if len(cutoffs) > 1:
+            state = beamsplit(state, 0, len(cutoffs) - 1, 0.6)
+        state = state.normalize()
+        for mode in range(len(cutoffs)):
+            n_want, a_want = readout_oracle(state, mode)
+            assert abs(state.mean_photons(mode) - n_want) <= 1e-15
+            x, p = mean_quadrature(state, mode)
+            assert abs(x - 2.0 * a_want.real) <= 1e-15 and abs(p - 2.0 * a_want.imag) <= 1e-15
 
 
 class TestVacuumSplit:

@@ -1,5 +1,6 @@
 """Smoke test of the command-line scripts in scripts/."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -64,3 +65,22 @@ def test_table_diff_reports_metadata_and_column_deviations(tmp_path, capsys, mon
     new.write_bytes(b"\xff\xfe")
     code, out, err = run(old, new)
     assert (code, out) == (2, []) and err.startswith("error:")
+
+
+def test_ab_inprocess_reports_pairs(capsys):
+    # structure only, on a tiny config: the timings themselves are not checked
+    src = str(SCRIPTS.parent / "src")
+    script = runpy.run_path(str(SCRIPTS / "ab_inprocess.py"), run_name="smoke")
+    argv = [src, src, "oracle-check", "--seeds", "3-4", "--reps", "2", "--set", "circuits=3", "--set", "cutoff=6"]
+    assert script["main"](argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [pair["seed"] for pair in report["pairs"]] == [3, 4]
+    assert all(pair["parent"] > 0 and pair["change"] > 0 for pair in report["pairs"])
+    assert report["overrides"] == {"circuits": "3", "cutoff": "6"}
+    assert 0 <= report["change_wins"] <= 2 and report["ratio_of_sums"] > 0
+    assert script["main"](argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seed parent_s change_s ratio faster"
+    assert [line.split()[0] for line in lines[1:4]] == ["3", "4", "sum"]
+    assert lines[4].startswith("change faster on ") and lines[4].endswith("/2 seeds")
+    assert script["main"]([src, src]) == 2
