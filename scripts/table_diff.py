@@ -6,9 +6,13 @@ Usage: table_diff.py OLD.csv NEW.csv
 Prints whether the two files are byte-identical, each "# key = value"
 metadata line that differs, and for every column the number of cells that
 differ and, when both sides parse as numbers, the largest absolute
-deviation |new - old|.  Exits 0 when the files are byte-identical, 1 when
-they differ, and 2 on a usage error or a file that cannot be read as UTF-8
-text.
+deviation |new - old|.  Rows are matched by position, unless their row sets
+differ and the tables have key columns: the leading columns that hold
+integers or text, never other numbers, in both files (for numberdiff
+section, n0, n1 and diff).  Then rows are matched on those keys, the
+deviations cover the matched rows, and the rows found in only one file are
+listed.  Exits 0 when the files are byte-identical, 1 when they differ, and
+2 on a usage error or a file that cannot be read as UTF-8 text.
 """
 
 import math
@@ -35,6 +39,51 @@ def _deviation(old, new):
     return abs(b - a)
 
 
+def _is_key_cell(cell) -> bool:
+    """An integer or text, not any other number."""
+    try:
+        int(cell)
+        return True
+    except ValueError:
+        pass
+    try:
+        float(cell)
+    except ValueError:
+        return True
+    return False
+
+
+def _key_width(old_rows, new_rows) -> int:
+    """How many leading columns hold only key cells in both tables."""
+    if not old_rows or not new_rows:
+        return 0
+    rows, width = old_rows + new_rows, 0
+    while all(width < len(row) and _is_key_cell(row[width]) for row in rows):
+        width += 1
+    return width
+
+
+def _match(old_rows, new_rows):
+    """(pairs, only_old, only_new, note): rows paired by position, or by key
+    when the row sets differ and the tables have unique key columns; None in
+    place of the report when neither applies."""
+    width = _key_width(old_rows, new_rows)
+    old_keys, new_keys = ([tuple(row[:width]) for row in rows] for rows in (old_rows, new_rows))
+    if width == 0 or old_keys == new_keys:
+        if len(old_rows) != len(new_rows):
+            return None
+        return list(zip(old_rows, new_rows)), [], [], f"rows: {len(old_rows)}"
+    if len(set(old_keys)) < len(old_keys) or len(set(new_keys)) < len(new_keys):
+        return None
+    new_by_key = dict(zip(new_keys, new_rows))
+    pairs = [(row, new_by_key[key]) for key, row in zip(old_keys, old_rows) if key in new_by_key]
+    only_old = [row for key, row in zip(old_keys, old_rows) if key not in new_by_key]
+    old_set = set(old_keys)
+    only_new = [row for key, row in zip(new_keys, new_rows) if key not in old_set]
+    note = f"rows: {len(old_rows)} -> {len(new_rows)}, {len(pairs)} matched on their first {width} column(s)"
+    return pairs, only_old, only_new, note
+
+
 def compare(old_path, new_path) -> list[str]:
     """Report lines; the first says whether the files are byte-identical."""
     old_raw, old_meta, old_cols, old_rows = _read(old_path)
@@ -56,14 +105,16 @@ def compare(old_path, new_path) -> list[str]:
     if old_cols != new_cols:
         report.append(f"columns differ: {','.join(old_cols)} -> {','.join(new_cols)}")
         return report
-    if len(old_rows) != len(new_rows):
+    matched = _match(old_rows, new_rows)
+    if matched is None:
         report.append(f"row counts differ: {len(old_rows)} -> {len(new_rows)}")
         return report
-    report.append(f"rows: {len(old_rows)}")
+    pairs, only_old, only_new, note = matched
+    report.append(note)
     width = max([len("column")] + [len(c) for c in old_cols])
     report.append(f"{'column':<{width}}  differing  max |new - old|")
     for i, col in enumerate(old_cols):
-        cells = [(a[i], b[i]) for a, b in zip(old_rows, new_rows)]
+        cells = [(a[i], b[i]) for a, b in pairs]
         differing = sum(a != b for a, b in cells)
         devs = [_deviation(a, b) for a, b in cells]
         if any(dev is None for dev in devs):
@@ -71,6 +122,10 @@ def compare(old_path, new_path) -> list[str]:
         else:
             largest = f"{max(devs, default=0.0):.3g}"
         report.append(f"{col:<{width}}  {differing:>9}  {largest}")
+    for label, rows in (("old", only_old), ("new", only_new)):
+        if rows:
+            report.append(f"only in {label}: {len(rows)} row(s)")
+            report.extend(f"  {','.join(row)}" for row in rows)
     return report
 
 

@@ -30,7 +30,6 @@ from .circuits import (
     displace,
     displacements,
     phase_shift,
-    phase_to_dide,
     squeeze_op,
 )
 from .fock import (
@@ -102,7 +101,6 @@ __all__ = [
     "mean_quadrature",
     "peak_estimate",
     "phase_shift",
-    "phase_to_dide",
     "read_config_file",
     "run_experiment",
     "squeeze_fraction_strong",

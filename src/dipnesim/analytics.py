@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -241,6 +242,13 @@ class GaussianMoments:
     def n_modes(self) -> int:
         return self.mean.size // 2
 
+    @cached_property
+    def uncertainty_gap(self) -> float:
+        """Least eigenvalue of cov + i Omega, which the uncertainty bound
+        keeps >= 0, computed on first read."""
+        omega = np.kron(np.eye(self.n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+        return float(np.linalg.eigvalsh(self.cov + 1j * omega).min())
+
 
 def vacuum_moments(n_modes: int) -> GaussianMoments:
     if n_modes < 1:
@@ -319,19 +327,10 @@ def _check_mode(mode: int, n_modes: int):
         raise ValueError(f"mode {mode} outside 0..{n_modes - 1}")
 
 
-def _symplectic_form(n_modes: int) -> np.ndarray:
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for m in range(n_modes):
-        omega[2 * m, 2 * m + 1] = 1.0
-        omega[2 * m + 1, 2 * m] = -1.0
-    return omega
-
-
 def mean_photons_from_moments(moments: GaussianMoments, mode: int) -> float:
     """Mean photon number of one mode from its quadrature moments."""
     _check_mode(mode, moments.n_modes)
-    herm = moments.cov + 1j * _symplectic_form(moments.n_modes)
-    if np.linalg.eigvalsh(herm).min() < -1e-8:
+    if moments.uncertainty_gap < -1e-8:
         raise ValueError("covariance violates the uncertainty bound")
     mx = moments.mean[2 * mode]
     mp = moments.mean[2 * mode + 1]

@@ -503,14 +503,3 @@ def apply_element(state: FockState, element) -> FockState:
     if name == "beamsplit":
         return beamsplit(state, element[1], element[2], element[3])
     raise ValueError(f"unknown circuit element {name!r}")
-
-
-def phase_to_dide(state: FockState, measured_mode: int = 0, lo_mode: int = 1) -> FockState:
-    """Translate a phase-encoded pair (measured, local oscillator) to displacement form.
-
-    50:50 beamsplit, then a -i phase shift (e^{-i pi n/2}) on the measured
-    mode.  A measured amplitude +-i a against a real oscillator L comes out as
-    real displacements ((L +- a)/sqrt(2), (L -+ a)/sqrt(2)).
-    """
-    out = beamsplit(state, measured_mode, lo_mode, math.pi / 4)
-    return phase_shift(out, measured_mode, -math.pi / 2)

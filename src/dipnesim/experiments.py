@@ -33,14 +33,12 @@ from .circuits import (
     _mode_step,
     apply_element,
     displacements,
-    phase_shift,
-    phase_to_dide,
     squeeze_op,
 )
-from .fock import FockState, ModeLayout, _warn_leak, basis_state, tensor, vacuum_state
+from .fock import GUARD_BAND, FockState, ModeLayout, _warn_leak, basis_state, tensor, vacuum_state
 from .kitten import KittenSpec, _herald_probability, herald_tails, kitten_direct
-from .measure import joint_number_distribution, l_intf, mean_quadrature
-from .states import Squeeze, coherent
+from .measure import _vacuum_split, l_intf, mean_quadrature
+from .states import Squeeze
 
 MEANPHOTON_TOL = 1e-6
 QUADRATURE_TOL = 1e-8
@@ -80,15 +78,25 @@ class ResultTable:
     metadata: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match the column list")
+        if set(map(len, self.rows)) - {len(self.columns)}:
+            raise ValueError("row width does not match the column list")
 
     def to_csv(self) -> str:
+        # by column: exact floats and ints convert as _fmt would, strings are
+        # checked once per distinct value, anything else goes through _fmt
         lines = [f"# {key} = {value}" for key, value in self.metadata]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_fmt(cell) for cell in row))
+        cells, plain = [], {float: float.__repr__, int: int.__str__}
+        for column in zip(*self.rows):
+            kinds = set(map(type, column))
+            kind = kinds.pop() if len(kinds) == 1 else None
+            if kind is str:
+                for text in set(column):
+                    _fmt(text)
+                cells.append(column)
+            else:
+                cells.append(map(plain.get(kind, _fmt), column))
+        lines += map(",".join, zip(*cells))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -467,46 +475,48 @@ def run_catfit(config: ExperimentConfig) -> ResultTable:
 
 def run_numberdiff(config: ExperimentConfig) -> ResultTable:
     """Joint photon-count distribution of a kitten translated against a
-    local oscillator, plus the count-difference marginal."""
+    local oscillator, plus the count-difference marginal.
+
+    B(pi/4) (R(pi/2) phi (x) |beta>) = D_0(i beta s) D_1(beta c) B(pi/4) (R(pi/2) phi (x) |0>)
+    with c = cos(pi/4), s = sin(pi/4), and D_0(i beta s) = R_0(pi/2) E_0 R_0(-pi/2),
+    E = exp(beta s (a+ - a)) real.  So the counts are those of E_0 E_1 chi for
+    chi = R_0(-pi/2) B(pi/4) R_0(pi/2) (phi (x) |0>): the closed-form split against
+    vacuum (measure._vacuum_split, exact as joint_cutoff >= cutoff) times i^b,
+    real as the kitten is.  Each E is one BLAS-free _mode_action batch, two real
+    rows to a complex one: along axis 1 on the rows the split fills, then along
+    axis 0 on every column.  R_0(pi/2) and the translation's -i phase change no count.
+    """
     cutoff, joint_cutoff = config["cutoff"], config["joint_cutoff"]
     if joint_cutoff < cutoff:
         raise ValueError("joint_cutoff must be at least cutoff")
-    kit = kitten_direct(
-        KittenSpec(config["squeeze_photons"], config["theta_sub"], config["k"], cutoff)
-    )
-    if config["lo_rule"] == "sqrt-plus-2":
-        lo_amp = math.sqrt(kit.mean_photons) + 2.0
-    else:
-        lo_amp = math.sqrt(kit.mean_photons + 2.0)
+    kit = kitten_direct(KittenSpec(config["squeeze_photons"], config["theta_sub"], config["k"], cutoff))
+    mean = kit.mean_photons
+    lo_amp = math.sqrt(mean) + 2.0 if config["lo_rule"] == "sqrt-plus-2" else math.sqrt(mean + 2.0)
+    ds, d = cutoff + 1, joint_cutoff + 1
+    idx, src, u = _vacuum_split(ds, d, math.pi / 4)
+    chi = np.zeros((d, d))
+    chi.reshape(-1)[idx] = (u * np.array([1, 1j, -1, -1j])[idx % d % 4]).real * kit.state.amplitudes.real[src]
+    for axis, count, alpha in ((1, ds, lo_amp * math.cos(math.pi / 4)), (0, d, 1j * lo_amp * math.sin(math.pi / 4))):
+        view, half = (chi[:count] if axis == 1 else chi.T), (count + 1) // 2
+        packed = np.zeros((half, d), dtype=np.complex128)
+        packed.real, packed.imag[: count // 2] = view[0::2], view[1::2]
+        moved = _mode_action(packed, [1] * half, [abs(alpha)] * half, [0.0] * half)
+        view[0::2], view[1::2] = moved.real, moved.imag[: count // 2]
+        _warn_leak(float((view[:, -GUARD_BAND:] ** 2).sum()), f"numberdiff mode {axis} displace(alpha={alpha:.4g})")
+    dist = chi**2
 
-    amps = np.zeros(joint_cutoff + 1, dtype=np.complex128)
-    amps[: cutoff + 1] = kit.state.amplitudes
-    padded = FockState(ModeLayout((joint_cutoff,)), amps, kit.state.leakage)
-    joint = tensor(padded, coherent(lo_amp, joint_cutoff))
-    joint = phase_shift(joint, 0, math.pi / 2)
-    joint = phase_to_dide(joint, 0, 1)
-    dist = joint_number_distribution(joint)
+    n0, n1 = np.nonzero(dist > 0.0)
+    rows = [("joint", a, b, a - b, p) for a, b, p in zip(n0.tolist(), n1.tolist(), dist[n0, n1].tolist())]
+    diffs = [(diff, float(np.trace(dist, offset=-diff))) for diff in range(1 - d, d)]
+    rows += [("difference", -1, -1, diff, p) for diff, p in diffs if p > 0.0]
 
-    rows = []
-    for n0 in range(dist.shape[0]):
-        for n1 in range(dist.shape[1]):
-            p = float(dist[n0, n1])
-            if p > 0.0:
-                rows.append(("joint", n0, n1, n0 - n1, p))
-    dim = dist.shape[0]
-    for diff in range(-(dim - 1), dim):
-        p = float(np.trace(dist, offset=-diff))
-        if p > 0.0:
-            rows.append(("difference", -1, -1, diff, p))
-
-    p_equal = float(np.trace(dist))
     extras = [
         ("lo_amplitude", _fmt(lo_amp)),
         ("kitten_mean_photons", _fmt(kit.mean_photons)),
         ("kitten_probability", _fmt(kit.probability)),
-        ("p_equal_counts", _fmt(p_equal)),
+        ("p_equal_counts", _fmt(float(np.trace(dist)))),
         ("total_probability", _fmt(float(dist.sum()))),
-        ("max_leakage", _fmt(joint.leakage)),
+        ("max_leakage", _fmt(kit.state.leakage)),
     ]
     return ResultTable(
         columns=("section", "n0", "n1", "diff", "probability"),

@@ -53,8 +53,8 @@ from dipnesim.fock import (
     tensor,
     vacuum_state,
 )
-from dipnesim.kitten import KittenSpec, KittenState, _ladder, peak_estimate
-from dipnesim.measure import _split_marginals
+from dipnesim.kitten import KittenSpec, KittenState, _ladder, kitten_direct, peak_estimate
+from dipnesim.measure import _split_marginals, joint_number_distribution
 from dipnesim.states import (
     Squeeze,
     _as_layout,
@@ -129,6 +129,35 @@ def beamsplit_sector_unitaries(state: FockState, mode_a: int, mode_b: int, theta
         out[js, ks, :] = unitary @ arr[js, ks, :]
     out = np.moveaxis(out.reshape((da, db) + rest), (0, 1), (mode_a, mode_b))
     return FockState(state.layout, out.reshape(-1), state.leakage)
+
+
+def phase_to_dide(state: FockState, measured_mode: int = 0, lo_mode: int = 1) -> FockState:
+    """Translate a phase-encoded pair (measured, local oscillator) to displacement form.
+
+    50:50 beamsplit, then a -i phase shift (e^{-i pi n/2}) on the measured
+    mode.  A measured amplitude +-i a against a real oscillator L comes out as
+    real displacements ((L +- a)/sqrt(2), (L -+ a)/sqrt(2)).
+    """
+    out = beamsplit(state, measured_mode, lo_mode, math.pi / 4)
+    return phase_shift(out, measured_mode, -math.pi / 2)
+
+
+def numberdiff_by_beamsplit(config) -> np.ndarray:
+    """The joint count distribution of experiments.run_numberdiff the direct
+    way: the kitten padded to joint_cutoff, tensored with the truncated
+    coherent oscillator, turned by R(pi/2) and translated by phase_to_dide
+    through the (joint_cutoff + 1)^2 sector plan."""
+    cutoff, joint_cutoff = config["cutoff"], config["joint_cutoff"]
+    kit = kitten_direct(KittenSpec(config["squeeze_photons"], config["theta_sub"], config["k"], cutoff))
+    if config["lo_rule"] == "sqrt-plus-2":
+        lo_amp = math.sqrt(kit.mean_photons) + 2.0
+    else:
+        lo_amp = math.sqrt(kit.mean_photons + 2.0)
+    amps = np.zeros(joint_cutoff + 1, dtype=np.complex128)
+    amps[: cutoff + 1] = kit.state.amplitudes
+    padded = FockState(ModeLayout((joint_cutoff,)), amps, kit.state.leakage)
+    joint = phase_shift(tensor(padded, coherent(lo_amp, joint_cutoff)), 0, math.pi / 2)
+    return joint_number_distribution(phase_to_dide(joint, 0, 1))
 
 
 def depth_first_factors(n_modes: int, cutoff: int, elements) -> dict[int, tuple]:

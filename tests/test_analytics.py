@@ -430,6 +430,19 @@ class TestMeanPhotonsFromMoments:
         with pytest.raises(ValueError, match="uncertainty"):
             mean_photons_from_moments(bad, 0)
 
+    def test_uncertainty_bound_checked_once_per_moments(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        g = vacuum_moments(3)
+        for element in (("squeeze", 0, Squeeze(0.4, 1.0)), ("beamsplit", 0, 2, 0.6), ("displace", 1, 0.5j)):
+            g = gaussian_propagate(g, element)
+        assert [mean_photons_from_moments(g, mode) for mode in range(3)] == pytest.approx(
+            [math.sinh(0.4) ** 2 * math.cos(0.6) ** 2, 0.25, math.sinh(0.4) ** 2 * math.sin(0.6) ** 2], abs=1e-12
+        )
+        assert calls == [(6, 6)]
+        assert g.uncertainty_gap == pytest.approx(0.0, abs=1e-12)
+
     def test_mode_range(self):
         with pytest.raises(ValueError):
             mean_photons_from_moments(vacuum_moments(1), 1)

@@ -17,6 +17,7 @@ from oracles import (
     bs_number_gathers,
     bs_sector_eigh,
     interference_gadget,
+    phase_to_dide,
     squeezed_coherent,
 )
 
@@ -29,7 +30,6 @@ from dipnesim.circuits import (
     displace,
     displacements,
     phase_shift,
-    phase_to_dide,
     squeeze_op,
 )
 from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores

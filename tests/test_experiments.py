@@ -10,15 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import depth_first_factors, fit_target, full_state_oracle_rows
+from oracles import depth_first_factors, fit_target, full_state_oracle_rows, numberdiff_by_beamsplit
 
-from dipnesim import cli
+from dipnesim import circuits, cli
 from dipnesim.circuits import apply_element
 from dipnesim.cli import main
 from dipnesim.experiments import (
     EXPERIMENTS,
     ResultTable,
     _enumerated_circuits,
+    _fmt,
     _product_factors,
     _squeeze_sweep,
     make_config,
@@ -133,6 +134,21 @@ class TestResultTable:
         table = ResultTable(columns=("a",), rows=(("x,y",),), metadata=())
         with pytest.raises(ValueError):
             table.to_csv()
+
+    def test_csv_columns_render_as_fmt_cell_by_cell(self):
+        # exact float, int and str columns skip _fmt; bools, numpy scalars
+        # and mixed columns still go through it, with the same text
+        rows = (
+            ("joint", 3, -0.0, True, np.float64(0.1), np.int64(7), 1, float("nan")),
+            ("joint", -2, 1e-300, False, np.float64(2.0), np.int64(-1), 2.5, math.inf),
+            ("difference", 0, 0.5, True, np.float64(-3e7), np.int64(0), "x", -math.inf),
+        )
+        table = ResultTable(columns=tuple("abcdefgh"), rows=rows, metadata=(("k", "v"),))
+        want = ["# k = v", "a,b,c,d,e,f,g,h"] + [",".join(map(_fmt, row)) for row in rows]
+        assert table.to_csv() == "\n".join(want) + "\n"
+        assert ResultTable(columns=("a",), rows=(), metadata=()).to_csv() == "a\n"
+        with pytest.raises(ValueError):
+            ResultTable(columns=("a", "b"), rows=(("x", 1), ("y\n", 2)), metadata=()).to_csv()
 
     def test_column_and_meta_access(self):
         table = ResultTable(
@@ -377,6 +393,48 @@ class TestNumberdiffRun:
                 make_config("numberdiff", {"cutoff": 100, "joint_cutoff": 50})
             )
 
+    @staticmethod
+    def _joint(table, d):
+        dist = np.zeros((d, d))
+        for section, n0, n1, _, p in table.rows:
+            if section == "joint":
+                dist[n0, n1] = p
+        return dist
+
+    def test_builds_no_beamsplitter_plan_nor_dense_exponential(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("numberdiff reached the beamsplitter plan or a dense exponential")
+
+        for name in ("_bs_plan", "_expm", "beamsplit"):
+            monkeypatch.setattr(circuits, name, never)
+        table = run_experiment(make_config("numberdiff", {"k": 1, "cutoff": 40, "joint_cutoff": 64}))
+        assert float(table.meta("total_probability")) == pytest.approx(1.0, abs=1e-12)
+
+    def test_default_matches_the_beamsplitter_path(self):
+        # the padded kitten against the truncated coherent oscillator through
+        # the (161, 161) sector plan; the oscillator's tail past 160 is ~1e-15
+        config = make_config("numberdiff")
+        table = run_experiment(config)
+        got = self._joint(table, config["joint_cutoff"] + 1)
+        np.testing.assert_allclose(got, numberdiff_by_beamsplit(config), rtol=0, atol=1e-15)
+        assert float(table.meta("max_leakage")) < 1e-15
+
+    def test_shared_levels_hold_against_a_wide_joint_cutoff(self):
+        base = {"k": 1, "cutoff": 40}
+        narrow = run_experiment(make_config("numberdiff", {**base, "joint_cutoff": 64}))
+        wide = run_experiment(make_config("numberdiff", {**base, "joint_cutoff": 200}))
+        gap = np.abs(self._joint(narrow, 65) - self._joint(wide, 201)[:65, :65]).max()
+        assert gap <= 1e-10
+
+    def test_guard_band_warns_once_per_axis(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(make_config("numberdiff", {"k": 3, "cutoff": 30, "joint_cutoff": 30}))
+        texts = [str(w.message) for w in caught if issubclass(w.category, LeakageWarning)]
+        ours = [text for text in texts if text.startswith("numberdiff")]
+        assert len(ours) == 2
+        assert ours[0].startswith("numberdiff mode 1 displace(") and ours[1].startswith("numberdiff mode 0 displace(")
+
 
 class TestMatchRun:
     def test_small_grid(self):
@@ -597,6 +655,13 @@ class TestThreadIndependence:
         # the displaced inputs come from the banded action, with no BLAS call
         default, single = self._stdout_default_and_one_thread(
             ["interference", "--family", "photon-both", "--cutoff", "120"]
+        )
+        assert default and default == single
+
+    def test_numberdiff_same_bytes_under_one_blas_thread(self):
+        # the split is a gather and both displacements are banded actions
+        default, single = self._stdout_default_and_one_thread(
+            ["numberdiff", "--k", "1", "--cutoff", "40", "--joint_cutoff", "64"]
         )
         assert default and default == single
 

@@ -67,6 +67,24 @@ def test_table_diff_reports_metadata_and_column_deviations(tmp_path, capsys, mon
     assert (code, out) == (2, []) and err.startswith("error:")
 
 
+def test_table_diff_matches_differing_row_sets_on_key_columns(tmp_path):
+    script = runpy.run_path(str(SCRIPTS / "table_diff.py"), run_name="smoke")
+    header = "# experiment = demo\nsection,n0,diff,probability\n"
+    old, new, floats, fewer = (tmp_path / name for name in ("old.csv", "new.csv", "floats.csv", "fewer.csv"))
+    old.write_text(header + "joint,0,-1,0.5\njoint,1,0,0.25\njoint,2,1,0.25\n", encoding="utf-8")
+    new.write_text(header + "joint,0,-1,0.5\njoint,1,0,0.125\njoint,3,2,0.125\ndifference,-1,0,0.25\n", encoding="utf-8")
+    out = script["compare"](old, new)
+    assert out[:3] == ["not byte-identical", "metadata: identical (1 lines)", "rows: 3 -> 4, 2 matched on their first 3 column(s)"]
+    columns = {line.split()[0]: line.split()[1:] for line in out[4:8]}
+    assert columns["section"] == ["0", "n/a"] and columns["n0"] == ["0", "0"]
+    assert columns["probability"] == ["1", "0.125"]
+    assert out[8:] == ["only in old: 1 row(s)", "  joint,2,1,0.25", "only in new: 2 row(s)", "  joint,3,2,0.125", "  difference,-1,0,0.25"]
+    # a leading float column is no key: rows stay matched by position
+    floats.write_text("x,y\n0.5,1\n1.5,2\n", encoding="utf-8")
+    fewer.write_text("x,y\n0.5,1\n", encoding="utf-8")
+    assert script["compare"](floats, fewer)[-1] == "row counts differ: 2 -> 1"
+
+
 def test_ab_inprocess_reports_pairs(capsys):
     # structure only, on a tiny config: the timings themselves are not checked
     src = str(SCRIPTS.parent / "src")
