@@ -12,10 +12,13 @@ integers or text, never other numbers, in both files (for numberdiff
 section, n0, n1 and diff).  Then rows are matched on those keys, the
 deviations cover the matched rows, and the rows found in only one file are
 listed.  Exits 0 when the files are byte-identical, 1 when they differ, and
-2 on a usage error or a file that cannot be read as UTF-8 text.
+2 on a usage error or a file that cannot be read as UTF-8 text, with the
+same status and no traceback when the reader of the report closes early
+(table_diff.py OLD NEW | head).
 """
 
 import math
+import os
 import sys
 
 
@@ -138,7 +141,12 @@ def main(argv) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("\n".join(report))
+    try:
+        print("\n".join(report), flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe (table_diff.py ... | head): point stdout
+        # at devnull, so the interpreter's flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report == ["byte-identical"] else 1
 
 

@@ -44,10 +44,10 @@ _expm (scaling and squaring, on numpy) serves multi-mode factors only, where
 one dense exponential and one gemm cover every column.
 
 GadgetSpec holds the pickoff gadget's parameters.  measure.l_intf reads that
-circuit out from single-mode marginals through _bs_number_readout: the exit
-photon number in the Heisenberg picture, laid out on number-difference
-diagonals and built from the plan's stacks by batched products with no loop
-over sectors.
+circuit out from single-mode marginals through _number_trace, which reads
+_bs_number_readout: the exit photon number in the Heisenberg picture, laid
+out on number-difference diagonals and built from the plan's stacks by
+batched products with no loop over sectors.
 """
 
 from __future__ import annotations
@@ -206,8 +206,8 @@ def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _expm(g: np.ndarray) -> np.ndarray:
-    """exp(g) for a stack (..., d, d) of real antisymmetric g: [13/13] Pade
-    approximant, scaled and squared.
+    """exp(g) for one real antisymmetric d x d g: [13/13] Pade approximant,
+    scaled and squared.
 
     Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), scales g by 2^-s until its
     one-norm is at most theta_13 = 5.37, which bounds the error in norm only.  Entry
@@ -216,16 +216,11 @@ def _expm(g: np.ndarray) -> np.ndarray:
     its relative accuracy, down to the ~1e-47 level-60 amplitude of a displaced
     vacuum.  Squaring 1 + f as f -> f^2 + 2f rounds relative to f, not to the
     identity, so the orthogonal result's norm drift is not doubled at each squaring.
-    Each matrix keeps its own s, and squaring step t touches only the matrices with
-    s > t, so every matrix of a stack comes out as it would alone.
     """
-    d = g.shape[-1]
-    stack = g.reshape(-1, d, d)
-    s = [
-        max(0, math.ceil(math.log2(max(norm / 5.371920351148152, (d - 1) / 8, 1.0))))
-        for norm in np.abs(stack).sum(axis=1).max(axis=1).tolist()
-    ]
-    a = stack / np.array([2.0**e for e in s])[:, None, None]
+    d = g.shape[0]
+    norm = float(np.abs(g).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(max(norm / 5.371920351148152, (d - 1) / 8, 1.0))))
+    a = g / 2.0**s
     b = _PADE13
     eye = np.eye(d)
     a2 = a @ a
@@ -234,14 +229,9 @@ def _expm(g: np.ndarray) -> np.ndarray:
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     f = np.linalg.solve(v - u, 2.0 * u)  # (v - u)^-1 (v + u) - 1
-    for step in range(max(s)):
-        if min(s) > step:
-            f = f @ f + 2.0 * f
-        else:
-            rows = [row for row, e in enumerate(s) if e > step]
-            part = f[rows]
-            f[rows] = part @ part + 2.0 * part
-    return (f + eye).reshape(g.shape)
+    for _ in range(s):
+        f = f @ f + 2.0 * f
+    return f + eye
 
 
 # number-difference diagonals per block of the number readout
@@ -303,6 +293,23 @@ def _bs_number_readout(da: int, db: int, theta: float):
         arr.setflags(write=False)
     blocks = tuple(flat[a:b].reshape(shape) for a, b, shape in zip(offsets[:-1], offsets[1:], shapes))
     return ia, ib, blocks
+
+
+def _number_trace(a: np.ndarray, b: np.ndarray, theta: float) -> float:
+    """Re Tr[(a (x) b) B(theta)^dag n_b B(theta)] for Hermitian a and b:
+    Re sum_delta s_delta^T G_delta e_delta over the _bs_number_readout
+    layout, one gather of each matrix's diagonals, then one batched product
+    per run of diagonals."""
+    da, db = a.shape[0], b.shape[0]
+    ia, ib, blocks = _bs_number_readout(da, db, theta)
+    a_diag, b_diag = np.append(a.ravel(), 0.0)[ia], np.append(b.ravel(), 0.0)[ib]
+    total = 0.0
+    for block in blocks:
+        width, rows, cols = block.shape
+        run = slice(da - rows, da - rows + width)
+        sg = np.matmul(a_diag[run, None, :rows], block)[:, 0]
+        total += float(np.einsum("dm,dm->", sg, b_diag[run, :cols]).real)
+    return total
 
 
 def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockState:

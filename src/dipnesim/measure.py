@@ -8,7 +8,7 @@ l_intf reads the interference gadget out factorised: each input is split
 against its own vacuum erasure mode as a two-mode pure state, and each exit
 photon count is a trace of two single-mode marginals against the cached
 Heisenberg-picture number operator of the recombining beamsplitter
-(circuits._bs_number_readout), so no 4-mode vector is built.  The split is
+(circuits._number_trace), so no 4-mode vector is built.  The split is
 the closed-form binomial of a beamsplitter with one vacuum port (Campos,
 Saleh & Teich, Phys. Rev. A 40, 1371 (1989)), cached as a gather.  A call
 costs one gather and two reduced-density products per input, and per
@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import GadgetSpec, _bs_number_readout
+from .circuits import GadgetSpec, _number_trace
 from .fock import FockState
 
 
@@ -89,36 +89,6 @@ def _split_marginals(state: FockState, erasure_cutoff: int, spec: GadgetSpec):
     return psi @ psi.conj().T, psi.T @ psi.conj()
 
 
-@lru_cache(maxsize=16)
-def _clip_matrix(ds: int, de: int) -> np.ndarray:
-    """0/1 matrix of the (n_s, n_e) pairs in number sectors a cutoff clips:
-    n_s + n_e >= min(ds, de)."""
-    clip = (np.add.outer(np.arange(ds), np.arange(de)) >= min(ds, de)).astype(np.float64)
-    clip.setflags(write=False)
-    return clip
-
-
-def _number_trace(a: np.ndarray, b: np.ndarray, theta: float) -> float:
-    """Re Tr[(a (x) b) B(theta)^dag n_b B(theta)] for Hermitian a and b.
-
-    circuits._bs_number_readout lays the Heisenberg-picture number operator
-    out on number-difference diagonals, so the trace is Re sum_delta
-    s_delta^T G_delta e_delta over the delta-th diagonals of a and b: one
-    gather of each matrix's diagonals, then one batched product per run of
-    diagonals.
-    """
-    da, db = a.shape[0], b.shape[0]
-    ia, ib, blocks = _bs_number_readout(da, db, theta)
-    a_diag, b_diag = np.append(a.ravel(), 0.0)[ia], np.append(b.ravel(), 0.0)[ib]
-    total = 0.0
-    for block in blocks:
-        width, rows, cols = block.shape
-        run = slice(da - rows, da - rows + width)
-        sg = np.matmul(a_diag[run, None, :rows], block)[:, 0]
-        total += float(np.einsum("dm,dm->", sg, b_diag[run, :cols]).real)
-    return total
-
-
 def l_intf(
     input0: FockState,
     input1: FockState,
@@ -139,11 +109,11 @@ def l_intf(
     leaves the reduced state rho_s0 (x) rho_e1 unchanged, so B(s0, e1) sees
     that product.  Each exit count is Tr[(rho_s (x) rho_e) B^dag n_e B]
     = Re sum_delta s_delta^T G_delta e_delta over the delta-th diagonals of
-    the two marginals (_number_trace).  That trace is bilinear and zero on
-    vacuum (x) vacuum, and a vacuum input splits into the exact vacuum V, so
-    the three runs combine into Tr[((rho_s - V) (x) (rho_e - V)) B^dag n_e B]
-    per recombination.  The dense 4-mode gadget in tests/oracles.py is the
-    test oracle for this readout.
+    the two marginals (circuits._number_trace).  That trace is bilinear and
+    zero on vacuum (x) vacuum, and a vacuum input splits into the exact
+    vacuum V, so the three runs combine into
+    Tr[((rho_s - V) (x) (rho_e - V)) B^dag n_e B] per recombination.  The
+    dense 4-mode gadget in tests/oracles.py is the test oracle for it.
 
     If ``diagnostics`` is given, its "clipped_sector_mass" entry is set to
     the largest probability that a recombination, in any of the three runs,
@@ -162,10 +132,12 @@ def l_intf(
         dev_s[0, 0] -= 1.0
         dev_e[0, 0] -= 1.0
         total += _number_trace(dev_s, dev_e, spec.theta_interfere)
-        # mass in clipped sectors of p_s (x) p_e and of vacuum (x) p_e; with
-        # de >= ds, p_s (x) vacuum has none
+        # mass in clipped sectors of p_s (x) p_e and of vacuum (x) p_e, the
+        # sectors n_s + n_e >= ds since de >= ds: clip_e[n] = P(n_e >= ds - n)
+        # is a suffix sum of p_e; p_s (x) vacuum has none
         p_s, p_e = np.diagonal(rho_s).real, np.diagonal(rho_e).real
-        clip_e = _clip_matrix(p_s.size, p_e.size) @ p_e
+        tail = np.concatenate(([0.0], p_e[::-1])).cumsum()  # tail[k] = P(n_e >= de - k)
+        clip_e = tail[p_e.size - p_s.size:-1]
         clipped = max(clipped, float(p_s @ clip_e), float(clip_e[0]))
     if diagnostics is not None:
         diagnostics["clipped_sector_mass"] = clipped

@@ -8,7 +8,8 @@ kitten_probability_series) behind kitten.kitten_direct and
 kitten.kitten_probability, the dense eigh sector eigenpairs and the
 per-sector unitaries behind circuits.beamsplit and its SVD sector plan,
 the flat gathers of the exit photon number behind l_intf's readout on
-number-difference diagonals, the full-state circuit loop behind the
+number-difference diagonals, the 0/1 clipped-sector matrix behind its
+suffix-sum clipped mass, the full-state circuit loop behind the
 product factors of experiments.run_oracle_check, the cutoff-length
 candidate recurrence behind catfit's closed-form overlaps, the
 cutoff-length squeezed-cat constructors (cat_state, squeezed_coherent and
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -294,6 +296,30 @@ def l_intf_gathers(input0: FockState, input1: FockState, spec: GadgetSpec) -> fl
         dev_e[0] -= 1.0
         total += float(np.sum(dev_s[ia] * dev_e[ib] * h).real)
     return total
+
+
+@lru_cache(maxsize=16)
+def clip_matrix(ds: int, de: int) -> np.ndarray:
+    """0/1 matrix of the (n_s, n_e) pairs in number sectors a cutoff clips:
+    n_s + n_e >= min(ds, de)."""
+    clip = (np.add.outer(np.arange(ds), np.arange(de)) >= min(ds, de)).astype(np.float64)
+    clip.setflags(write=False)
+    return clip
+
+
+def clipped_sector_mass(input0: FockState, input1: FockState, spec: GadgetSpec) -> float:
+    """measure.l_intf's clipped_sector_mass diagnostic, with each
+    recombination's clipped mass read as clip_matrix(ds, de) @ p_e."""
+    erasure_cutoff = max(input0.layout.cutoffs[0], input1.layout.cutoffs[0])
+    (sys0, era0), (sys1, era1) = (
+        _split_marginals(state, erasure_cutoff, spec) for state in (input0, input1)
+    )
+    clipped = 0.0
+    for rho_s, rho_e in ((sys1, era0), (sys0, era1)):
+        p_s, p_e = np.diagonal(rho_s).real, np.diagonal(rho_e).real
+        clip_e = clip_matrix(p_s.size, p_e.size) @ p_e
+        clipped = max(clipped, float(p_s @ clip_e), float(clip_e[0]))
+    return clipped
 
 
 @dataclass(frozen=True)

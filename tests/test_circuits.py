@@ -26,6 +26,7 @@ from dipnesim.circuits import (
     GadgetSpec,
     _bs_number_readout,
     _bs_plan,
+    _number_trace,
     beamsplit,
     displace,
     displacements,
@@ -34,7 +35,7 @@ from dipnesim.circuits import (
 )
 from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
 from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, tensor, vacuum_state
-from dipnesim.measure import _number_trace, _vacuum_split
+from dipnesim.measure import _vacuum_split
 from dipnesim.states import Squeeze, coherent, squeezed_vacuum
 
 
@@ -413,23 +414,6 @@ class TestDisplaceSqueeze:
 
 
 class TestStackedExponential:
-    # mixed scaling exponents in every stack but d = 2's squeeze (a zero
-    # generator): s from 0 to 5 at d = 2, up to 13 at d = 121
-    SCALES = (0.0, 0.05, 0.9, 3.0, 11.0, 40.0, 170.0, 0.4)
-
-    @pytest.mark.parametrize("d", [2, 5, 31, 61, 121])
-    @pytest.mark.parametrize("op", ["displace", "squeeze"])
-    def test_stack_matches_one_matrix_calls(self, d, op):
-        a = circuits._lowering(d)
-        base = a.T - a if op == "displace" else a @ a - (a @ a).T
-        stack = np.array(self.SCALES)[:, None, None] * base
-        got = circuits._expm(stack.reshape(2, 4, d, d))
-        assert got.shape == (2, 4, d, d)
-        for g, one in zip(stack, got.reshape(-1, d, d)):
-            want = circuits._expm(g)
-            assert want.shape == (d, d)
-            assert one.tobytes() == want.tobytes()
-
     @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
     def test_mixed_chunks_and_phases(self):
         # complex alphas, zeros between them and more rows than one chunk holds

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import interference_gadget, l_intf_gathers, measure_count, readout_oracle
+from oracles import clipped_sector_mass, interference_gadget, l_intf_gathers, measure_count, readout_oracle
 
-from dipnesim.circuits import GadgetSpec, beamsplit, displace, squeeze_op
+from dipnesim.circuits import GadgetSpec, beamsplit, displace, displacements, squeeze_op
 from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
 from dipnesim.fock import ModeLayout, basis_state, tensor, vacuum_state
 from dipnesim.measure import _vacuum_split, joint_number_distribution, l_intf, mean_quadrature
@@ -261,6 +261,23 @@ class TestLIntf:
         assert diagnostics["clipped_sector_mass"] == pytest.approx(poisson.sf(12, mean), rel=0.1)
         l_intf(coherent(0.8, 30), coherent(0.6, 30), spec, diagnostics)
         assert 0.0 < diagnostics["clipped_sector_mass"] < 1e-40
+
+    @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
+    @pytest.mark.parametrize("family", INTERFERENCE_FAMILIES)
+    @pytest.mark.parametrize("cutoff", [30, 60, 120])
+    def test_clipped_sector_mass_matches_clip_matrix(self, family, cutoff):
+        # the suffix sum of p_e against the 0/1 clipped-sector matrix product,
+        # on the default interference sweep's displaced inputs
+        spec = GadgetSpec(math.pi / 5, math.pi / 10)
+        fractions = np.linspace(0.0, 1.0, 21)
+        core0, core1 = _interference_cores(family, cutoff)
+        inputs0 = displacements(core0, 0, [math.sqrt(f) for f in fractions])
+        inputs1 = displacements(core1, 0, [math.sqrt(1.0 - f) for f in fractions])
+        for input0, input1 in zip(inputs0, inputs1):
+            diagnostics = {}
+            l_intf(input0, input1, spec, diagnostics)
+            want = clipped_sector_mass(input0, input1, spec)
+            assert diagnostics["clipped_sector_mass"] == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_requires_single_mode_inputs(self):
         with pytest.raises(ValueError, match="single-mode"):

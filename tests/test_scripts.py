@@ -1,7 +1,9 @@
 """Smoke test of the command-line scripts in scripts/."""
 
+import ast
 import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,6 +85,44 @@ def test_table_diff_matches_differing_row_sets_on_key_columns(tmp_path):
     floats.write_text("x,y\n0.5,1\n1.5,2\n", encoding="utf-8")
     fewer.write_text("x,y\n0.5,1\n", encoding="utf-8")
     assert script["compare"](floats, fewer)[-1] == "row counts differ: 2 -> 1"
+
+
+def test_table_diff_survives_a_closed_pipe(tmp_path):
+    # table_diff.py OLD NEW | head -1: the reader closes after one line
+    header = "# experiment = demo\nsection,n0,probability\n"
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text(header + "joint,0,0.5\n", encoding="utf-8")
+    # rows only in new: a report far larger than a pipe's buffer
+    new.write_text(header + "".join(f"joint,{n},0.25\n" for n in range(20000)), encoding="utf-8")
+    argv = [sys.executable, str(SCRIPTS / "table_diff.py"), str(old), str(new)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"not byte-identical\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_traffic_lines_traces_one_run():
+    import dipnesim
+    from dipnesim.experiments import make_config, run_experiment
+
+    script = runpy.run_path(str(SCRIPTS / "traffic_lines.py"), run_name="smoke")
+    package = Path(dipnesim.__file__).resolve().parent
+    seen = script["reached_lines"](lambda: run_experiment(make_config("gaussdrive")), package)
+    missed = set(script["unreached"](package, seen)["experiments"])
+    path = package / "experiments.py"
+    found, lines = script["statements"](path), path.read_text(encoding="utf-8").splitlines()
+    bodies = {
+        node.name: [first for first in found if node.lineno < first <= node.end_lineno]
+        for node in ast.parse("\n".join(lines)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    # every statement of run_gaussdrive runs but its input check's raise
+    raises = {first for first in bodies["run_gaussdrive"] if lines[first - 1].lstrip().startswith("raise ")}
+    assert len(raises) == 1
+    assert missed.intersection(bodies["run_gaussdrive"]) == raises
+    assert bodies["run_numberdiff"] and missed.issuperset(bodies["run_numberdiff"])
 
 
 def test_ab_inprocess_reports_pairs(capsys):
