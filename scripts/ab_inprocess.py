@@ -10,12 +10,16 @@ seed.  An interpreter pins the BLAS pools to one thread, imports dipnesim
 from its tree, builds the experiment's config (the seed goes to the config
 key "seed" when the experiment has one, and only labels the pair
 otherwise), runs it once to warm the caches and then times N calls of
-run_experiment (default 6).  Warnings are off.
+run_experiment (default 6).  Warnings are off.  Each interpreter also
+reports its peak resident set size (ru_maxrss, in MB as bench/child.py
+counts it), import and warm-up call included.
 
 Prints one line per seed with both medians, their ratio (change over
-parent) and the faster side, then the ratio of the summed medians and the
-number of seeds the change won.  --json prints the same as one JSON object.
-Timing only: the tables are not compared (use table_diff.py for that).
+parent), the faster side and both peak RSS figures, then the ratio of the
+summed medians and the number of seeds the change won.  --json prints the
+same as one JSON object, with parent_rss_mb and change_rss_mb per pair.
+Timing and memory only: the tables are not compared (use table_diff.py for
+that).
 """
 
 import json
@@ -25,7 +29,7 @@ import subprocess
 import sys
 
 CHILD = """
-import json, sys, time, warnings
+import json, resource, sys, time, warnings
 src, experiment, seed, reps, overrides = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), json.loads(sys.argv[5])
 sys.path.insert(0, src)
 warnings.simplefilter("ignore")
@@ -39,7 +43,7 @@ for _ in range(reps):
     start = time.perf_counter()
     run_experiment(config)
     times.append(time.perf_counter() - start)
-print(json.dumps(times))
+print(json.dumps([times, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]))
 """
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -51,13 +55,15 @@ def _usage(message: str) -> int:
     return 2
 
 
-def _time(src: str, experiment: str, seed: int, reps: int, overrides: dict) -> float:
-    """Median of ``reps`` warm in-process calls in a fresh interpreter."""
+def _time(src: str, experiment: str, seed: int, reps: int, overrides: dict) -> tuple[float, float]:
+    """Median of ``reps`` warm in-process calls in a fresh interpreter, and
+    that interpreter's peak RSS in MB."""
     env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
     env.pop("PYTHONPATH", None)
     argv = [sys.executable, "-c", CHILD, os.path.abspath(src), experiment, str(seed), str(reps), json.dumps(overrides)]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
-    return statistics.median(json.loads(out))
+    times, rss_mb = json.loads(out)
+    return statistics.median(times), rss_mb
 
 
 def main(argv: list[str]) -> int:
@@ -88,7 +94,10 @@ def main(argv: list[str]) -> int:
     for i, seed in enumerate(range(seeds[0], seeds[1] + 1)):
         sides = [("parent", parent), ("change", change)]
         timed = {name: _time(src, experiment, seed, reps, overrides) for name, src in sides[:: 1 if i % 2 == 0 else -1]}
-        pairs.append({"seed": seed, **timed})
+        pair = {"seed": seed}
+        for name, (median, rss_mb) in timed.items():
+            pair[name], pair[f"{name}_rss_mb"] = median, rss_mb
+        pairs.append(pair)
     total_parent = sum(pair["parent"] for pair in pairs)
     total_change = sum(pair["change"] for pair in pairs)
     wins = sum(pair["change"] < pair["parent"] for pair in pairs)
@@ -96,10 +105,11 @@ def main(argv: list[str]) -> int:
         summary = {"experiment": experiment, "reps": reps, "overrides": overrides, "pairs": pairs}
         print(json.dumps({**summary, "ratio_of_sums": total_change / total_parent, "change_wins": wins}))
         return 0
-    print("seed parent_s change_s ratio faster")
+    print("seed parent_s change_s ratio faster parent_rss_mb change_rss_mb")
     for pair in pairs:
         faster = "change" if pair["change"] < pair["parent"] else "parent"
-        print(f"{pair['seed']} {pair['parent']:.4f} {pair['change']:.4f} {pair['change'] / pair['parent']:.3f} {faster}")
+        print(f"{pair['seed']} {pair['parent']:.4f} {pair['change']:.4f} {pair['change'] / pair['parent']:.3f} {faster}"
+              f" {pair['parent_rss_mb']:.2f} {pair['change_rss_mb']:.2f}")
     print(f"sum {total_parent:.4f} {total_change:.4f} {total_change / total_parent:.3f}")
     print(f"change faster on {wins}/{len(pairs)} seeds")
     return 0

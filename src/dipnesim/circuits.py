@@ -40,8 +40,8 @@ phase, takes Taylor steps of shifted-slice products (Al-Mohy & Higham, SIAM
 J. Sci. Comput. 33, 488 (2011)), with no d^3 work and no BLAS call.
 displacements applies a sweep's D(alpha) to a state as one batch, and
 oracle-check runs its circuits' one-mode prefixes through it in lockstep.
-_expm (scaling and squaring, on numpy) serves multi-mode factors only, where
-one dense exponential and one gemm cover every column.
+_expm (scaling and squaring, on numpy) serves multi-mode factors only: with the
+phases folded in, one complex matmul per step along the mode axis, no copy.
 
 GadgetSpec holds the pickoff gadget's parameters.  measure.l_intf reads that
 circuit out from single-mode marginals through _number_trace, which reads
@@ -439,23 +439,21 @@ def _mode_step(element) -> tuple[int, float, float, str]:
 
 def _apply_mode_steps(state: FockState, mode: int, steps) -> list[FockState]:
     """Apply each (power, scale, phi, what) step of _mode_step along one mode:
-    on a one-mode state as one _mode_action batch, on a multi-mode state one
-    real _expm per row, applied by a real gemm to the state rotated by
-    R(-phi) while its mode axis is gathered to the front."""
+    on a one-mode state as one _mode_action batch, on a multi-mode state as
+    one complex matrix R(phi) _expm(scale G) R(-phi) per row, multiplied
+    along the mode axis of the (before, d, after) view, so that each row
+    allocates only its output."""
     state.layout._check_mode(mode)
     powers, scales, phis, whats = zip(*steps)
     d = state.layout.dims[mode]
     if state.layout.n_modes == 1:
         rows = _mode_action(np.broadcast_to(state.amplitudes, (len(steps), d)), powers, scales, phis)
     else:
-        arr, a, rows = np.moveaxis(state.nd, mode, 0), _lowering(d), []
+        x, a, rows = state.amplitudes.reshape(math.prod(state.layout.dims[:mode]), d, -1), _lowering(d), []
         for power, scale, phi in zip(powers, scales, phis):
-            base = a.T - a if power == 1 else a @ a - (a @ a).T
-            ph = np.exp(1j * phi * np.arange(d)).reshape((d,) + (1,) * (arr.ndim - 1))
-            block = _real_matmul(_expm(scale * base), np.multiply(ph.conj(), arr, order="C").reshape(d, -1))
-            block = block.reshape(arr.shape)
-            block *= ph
-            rows.append(np.moveaxis(block, 0, mode).reshape(-1))
+            ph = np.exp(1j * phi * np.arange(d))
+            m = ph[:, None] * _expm(scale * (a.T - a if power == 1 else a @ a - (a @ a).T)) * ph.conj()
+            rows.append((x[..., 0] @ m.T if x.shape[2] == 1 else np.matmul(m, x)).reshape(-1))
     states = [FockState(state.layout, row, state.leakage) for row in rows]
     for result, what in zip(states, whats):
         _warn_leak(result.guard_band_mass, what)

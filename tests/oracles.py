@@ -7,6 +7,7 @@ log-space series of the shifted source (kitten_series,
 kitten_probability_series) behind kitten.kitten_direct and
 kitten.kitten_probability, the dense eigh sector eigenpairs and the
 per-sector unitaries behind circuits.beamsplit and its SVD sector plan,
+the masked |amp|^2 sum behind FockState.guard_band_mass,
 the flat gathers of the exit photon number behind l_intf's readout on
 number-difference diagonals, the 0/1 clipped-sector matrix behind its
 suffix-sum clipped mass, the full-state circuit loop behind the
@@ -48,6 +49,7 @@ from dipnesim.circuits import (
 )
 from dipnesim.experiments import _enumerated_circuits
 from dipnesim.fock import (
+    GUARD_BAND,
     FockState,
     LeakageWarning,
     ModeLayout,
@@ -94,6 +96,16 @@ def inner(a: FockState, b: FockState) -> complex:
     if a.layout != b.layout:
         raise ValueError("inner product requires identical layouts")
     return complex(np.einsum("i,i->", a.amplitudes.conj(), b.amplitudes))
+
+
+def guard_band_masked(state: FockState) -> float:
+    """FockState.guard_band_mass as |amp|^2 summed under a full boolean mask
+    of the basis states with any mode in its top GUARD_BAND levels."""
+    occupations = np.indices(state.layout.dims)
+    mask = np.zeros(state.layout.dims, dtype=bool)
+    for occupation, d in zip(occupations, state.layout.dims):
+        mask |= occupation >= d - GUARD_BAND
+    return float(np.sum(np.abs(state.nd[mask]) ** 2))
 
 
 def readout_oracle(state: FockState, mode: int) -> tuple[float, complex]:

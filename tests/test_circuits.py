@@ -172,6 +172,23 @@ class TestSectorPlan:
                 tracemalloc.stop()
             assert peak <= 1.2 * psi.amplitudes.nbytes, modes
 
+    @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
+    def test_mode_steps_allocate_one_state(self):
+        # one complex matrix along the mode axis of the (before, d, after)
+        # view, and the guard band summed over the band: only the output is new
+        lay = ModeLayout((60, 60, 60))
+        rng = np.random.default_rng(4)
+        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim))
+        for mode in range(3):
+            for step in (lambda: displace(psi, mode, 0.3 - 0.2j), lambda: squeeze_op(psi, mode, Squeeze(0.2, 1.1))):
+                tracemalloc.start()
+                try:
+                    step()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1.2 * psi.amplitudes.nbytes, mode
+
 
 class TestSectorGathers:
     @pytest.mark.parametrize("cutoffs", [(3, 7), (6, 6), (30, 30)])

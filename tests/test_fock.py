@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_annihilation, drop, inner
+from oracles import apply_annihilation, drop, guard_band_masked, inner
 
+from dipnesim.circuits import displace
 from dipnesim.fock import (
     FockState,
     ModeLayout,
@@ -166,6 +167,18 @@ class TestMarginalsTensor:
         psi = basis_state(lay, (4,))
         assert psi.guard_band_mass == pytest.approx(1.0)
         assert basis_state(lay, (3,)).guard_band_mass == pytest.approx(0.0)
+
+    def test_guard_band_mass_keeps_a_tiny_band_relative(self):
+        # summed over the band itself: a total minus an interior would
+        # cancel D(1)|1> at cutoff 30 to exactly 0.0, where the band holds ~3.4e-29
+        psi = displace(basis_state(ModeLayout((30,)), (1,)), 0, 1.0)
+        want = guard_band_masked(psi)
+        assert 1e-29 < want < 1e-28
+        assert psi.guard_band_mass == pytest.approx(want, rel=1e-12, abs=0)
+        rng = np.random.default_rng(8)
+        lay = ModeLayout((4, 6, 5))
+        rand = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim))
+        assert rand.guard_band_mass == pytest.approx(guard_band_masked(rand), rel=1e-12, abs=0)
 
     def test_mean_photons(self):
         lay = ModeLayout((40,))

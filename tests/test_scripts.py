@@ -134,11 +134,14 @@ def test_ab_inprocess_reports_pairs(capsys):
     report = json.loads(capsys.readouterr().out)
     assert [pair["seed"] for pair in report["pairs"]] == [3, 4]
     assert all(pair["parent"] > 0 and pair["change"] > 0 for pair in report["pairs"])
+    # each interpreter's ru_maxrss: at least numpy's import, far below a GB
+    assert all(10 < pair[f"{side}_rss_mb"] < 1000 for pair in report["pairs"] for side in ("parent", "change"))
     assert report["overrides"] == {"circuits": "3", "cutoff": "6"}
     assert 0 <= report["change_wins"] <= 2 and report["ratio_of_sums"] > 0
     assert script["main"](argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "seed parent_s change_s ratio faster"
+    assert lines[0] == "seed parent_s change_s ratio faster parent_rss_mb change_rss_mb"
     assert [line.split()[0] for line in lines[1:4]] == ["3", "4", "sum"]
+    assert all(len(line.split()) == 7 and float(line.split()[5]) > 10 for line in lines[1:3])
     assert lines[4].startswith("change faster on ") and lines[4].endswith("/2 seeds")
     assert script["main"]([src, src]) == 2
