@@ -427,6 +427,20 @@ def _mode_action(vecs: np.ndarray, powers, scales, phis) -> np.ndarray:
     return result * rot
 
 
+def _displacement_matrix(x: float, d: int) -> np.ndarray:
+    """<m|D(x)|n> for m, n < d and real x, untruncated: the Laguerre form sqrt(n!/(n + k)!) x^k e^{-x^2/2}
+    L_n^(k)(x^2) of <n + k|D(x)|n> (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)) by its normalised recurrence
+    in n (DLMF 18.9.13) on all diagonals k at once from D[k, 0], and D[n, m] = (-1)^(m - n) D[m, n].
+    Absolute error ~1e-14 at d = 161, x in [0.5, 10]; tiny entries keep no relative accuracy."""
+    y, j, k = x * x, np.arange(d - 1.0)[:, None], np.arange(d - 1.0)
+    a, b = np.stack([2 * j + 1 + k - y, np.sqrt(j * (j + k))]) / np.sqrt((j + 1) * (j + 1 + k))
+    t = np.zeros((d + 1, d + 1))  # t[n + 1, n + 1 + k] = <n + k|D(x)|n>
+    t[1, 1:] = math.exp(-y / 2) * np.cumprod(np.concatenate(([1.0], x / np.sqrt(np.arange(1.0, d)))))
+    for n in range(1, d):
+        t[n + 1, n + 1 :] = a[n - 1, : d - n] * t[n, n:d] - b[n - 1, : d - n] * t[n - 1, n - 1 : d - 1]
+    return np.where(np.tri(d, dtype=bool), t[1:, 1:].T, t[1:, 1:] * (-1.0) ** (np.arange(d)[:, None] - np.arange(d)))
+
+
 def _mode_step(element) -> tuple[int, float, float, str]:
     """(power, scale, phi, what) of a displace or squeeze element, applied as
     R(phi) exp(scale G) R(-phi) with a real G, and its warning label."""

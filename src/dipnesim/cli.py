@@ -3,9 +3,9 @@
     dipne-sim EXPERIMENT [--config FILE] [--out FILE] [--json] [--key value ...]
 
 Exit codes: 0 success (and -h/--help), 2 usage or config error or
-unwritable --out file (opened before the run, and replaced only once the
-table is ready), 3 oracle-check tolerance breach, 4 numerical failure
-(LinAlgError, FloatingPointError or MemoryError).
+unwritable --out file (opened before the run; a regular file is replaced
+only once the table is ready), 3 oracle-check tolerance breach, 4
+numerical failure (LinAlgError, FloatingPointError or MemoryError).
 
 The arguments are read by hand: a CLI call is often a run of a few
 milliseconds, and argparse's parser build and gettext lookup cost a
@@ -119,8 +119,8 @@ def main(argv: list[str] | None = None) -> int:
             params.update(read_config_file(files["--config"]))
         params.update(_pair_overrides(extra))
         config = make_config(experiment, params)
-        # open --out before the run, so an unwritable path fails fast; append
-        # mode leaves an existing file as it is until the table is ready
+        # open --out before the run, so an unwritable path fails fast; append mode keeps an
+        # existing file until the table is ready, then truncates it if regular (not a device or pipe)
         out = files["--out"]
         sink = (
             open(out, "a", encoding="utf-8", newline="")
@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         with sink as fh:
             table = run_experiment(config)
             text = table.to_json() if as_json else table.to_csv()
-            if out:
+            if out and os.path.isfile(out):
                 fh.truncate(0)
             fh.write(text)
     # before ValueError, which LinAlgError subclasses

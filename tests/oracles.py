@@ -7,7 +7,9 @@ log-space series of the shifted source (kitten_series,
 kitten_probability_series) behind kitten.kitten_direct and
 kitten.kitten_probability, the dense eigh sector eigenpairs and the
 per-sector unitaries behind circuits.beamsplit and its SVD sector plan,
-the masked |amp|^2 sum behind FockState.guard_band_mass,
+the masked |amp|^2 sum behind FockState.guard_band_mass, the packed
+truncated-generator _mode_action path, the mpmath Laguerre elements and the
+30-digit box mass behind numberdiff's untruncated displacement matrix,
 the flat gathers of the exit photon number behind l_intf's readout on
 number-difference diagonals, the 0/1 clipped-sector matrix behind its
 suffix-sum clipped mass, the full-state circuit loop behind the
@@ -42,6 +44,7 @@ from dipnesim.catfit import FitTarget, _budget_split, _parity_phase, fit_squeeze
 from dipnesim.circuits import (
     GadgetSpec,
     _bs_plan,
+    _mode_action,
     apply_element,
     beamsplit,
     phase_shift,
@@ -58,7 +61,7 @@ from dipnesim.fock import (
     vacuum_state,
 )
 from dipnesim.kitten import KittenSpec, KittenState, _ladder, kitten_direct, peak_estimate
-from dipnesim.measure import _split_marginals, joint_number_distribution
+from dipnesim.measure import _split_marginals, _vacuum_split, joint_number_distribution
 from dipnesim.states import (
     Squeeze,
     _as_layout,
@@ -172,6 +175,67 @@ def numberdiff_by_beamsplit(config) -> np.ndarray:
     padded = FockState(ModeLayout((joint_cutoff,)), amps, kit.state.leakage)
     joint = phase_shift(tensor(padded, coherent(lo_amp, joint_cutoff)), 0, math.pi / 2)
     return joint_number_distribution(phase_to_dide(joint, 0, 1))
+
+
+def _numberdiff_split(config) -> tuple[np.ndarray, float, float]:
+    """run_numberdiff's real split chi on its (cutoff + 1)^2 block, and the
+    displacements of its two axes, beta cos(pi/4) and beta sin(pi/4)."""
+    cutoff = config["cutoff"]
+    kit = kitten_direct(KittenSpec(config["squeeze_photons"], config["theta_sub"], config["k"], cutoff))
+    mean = kit.mean_photons
+    lo_amp = math.sqrt(mean) + 2.0 if config["lo_rule"] == "sqrt-plus-2" else math.sqrt(mean + 2.0)
+    ds = cutoff + 1
+    idx, src, u = _vacuum_split(ds, ds, math.pi / 4)
+    chi = np.zeros((ds, ds))
+    chi.reshape(-1)[idx] = (u * np.array([1, 1j, -1, -1j])[idx % ds % 4]).real * kit.state.amplitudes.real[src]
+    return chi, lo_amp * math.cos(math.pi / 4), lo_amp * math.sin(math.pi / 4)
+
+
+def numberdiff_by_mode_action(config) -> np.ndarray:
+    """The joint count distribution of experiments.run_numberdiff with the
+    truncated-generator displacement exp(x (a+ - a)) on joint_cutoff + 1
+    levels: each axis of chi as one _mode_action batch, two real rows packed
+    into each complex row, first along axis 1 on the rows chi fills, then
+    along axis 0 on every column."""
+    chi_s, x1, x0 = _numberdiff_split(config)
+    ds, d = chi_s.shape[0], config["joint_cutoff"] + 1
+    chi = np.zeros((d, d))
+    chi[:ds, :ds] = chi_s
+    for view, count, x in ((chi[:ds], ds, x1), (chi.T, d, x0)):
+        half = (count + 1) // 2
+        packed = np.zeros((half, d), dtype=np.complex128)
+        packed.real, packed.imag[: count // 2] = view[0::2], view[1::2]
+        moved = _mode_action(packed, [1] * half, [x] * half, [0.0] * half)
+        view[0::2], view[1::2] = moved.real, moved.imag[: count // 2]
+    return chi**2
+
+
+def displacement_element(m: int, n: int, x: float, dps: int = 30):
+    """<m|D(x)|n> for real x from mpmath's Laguerre form (Cahill & Glauber
+    1969) at ``dps`` digits: sqrt(n!/m!) x^(m - n) e^{-x^2/2} L_n^(m - n)(x^2)
+    for m >= n, and sqrt(m!/n!) (-x)^(n - m) e^{-x^2/2} L_m^(n - m)(x^2)
+    above the diagonal.  An mpf."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        lo, hi, y = min(m, n), max(m, n), mpmath.mpf(x) ** 2
+        head = mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi)) * mpmath.exp(-y / 2)
+        return head * mpmath.mpf(x if m >= n else -x) ** (hi - lo) * mpmath.laguerre(lo, hi - lo, y, maxprec=10**4)
+
+
+def numberdiff_box_mass(config, dps: int = 30):
+    """run_numberdiff's total_probability at ``dps`` digits: the mass of
+    D_0(x) D_1(x) chi on counts <= joint_cutoff, with chi as the run builds
+    it and every element and product from displacement_element.  An mpf."""
+    import mpmath
+
+    chi, x, _ = _numberdiff_split(config)
+    ds, d = chi.shape[0], config["joint_cutoff"] + 1
+    with mpmath.workdps(dps):
+        e = [[displacement_element(m, n, x, dps) for n in range(ds)] for m in range(d)]
+        rows = [[(mpmath.mpf(v), j) for j, v in enumerate(row) if v] for row in chi.tolist()]
+        half = [[mpmath.fdot((v, e[n][j]) for v, j in row) for n in range(d)] for row in rows]  # chi E^T
+        return mpmath.fsum(mpmath.fdot((e[m][i], half[i][n]) for i in range(ds)) ** 2 for m in range(d) for n in range(d))
 
 
 def depth_first_factors(n_modes: int, cutoff: int, elements) -> dict[int, tuple]:

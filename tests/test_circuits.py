@@ -9,13 +9,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     beamsplit_sector_unitaries,
     bs_number_gathers,
     bs_sector_eigh,
+    displacement_element,
     interference_gadget,
     phase_to_dide,
     squeezed_coherent,
@@ -537,6 +538,23 @@ class TestModeAction:
             alone = circuits._mode_action(vecs[i : i + 1], powers[i : i + 1], scales[i : i + 1], phis[i : i + 1])
             assert got[i].tobytes() == alone[0].tobytes()
         np.testing.assert_allclose(got[2], vecs[2], rtol=0, atol=1e-15)
+
+
+class TestDisplacementMatrix:
+    # the untruncated <m|D(x)|n> behind numberdiff, against mpmath's Laguerre
+    # form over the domain it serves: joint cutoffs to 160, x = beta cos(pi/4)
+    @given(x=st.floats(0.5, 10.0), d=st.integers(2, 161), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example(x=0.5, d=161, seed=1)
+    @example(x=10.0, d=161, seed=2)
+    def test_matches_laguerre_form(self, x, d, seed):
+        got = circuits._displacement_matrix(x, d)
+        corners = [(0, 0), (d - 1, 0), (0, d - 1), (d - 1, d - 1)]
+        picks = corners + [tuple(p) for p in np.random.default_rng(seed).integers(0, d, (16, 2)).tolist()]
+        for m, n in picks:
+            assert abs(got[m, n] - float(displacement_element(m, n, x))) <= 5e-14, (m, n)
+        m, n = np.indices((d, d))
+        np.testing.assert_array_equal(got.T, np.where((m - n) % 2, -got, got))
 
 
 class TestTranslations:

@@ -10,7 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import depth_first_factors, fit_target, full_state_oracle_rows, numberdiff_by_beamsplit
+from oracles import (
+    depth_first_factors,
+    fit_target,
+    full_state_oracle_rows,
+    numberdiff_box_mass,
+    numberdiff_by_beamsplit,
+    numberdiff_by_mode_action,
+)
 
 from dipnesim import circuits, cli
 from dipnesim.circuits import apply_element
@@ -403,20 +410,27 @@ class TestNumberdiffRun:
 
     def test_builds_no_beamsplitter_plan_nor_dense_exponential(self, monkeypatch):
         def never(*args):
-            raise AssertionError("numberdiff reached the beamsplitter plan or a dense exponential")
+            raise AssertionError("numberdiff reached the beamsplitter plan or an exponential")
 
-        for name in ("_bs_plan", "_expm", "beamsplit"):
+        for name in ("_bs_plan", "_expm", "beamsplit", "_mode_action"):
             monkeypatch.setattr(circuits, name, never)
-        table = run_experiment(make_config("numberdiff", {"k": 1, "cutoff": 40, "joint_cutoff": 64}))
-        assert float(table.meta("total_probability")) == pytest.approx(1.0, abs=1e-12)
+        config = make_config("numberdiff", {"k": 1, "cutoff": 40, "joint_cutoff": 64})
+        table = run_experiment(config)
+        # the untruncated displacement leaves 1.1e-10 outside the box, and
+        # total_probability reads what stays in it
+        box = float(numberdiff_box_mass(config, dps=30))
+        assert 1.0 - box > 1e-10
+        assert float(table.meta("total_probability")) == pytest.approx(box, rel=0, abs=1e-14)
 
     def test_default_matches_the_beamsplitter_path(self):
         # the padded kitten against the truncated coherent oscillator through
-        # the (161, 161) sector plan; the oscillator's tail past 160 is ~1e-15
+        # the (161, 161) sector plan, and exp(x (a+ - a)) on the 161 levels as
+        # packed _mode_action batches; the oscillator's tail past 160 is ~1e-15
         config = make_config("numberdiff")
         table = run_experiment(config)
         got = self._joint(table, config["joint_cutoff"] + 1)
         np.testing.assert_allclose(got, numberdiff_by_beamsplit(config), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got, numberdiff_by_mode_action(config), rtol=0, atol=1e-15)
         assert float(table.meta("max_leakage")) < 1e-15
 
     def test_shared_levels_hold_against_a_wide_joint_cutoff(self):
@@ -424,16 +438,18 @@ class TestNumberdiffRun:
         narrow = run_experiment(make_config("numberdiff", {**base, "joint_cutoff": 64}))
         wide = run_experiment(make_config("numberdiff", {**base, "joint_cutoff": 200}))
         gap = np.abs(self._joint(narrow, 65) - self._joint(wide, 201)[:65, :65]).max()
-        assert gap <= 1e-10
+        assert gap <= 1e-15
 
-    def test_guard_band_warns_once_per_axis(self):
+    def test_out_of_box_mass_warns_once(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_experiment(make_config("numberdiff", {"k": 3, "cutoff": 30, "joint_cutoff": 30}))
+            table = run_experiment(make_config("numberdiff", {"k": 3, "cutoff": 30, "joint_cutoff": 30}))
         texts = [str(w.message) for w in caught if issubclass(w.category, LeakageWarning)]
         ours = [text for text in texts if text.startswith("numberdiff")]
-        assert len(ours) == 2
-        assert ours[0].startswith("numberdiff mode 1 displace(") and ours[1].startswith("numberdiff mode 0 displace(")
+        outside = 1.0 - float(table.meta("total_probability"))
+        assert outside > 1e-8
+        assert ours == [f"numberdiff counts beyond joint_cutoff=30: {outside:.3e} probability against a cutoff "
+                        "(threshold 1e-08)"]
 
 
 class TestMatchRun:
@@ -659,11 +675,11 @@ class TestThreadIndependence:
         assert default and default == single
 
     def test_numberdiff_same_bytes_under_one_blas_thread(self):
-        # the split is a gather and both displacements are banded actions
-        default, single = self._stdout_default_and_one_thread(
-            ["numberdiff", "--k", "1", "--cutoff", "40", "--joint_cutoff", "64"]
-        )
-        assert default and default == single
+        # the split is a gather and both products with the displacement
+        # matrix are einsum loops, not BLAS; the default config is d = 161
+        for args in (["--k", "1", "--cutoff", "40", "--joint_cutoff", "64"], []):
+            default, single = self._stdout_default_and_one_thread(["numberdiff", *args])
+            assert default and default == single
 
     def test_interference_same_bytes_under_one_blas_thread(self):
         # l_intf's reduced density matrices and sector gathers are BLAS products
@@ -776,6 +792,22 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert target.read_text(encoding="utf-8").startswith("# experiment")
+
+    def test_out_to_a_device(self, capsys):
+        # /dev/null seeks but refuses truncate
+        assert main(["gaussdrive", "--r_steps", "2", "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_out_to_a_pipe(self, capsys):
+        read, write = os.pipe()
+        try:
+            code = main(["gaussdrive", "--r_steps", "2", "--out", f"/dev/fd/{write}"])
+        finally:
+            os.close(write)
+        with os.fdopen(read, "rb") as fh:
+            piped = fh.read().decode()
+        assert code == 0 and capsys.readouterr() == ("", "")
+        assert piped == run_experiment(make_config("gaussdrive", {"r_steps": 2})).to_csv()
 
     def test_unwritable_out_exit(self, tmp_path, capsys):
         code = main(["gaussdrive", "--r_steps", "2", "--out", str(tmp_path / "missing" / "x.csv")])
