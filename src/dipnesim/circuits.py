@@ -20,10 +20,9 @@ Schwinger picture of the lossless beamsplitter: Campos, Saleh & Teich,
 Phys. Rev. A 40, 1371 (1989)).  Sectors of similar size share one
 zero-padded stack.  beamsplit never forms a sector unitary: it applies
 U_N = V exp(i theta Lambda) V^T as two real products on the float64 view of
-the amplitudes, so a new angle costs no eigensolve and no m x m product.  On
-a two-mode state each sector block is a vector and each of the two products
-takes a whole stack at once; wider blocks are applied sector by sector from
-unpadded views of the same stacks, where padding would only add flops.
+the amplitudes, so a new angle costs no eigensolve and no m x m product.  A
+two-mode state takes a whole stack per product; wider blocks go sector by
+sector, from unpadded views.
 
 Displacement and squeezing exponentiate real generators only.  With
 R(phi) = diag(e^{i phi n}), R(phi) a R(-phi) = e^{-i phi} a holds on the
@@ -40,8 +39,11 @@ phase, takes Taylor steps of shifted-slice products (Al-Mohy & Higham, SIAM
 J. Sci. Comput. 33, 488 (2011)), with no d^3 work and no BLAS call.
 displacements applies a sweep's D(alpha) to a state as one batch, and
 oracle-check runs its circuits' one-mode prefixes through it in lockstep.
-_expm (scaling and squaring, on numpy) serves multi-mode factors only: with the
-phases folded in, one complex matmul per step along the mode axis, no copy.
+
+A multi-mode state goes through one in-place kernel, _apply_into: B(theta)
+acts on disjoint number sectors and a one-mode step, R(phi) _expm(scale G)
+R(-phi), on one axis, so each can overwrite its input.  The public functions
+run it on a copy (_copied), oracle-check's phase 2 on its joined factors.
 
 GadgetSpec holds the pickoff gadget's parameters.  measure.l_intf reads that
 circuit out from single-mode marginals through _number_trace, which reads
@@ -60,11 +62,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockState, _warn_leak
+from .fock import FockState, _guard_mass, _warn_leak
 from .states import Squeeze
 
 # [13/13] Pade numerator coefficients b_k = (26 - k)! / (k! (13 - k)!)
 _PADE13 = tuple(float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k))) for k in range(14))
+# columns (rows, when the mode is last) per product of a multi-mode displace or squeeze
+_SLAB = 64
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,7 @@ class GadgetSpec:
 def phase_shift(state: FockState, mode: int, phi: float) -> FockState:
     """Multiply the amplitude at occupation n by e^{i phi n}."""
     state.layout._check_mode(mode)
-    d = state.layout.dims[mode]
-    shape = [1] * state.layout.n_modes
-    shape[mode] = d
-    factor = np.exp(1j * phi * np.arange(d)).reshape(shape)
-    return FockState(state.layout, (state.nd * factor).reshape(-1), state.leakage)
+    return _copied(state, ("phase", mode, phi))
 
 
 # sectors whose sizes lie within this ratio share one zero-padded stack
@@ -318,33 +318,7 @@ def beamsplit(state: FockState, mode_a: int, mode_b: int, theta: float) -> FockS
     state.layout._check_mode(mode_b)
     if mode_a == mode_b:
         raise ValueError("beamsplit needs two distinct modes")
-    arr = np.moveaxis(state.nd, (mode_a, mode_b), (0, 1))
-    da, db = arr.shape[0], arr.shape[1]
-    stacks, sectors = _bs_plan(da, db)
-    if arr.ndim == 2:
-        # each sector block is a vector: apply a whole stack per product,
-        # with its padding read from and written to one spare slot
-        flat = np.zeros(da * db + 1, dtype=np.complex128)
-        flat[:-1].reshape(da, db)[...] = arr
-        out = np.empty_like(flat)
-        for st in stacks:
-            block = _real_matmul(st.vec.transpose(0, 2, 1), flat[st.idx][..., None])
-            block *= np.exp(1j * theta * st.lam)[..., None]
-            out[st.idx] = _real_matmul(st.vec, block)[..., 0]
-        out = np.moveaxis(out[:-1].reshape(da, db), (0, 1), (mode_a, mode_b))
-    else:
-        # wide blocks: padding would cost flops, so each sector reads its
-        # unpadded views; indexing (da, db, rest) keeps the moved view uncopied
-        rest = arr.shape[2:]
-        arr = arr.reshape(da, db, -1)
-        out = np.empty_like(arr)
-        for js, ks, vec, lam in sectors:
-            # U_N x = vec (exp(i theta lam) * (vec.T x)), with vec real
-            block = _real_matmul(vec.T, arr[js, ks, :])
-            block *= np.exp(1j * theta * lam)[:, None]
-            out[js, ks, :] = _real_matmul(vec, block)
-        out = np.moveaxis(out.reshape((da, db) + rest), (0, 1), (mode_a, mode_b))
-    return FockState(state.layout, out.reshape(-1), state.leakage)
+    return _copied(state, ("beamsplit", mode_a, mode_b, theta))
 
 
 def _lowering(d: int) -> np.ndarray:
@@ -451,23 +425,64 @@ def _mode_step(element) -> tuple[int, float, float, str]:
     return 2, squeeze.r / 2, squeeze.theta / 2, f"squeeze_op(r={squeeze.r:.4g})"
 
 
-def _apply_mode_steps(state: FockState, mode: int, steps) -> list[FockState]:
-    """Apply each (power, scale, phi, what) step of _mode_step along one mode:
-    on a one-mode state as one _mode_action batch, on a multi-mode state as
-    one complex matrix R(phi) _expm(scale G) R(-phi) per row, multiplied
-    along the mode axis of the (before, d, after) view, so that each row
-    allocates only its output."""
+def _copied(state: FockState, element) -> FockState:
+    """The element applied by _apply_into to a copy of the state's amplitudes."""
+    amps = state.nd.copy()
+    _apply_into(amps, element)
+    return FockState(state.layout, amps, state.leakage)
+
+
+def _apply_into(amps: np.ndarray, element) -> None:
+    """Apply one circuit element in place to a writable C-ordered array with
+    one axis per mode, of two or more modes.  A beamsplit scatters each
+    number sector's product back where it gathered it; a displace or squeeze
+    multiplies R(phi) _expm(scale G) R(-phi) into slabs of the (before, d,
+    after) view, and warns on the guard-band mass."""
+    mode, d = element[1], amps.shape[element[1]]
+    if element[0] == "phase":
+        amps *= np.exp(1j * element[2] * np.arange(d)).reshape((d,) + (1,) * (amps.ndim - mode - 1))
+    elif element[0] == "beamsplit":
+        moved, theta = np.moveaxis(amps, element[1:3], (0, 1)), element[3]
+        da, db = moved.shape[0], moved.shape[1]
+        stacks, sectors = _bs_plan(da, db)
+        if amps.ndim == 2:
+            # vector blocks: a whole stack per product, on a scratch copy whose spare slot reads as zero
+            flat = np.zeros(da * db + 1, dtype=np.complex128)
+            flat[:-1].reshape(da, db)[...] = moved
+            for st in stacks:
+                block = _real_matmul(st.vec.transpose(0, 2, 1), flat[st.idx][..., None])
+                block *= np.exp(1j * theta * st.lam)[..., None]
+                flat[st.idx] = _real_matmul(st.vec, block)[..., 0]
+                flat[-1] = 0.0
+            moved[...] = flat[:-1].reshape(da, db)
+        else:
+            # wide blocks: unpadded views per sector; indexing the moved view never copies it
+            for js, ks, vec, lam in sectors:
+                block = _real_matmul(vec.T, moved[js, ks].reshape(js.size, -1))
+                block *= np.exp(1j * theta * lam)[:, None]
+                moved[js, ks] = _real_matmul(vec, block).reshape((js.size,) + moved.shape[2:])
+    elif (step := _mode_step(element))[1]:
+        power, scale, phi, what = step
+        a, ph = _lowering(d), np.exp(1j * phi * np.arange(d))
+        m = ph[:, None] * _expm(scale * (a.T - a if power == 1 else a @ a - (a @ a).T)) * ph.conj()
+        x = amps.reshape(math.prod(amps.shape[:mode]), d, -1)
+        if x.shape[2] == 1:
+            for lo in range(0, x.shape[0], _SLAB):
+                x[lo:lo + _SLAB, :, 0] = x[lo:lo + _SLAB, :, 0] @ m.T
+        else:
+            for rows in x:
+                for lo in range(0, x.shape[2], _SLAB):
+                    rows[:, lo:lo + _SLAB] = m @ rows[:, lo:lo + _SLAB]
+        _warn_leak(_guard_mass(amps), what)
+
+
+def _apply_mode_steps(state: FockState, mode: int, elements) -> list[FockState]:
+    """Displace or squeeze elements on one mode: one _mode_action batch on a one-mode state, else _copied each."""
     state.layout._check_mode(mode)
-    powers, scales, phis, whats = zip(*steps)
-    d = state.layout.dims[mode]
-    if state.layout.n_modes == 1:
-        rows = _mode_action(np.broadcast_to(state.amplitudes, (len(steps), d)), powers, scales, phis)
-    else:
-        x, a, rows = state.amplitudes.reshape(math.prod(state.layout.dims[:mode]), d, -1), _lowering(d), []
-        for power, scale, phi in zip(powers, scales, phis):
-            ph = np.exp(1j * phi * np.arange(d))
-            m = ph[:, None] * _expm(scale * (a.T - a if power == 1 else a @ a - (a @ a).T)) * ph.conj()
-            rows.append((x[..., 0] @ m.T if x.shape[2] == 1 else np.matmul(m, x)).reshape(-1))
+    if state.layout.n_modes > 1:
+        return [_copied(state, element) for element in elements]
+    powers, scales, phis, whats = zip(*map(_mode_step, elements))
+    rows = _mode_action(np.broadcast_to(state.amplitudes, (len(elements), state.layout.dim)), powers, scales, phis)
     states = [FockState(state.layout, row, state.leakage) for row in rows]
     for result, what in zip(states, whats):
         _warn_leak(result.guard_band_mass, what)
@@ -482,7 +497,7 @@ def displacements(state: FockState, mode: int, alphas) -> list[FockState]:
         return [state] * len(alphas)
     if not math.isfinite(sum(abs(alpha) for alpha in moved)):
         raise ValueError("displacement must be finite")
-    out = iter(_apply_mode_steps(state, mode, [_mode_step(("displace", mode, alpha)) for alpha in moved]))
+    out = iter(_apply_mode_steps(state, mode, [("displace", mode, alpha) for alpha in moved]))
     return [next(out) if alpha != 0 else state for alpha in alphas]
 
 
@@ -502,7 +517,7 @@ def squeeze_op(state: FockState, mode: int, squeeze: Squeeze) -> FockState:
     """
     if squeeze.r == 0.0:
         return state
-    return _apply_mode_steps(state, mode, [_mode_step(("squeeze", mode, squeeze))])[0]
+    return _apply_mode_steps(state, mode, [("squeeze", mode, squeeze)])[0]
 
 
 def apply_element(state: FockState, element) -> FockState:
@@ -512,13 +527,7 @@ def apply_element(state: FockState, element) -> FockState:
     ("squeeze", mode, Squeeze), ("beamsplit", mode_a, mode_b, theta); the
     same tuples analytics.gaussian_propagate takes.
     """
-    name = element[0]
-    if name == "displace":
-        return displace(state, element[1], element[2])
-    if name == "phase":
-        return phase_shift(state, element[1], element[2])
-    if name == "squeeze":
-        return squeeze_op(state, element[1], element[2])
-    if name == "beamsplit":
-        return beamsplit(state, element[1], element[2], element[3])
-    raise ValueError(f"unknown circuit element {name!r}")
+    apply = {"displace": displace, "phase": phase_shift, "squeeze": squeeze_op, "beamsplit": beamsplit}.get(element[0])
+    if apply is None:
+        raise ValueError(f"unknown circuit element {element[0]!r}")
+    return apply(state, *element[1:])

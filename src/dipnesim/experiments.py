@@ -29,14 +29,14 @@ from .analytics import (
 from .catfit import CatFitResult, fit_squeezed_cats, kitten_target
 from .circuits import (
     GadgetSpec,
+    _apply_into,
     _displacement_matrix,
     _mode_action,
     _mode_step,
-    apply_element,
     displacements,
     squeeze_op,
 )
-from .fock import FockState, ModeLayout, _warn_leak, basis_state, tensor, vacuum_state
+from .fock import FockState, ModeLayout, _guard_mass, _warn_leak, basis_state, vacuum_state
 from .kitten import KittenSpec, _herald_probability, herald_tails, kitten_direct
 from .measure import _vacuum_split, l_intf, mean_quadrature
 from .states import Squeeze
@@ -624,11 +624,11 @@ def _product_factors(circuits, cutoff: int):
     on other modes.  Phase 1 runs every lane's prefix from vacuum in
     lockstep: step t is one _mode_action call for the t-th displace and
     squeeze elements of all lanes, and one product for their phases.  Phase
-    2 runs each circuit's other elements depth-first through apply_element on
-    the factor that holds their modes, joining two factors with tensor at a
-    beamsplit that spans them, and yields the circuit before the next starts.
+    2 runs each circuit's other elements depth-first, in place through
+    _apply_into, on one array per joined factor that np.multiply.outer makes
+    at the joining beamsplit, and yields the circuit before the next starts.
     """
-    circuits, layout, levels = list(circuits), ModeLayout((cutoff,)), np.arange(cutoff + 1)
+    circuits, levels = list(circuits), np.arange(cutoff + 1)
     lanes, rests = [], []
     for n_modes, elements in circuits:
         coupled, rest, prefixes = set(), [], [[] for _ in range(n_modes)]
@@ -651,21 +651,22 @@ def _product_factors(circuits, cutoff: int):
             at, (powers, scales, phis, whats) = [lane for lane, _ in moves], zip(*(op for _, op in moves))
             vecs[at] = _mode_action(vecs[at], powers, scales, phis)
             for lane, what in zip(at, whats):
-                _warn_leak(FockState(layout, vecs[lane]).guard_band_mass, what)
+                _warn_leak(_guard_mass(vecs[lane]), what)
     starts = np.cumsum([0] + [n_modes for n_modes, _ in circuits])
     for (n_modes, _), rest, lane in zip(circuits, rests, starts):
-        factors = {mode: ((mode,), FockState(layout, vecs[lane + mode])) for mode in range(n_modes)}
+        factors = {mode: ((mode,), vecs[lane + mode]) for mode in range(n_modes)}
         for element in rest:
             targets = element[1:3] if element[0] == "beamsplit" else element[1:2]
-            modes, state = factors[targets[0]]
+            modes, amps = factors[targets[0]]
             if targets[-1] not in modes:
-                other, state_b = factors[targets[-1]]
-                modes, state = modes + other, tensor(state, state_b)
-            local = tuple(modes.index(m) for m in targets)
-            state = apply_element(state, (element[0], *local, *element[1 + len(targets):]))
+                other, amps_b = factors[targets[-1]]
+                ModeLayout((cutoff,) * len(modes + other))  # raises on overflow
+                modes, amps = modes + other, np.multiply.outer(amps, amps_b)
+            _apply_into(amps, (element[0], *(modes.index(m) for m in targets), *element[1 + len(targets):]))
             for mode in modes:
-                factors[mode] = (modes, state)
-        yield factors
+                factors[mode] = (modes, amps)
+        held = {modes: FockState(ModeLayout((cutoff,) * len(modes)), amps) for modes, amps in dict(factors.values()).items()}
+        yield {mode: (modes, held[modes]) for mode, (modes, _) in factors.items()}
 
 
 def run_oracle_check(config: ExperimentConfig) -> ResultTable:

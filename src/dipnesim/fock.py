@@ -22,10 +22,11 @@ from functools import cached_property
 import numpy as np
 
 # Largest joint dimension, in amplitudes: 2**25 complex128 amplitudes are
-# 512 MiB per vector.  One displace, squeeze_op or beamsplit on a multi-mode
-# state allocates at most 1.2 vectors (its output; two tracemalloc tests in
-# test_circuits bound this), so a call holds about 2.2 vectors with its input,
-# and a larger layout would risk an out-of-memory kill where a ValueError belongs.
+# 512 MiB per vector.  A displace, squeeze_op or beamsplit on a multi-mode
+# state runs in place on a copy of its input and allocates at most 1.2 vectors
+# (two tracemalloc tests in test_circuits bound this): a public call holds
+# about 2.2 with its input, oracle-check's phase 2 one.  A larger layout would
+# risk an out-of-memory kill where a ValueError belongs.
 MAX_JOINT_DIM = 2**25
 GUARD_BAND = 2
 LEAK_THRESHOLD = 1e-8
@@ -128,14 +129,8 @@ class FockState:
 
     @cached_property
     def guard_band_mass(self) -> float:
-        """Probability with any occupation in the top GUARD_BAND levels of
-        its mode, computed on first read and summed over the band itself:
-        piece m holds the modes before m below their band and mode m in it."""
-        flat = self.amplitudes.view(np.float64).reshape(self.layout.dims + (2,))
-        below = [slice(0, max(d - GUARD_BAND, 0)) for d in self.layout.dims]
-        pieces = (flat[(*below[:m], slice(below[m].stop, None))] for m in range(self.layout.n_modes))
-        axes = list(range(flat.ndim))
-        return float(sum(np.einsum(piece, axes, piece, axes, []) for piece in pieces))
+        """_guard_mass of the amplitudes, computed on first read."""
+        return _guard_mass(self.nd)
 
     def _mode_rows(self, mode: int) -> np.ndarray:
         """The float64 view of the amplitudes as (before, d, 2 after): axis 1
@@ -148,6 +143,16 @@ class FockState:
         the level probabilities, weighted and summed exactly."""
         rows = self._mode_rows(mode)
         return math.fsum((np.arange(rows.shape[1]) * np.einsum("pnr,pnr->n", rows, rows)).tolist())
+
+
+def _guard_mass(nd: np.ndarray) -> float:
+    """Guard-band mass of a C-ordered array with one axis per mode, summed over
+    the band: piece m holds the modes before m below their band, mode m in it."""
+    flat = nd.reshape(-1).view(np.float64).reshape(nd.shape + (2,))
+    below = [slice(0, max(d - GUARD_BAND, 0)) for d in nd.shape]
+    pieces = (flat[(*below[:m], slice(below[m].stop, None))] for m in range(nd.ndim))
+    axes = list(range(flat.ndim))
+    return float(sum(np.einsum(piece, axes, piece, axes, []) for piece in pieces))
 
 
 def _warn_leak(mass: float, what: str) -> None:

@@ -28,6 +28,7 @@ from dipnesim.circuits import (
     _bs_number_readout,
     _bs_plan,
     _number_trace,
+    apply_element,
     beamsplit,
     displace,
     displacements,
@@ -157,9 +158,9 @@ class TestSectorPlan:
                 np.testing.assert_allclose(lam, np.arange(-total, total + 1, 2.0), rtol=0, atol=1e-12)
 
     def test_beamsplit_allocates_one_state(self):
-        # the loop over wide blocks indexes the moved (da, db, rest) view:
-        # flattening it to (da * db, rest) would copy the state for modes
-        # that are not adjacent
+        # one copy of the state, then the in-place kernel: its loop over wide
+        # blocks only indexes the moved (da, db, rest) view, since reshaping
+        # it would copy the state for modes that are not adjacent
         lay = ModeLayout((60, 60, 60))
         rng = np.random.default_rng(3)
         psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim))
@@ -175,8 +176,9 @@ class TestSectorPlan:
 
     @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
     def test_mode_steps_allocate_one_state(self):
-        # one complex matrix along the mode axis of the (before, d, after)
-        # view, and the guard band summed over the band: only the output is new
+        # one copy of the state, then one complex matrix along the mode axis
+        # of the (before, d, after) view in slabs of _SLAB columns, and the
+        # guard band summed over the band: only the copy is a whole state
         lay = ModeLayout((60, 60, 60))
         rng = np.random.default_rng(4)
         psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim))
@@ -189,6 +191,70 @@ class TestSectorPlan:
                 finally:
                     tracemalloc.stop()
                 assert peak <= 1.2 * psi.amplitudes.nbytes, mode
+
+
+class TestInPlaceKernels:
+    @given(
+        cutoffs=st.lists(st.integers(1, 12), min_size=2, max_size=3),
+        theta=st.floats(-math.pi, math.pi),
+        alpha=st.tuples(st.floats(0.0, 2.0), st.floats(-math.pi, math.pi)),
+        squeeze=st.tuples(st.floats(0.0, 0.5), st.floats(-math.pi, math.pi)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
+    def test_match_dense_oracles(self, cutoffs, theta, alpha, squeeze, seed):
+        # every ordered mode pair and every axis of a 2- or 3-mode layout:
+        # beamsplit against formed sector unitaries, displace, squeeze and
+        # phase against scipy's expm of the truncated generator
+        lay = ModeLayout(tuple(cutoffs))
+        rng = np.random.default_rng(seed)
+        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)).normalize()
+        for modes in itertools.permutations(range(lay.n_modes), 2):
+            got = psi.nd.copy()
+            circuits._apply_into(got, ("beamsplit", *modes, theta))
+            want = beamsplit_sector_unitaries(psi, *modes, theta).nd
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        alpha, xi = cmath.rect(*alpha), cmath.rect(*squeeze)
+        for mode, d in enumerate(lay.dims):
+            a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+            for element, gen in (
+                (("displace", mode, alpha), alpha * a.T - alpha.conjugate() * a),
+                (("squeeze", mode, Squeeze(*squeeze)), (xi.conjugate() * a @ a - xi * a.T @ a.T) / 2),
+                (("phase", mode, theta), 1j * theta * np.diag(np.arange(d + 0.0))),
+            ):
+                got = psi.nd.copy()
+                circuits._apply_into(got, element)
+                want = np.moveaxis(np.tensordot(scipy.linalg.expm(gen), psi.nd, axes=(1, mode)), 0, mode)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(element))
+
+    @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
+    @pytest.mark.parametrize("cutoffs", [(6, 5, 7), (8, 4)])
+    def test_public_elements_leave_input_alone(self, cutoffs):
+        # each public element copies the amplitudes and runs its kernel on
+        # the copy; the input stays read-only and bit for bit as it was
+        lay = ModeLayout(cutoffs)
+        rng = np.random.default_rng(9)
+        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)).normalize()
+        before = psi.amplitudes.copy()
+        elements = [
+            ("beamsplit", lay.n_modes - 1, 0, 0.7),
+            ("phase", 1, 0.4),
+            ("displace", 1, 0.3 - 0.5j),
+            ("squeeze", 0, Squeeze(0.4, 1.3)),
+        ]
+        calls = [
+            lambda: beamsplit(psi, lay.n_modes - 1, 0, 0.7),
+            lambda: phase_shift(psi, 1, 0.4),
+            lambda: displace(psi, 1, 0.3 - 0.5j),
+            lambda: squeeze_op(psi, 0, Squeeze(0.4, 1.3)),
+        ] + [lambda element=element: apply_element(psi, element) for element in elements]
+        for call in calls:
+            out = call()
+            assert psi.amplitudes.tobytes() == before.tobytes()
+            assert not psi.amplitudes.flags.writeable
+            assert not out.amplitudes.flags.writeable
+            assert not np.shares_memory(out.amplitudes, psi.amplitudes)
 
 
 class TestSectorGathers:

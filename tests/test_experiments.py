@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -566,7 +567,7 @@ class TestProductFactors:
 
     @pytest.mark.parametrize("seed", [7, 501])
     def test_some_circuit_joins_all_modes(self, seed):
-        # keeps the tensor merge and the 3-mode kernels on the checked path
+        # keeps the outer-product join and the 3-mode kernels on the checked path
         joined = 0
         circuits = [(n_modes, elements) for _, n_modes, elements in _enumerated_circuits(seed, 100, 3)]
         for factors in _product_factors(circuits, 60):
@@ -603,6 +604,45 @@ class TestProductFactors:
         texts = sorted(str(w.message) for w in got if w.category is LeakageWarning)
         assert len(texts) >= 5
         assert texts == sorted(str(w.message) for w in want if w.category is LeakageWarning)
+
+    def test_joined_factor_is_one_buffer(self):
+        # every element after the join runs in place on the joined factor:
+        # the peak is that one 61^3 state, not an input and an output
+        elements = [
+            ("displace", 0, 0.5 + 0.2j),
+            ("squeeze", 2, Squeeze(0.3, 0.4)),
+            ("beamsplit", 0, 1, 0.6),
+            ("beamsplit", 1, 2, 0.9),
+            ("beamsplit", 0, 2, 0.3),
+            ("squeeze", 1, Squeeze(0.2, 1.1)),
+            ("displace", 0, -0.3 + 0.4j),
+            ("phase", 2, 0.7),
+        ]
+        circuits._bs_plan(61, 61)  # build the sector plan outside the trace
+        tracemalloc.start()
+        try:
+            (factors,) = _product_factors([(3, elements)], 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        modes, state = factors[0]
+        assert len(modes) == 3
+        assert peak <= 1.2 * state.amplitudes.nbytes
+
+    def test_in_place_squeeze_warns(self):
+        # a squeeze past the cutoff on a joined factor runs in place and
+        # warns with the text of the circuit run alone
+        elements = [("displace", 0, 0.4), ("beamsplit", 0, 1, 0.5), ("squeeze", 1, Squeeze(1.5, 0.0))]
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            (factors,) = _product_factors([(2, elements)], 10)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            alone = depth_first_factors(2, 10, elements)
+        texts = [str(w.message) for w in got if w.category is LeakageWarning]
+        assert len(texts) == 1 and texts[0].startswith("squeeze_op(r=1.5): ")
+        assert texts == [str(w.message) for w in want if w.category is LeakageWarning]
+        assert factors[0][1].amplitudes.tobytes() == alone[0][1].amplitudes.tobytes()
 
     def test_merge_order(self):
         # each mode is touched first, so the merged factors list their modes
