@@ -52,13 +52,11 @@ from .kitten import (
     peak_estimate,
 )
 from .measure import (
-    joint_number_distribution,
     l_intf,
     mean_quadrature,
 )
 from .states import (
     Squeeze,
-    coherent,
     squeezed_vacuum,
 )
 
@@ -84,14 +82,12 @@ __all__ = [
     "beamsplit",
     "c_equal",
     "c_equal_bruteforce",
-    "coherent",
     "displace",
     "displacements",
     "fit_squeezed_cat",
     "fit_squeezed_cats",
     "gaussian_propagate",
     "interference_loss_theory",
-    "joint_number_distribution",
     "kitten_direct",
     "kitten_probability",
     "l_intf",

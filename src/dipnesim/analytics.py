@@ -169,7 +169,7 @@ def _secant_next(tried: list[tuple[float, float]]) -> float:
     return (min if f1 > 0.0 else max)(ri for ri, _ in tried) - math.copysign(BRACKET_STEP, f1)
 
 
-def squeeze_to_match(pairs, work_cutoff: int = 1000) -> list[MatchResult]:
+def squeeze_to_match(pairs, work_cutoff: int) -> list[MatchResult]:
     """Antisqueezing that brings each source kitten's fitted displacement
     to its target, for (source KittenSpec, source alpha, target alpha)
     pairs, the source alpha being the kitten's own fit.

@@ -7,10 +7,11 @@ input's parity.  The fit maximizes fidelity over s; s = 0 is the plain
 (unsqueezed) cat of the same budget.
 
 Every input is a FitTarget, S(R) applied to a few Fock amplitudes: k + 1
-for a kitten, antisqueezed or not (kitten_target), or a bare Fock state's
-own at R = 0.  The squeezed-cat recurrence and cat norm of states score
-every (target, fraction) row of a sweep on those levels alone, with exact
-candidate norms, so no cutoff enters a kitten's fit.
+for a kitten, antisqueezed or not (kitten_target, read from the spec's own
+KittenSpec.core()), or a bare Fock state's own at R = 0.  The
+squeezed-cat recurrence and cat norm of states score every (target,
+fraction) row of a sweep on those levels alone, with exact candidate
+norms, so no cutoff enters a kitten's fit.
 
 The budget is deliberately the component-level split, not the mean
 photon number of the normalized superposition.  The parity cross term
@@ -70,14 +71,12 @@ class FitTarget:
     phi: float
 
 
-def kitten_target(
-    spec: KittenSpec, rho: float = 0.0, core: tuple[float, np.ndarray] | None = None
-) -> FitTarget:
+def kitten_target(spec: KittenSpec, rho: float = 0.0) -> FitTarget:
     """The kitten of spec antisqueezed by rho along its displacement axis
     (rho < 0 squeezes): squeezes along one axis add, so it is S(r' + rho) c
-    with (r', c) = spec.core() (or core, where the caller has it), and its
-    photon number is kitten.photon_number(r' + rho, c)."""
-    r_sub, coeffs = spec.core() if core is None else core
+    with (r', c) = spec.core(), the spec's own cached core, and its photon
+    number is kitten.photon_number(r' + rho, c)."""
+    r_sub, coeffs = spec.core()
     if not coeffs.any():
         raise ValueError(
             f"the k={spec.k} kitten has no amplitude: a herald of probability 0 "

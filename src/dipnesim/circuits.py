@@ -478,7 +478,6 @@ def _apply_into(amps: np.ndarray, element) -> None:
 
 def _apply_mode_steps(state: FockState, mode: int, elements) -> list[FockState]:
     """Displace or squeeze elements on one mode: one _mode_action batch on a one-mode state, else _copied each."""
-    state.layout._check_mode(mode)
     if state.layout.n_modes > 1:
         return [_copied(state, element) for element in elements]
     powers, scales, phis, whats = zip(*map(_mode_step, elements))
@@ -491,6 +490,7 @@ def _apply_mode_steps(state: FockState, mode: int, elements) -> list[FockState]:
 
 def displacements(state: FockState, mode: int, alphas) -> list[FockState]:
     """[displace(state, mode, alpha) for alpha in alphas], as one batch."""
+    state.layout._check_mode(mode)
     alphas = [complex(alpha) for alpha in alphas]
     moved = [alpha for alpha in alphas if alpha != 0]
     if not moved:
@@ -515,6 +515,7 @@ def squeeze_op(state: FockState, mode: int, squeeze: Squeeze) -> FockState:
     Computed as R(theta/2) exp((r/2)(a^2 - a+^2)) R(-theta/2) for
     xi = r e^{i theta}.
     """
+    state.layout._check_mode(mode)
     if squeeze.r == 0.0:
         return state
     return _apply_mode_steps(state, mode, [("squeeze", mode, squeeze)])[0]

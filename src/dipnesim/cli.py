@@ -81,14 +81,15 @@ def _pair_overrides(extra: list[str]) -> dict[str, str]:
 
 def _parse(argv: list[str]) -> tuple[str, dict[str, str | None], bool, list[str]]:
     """(experiment, {"--config": FILE, "--out": FILE}, json, extra tokens);
-    a missing or unknown experiment, or an option without its value, raises."""
+    a missing or unknown experiment, or an option without its value or with
+    an empty one, raises."""
     experiment, files, as_json, extra = None, {"--config": None, "--out": None}, False, []
     tokens = iter(argv)
     for token in tokens:
         name, eq, value = token.partition("=")
         if name in files:
             files[name] = value if eq else next(tokens, None)
-            if files[name] is None:
+            if not files[name]:
                 raise ValueError(f"{name} needs a value")
         elif token == "--json":
             as_json = True

@@ -37,7 +37,7 @@ from .circuits import (
     squeeze_op,
 )
 from .fock import FockState, ModeLayout, _guard_mass, _warn_leak, basis_state, vacuum_state
-from .kitten import KittenSpec, _herald_probability, herald_tails, kitten_direct
+from .kitten import KittenSpec, herald_tails, kitten_direct, kitten_probability
 from .measure import _vacuum_split, l_intf, mean_quadrature
 from .states import Squeeze
 
@@ -148,22 +148,19 @@ def _as_bool(v) -> bool:
     raise ValueError(f"expected a boolean, got {v!r}")
 
 
-def _as_floats(v) -> tuple[float, ...]:
-    if isinstance(v, (tuple, list, np.ndarray)):
-        return tuple(float(x) for x in v)
-    parts = [p.strip() for p in str(v).split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list value")
-    return tuple(float(p) for p in parts)
+def _as_list(convert: Callable) -> Callable[[object], tuple]:
+    """A converter of a comma list, or of a tuple, list or array, to a
+    tuple of convert's values; an empty comma list raises."""
 
+    def parse(v) -> tuple:
+        if isinstance(v, (tuple, list, np.ndarray)):
+            return tuple(map(convert, v))
+        parts = [p.strip() for p in str(v).split(",") if p.strip()]
+        if not parts:
+            raise ValueError("empty list value")
+        return tuple(map(convert, parts))
 
-def _as_ints(v) -> tuple[int, ...]:
-    if isinstance(v, (tuple, list, np.ndarray)):
-        return tuple(_as_int(x) for x in v)
-    parts = [p.strip() for p in str(v).split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list value")
-    return tuple(_as_int(p) for p in parts)
+    return parse
 
 
 def _choice(*options: str) -> Callable[[object], str]:
@@ -190,7 +187,7 @@ _KITTEN_SWEEP = {
     "squeeze_max": _Key(float, 20.0),
     "squeeze_steps": _Key(_as_int, 20),
     "infinite": _Key(_as_bool, False),
-    "k_list": _Key(_as_ints, (1, 3, 5, 7, 9)),
+    "k_list": _Key(_as_list(_as_int), (1, 3, 5, 7, 9)),
     "theta_sub": _Key(float, math.pi / 5),
     "cutoff": _Key(_as_int, 1000),
 }
@@ -216,16 +213,16 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
         "lo_rule": _Key(_choice("sqrt-plus-2", "sqrt-of-plus-2"), "sqrt-plus-2"),
     },
     "match": {
-        "source_k": _Key(_as_ints, (1, 3, 5, 7, 9)),
-        "target_k": _Key(_as_ints, (1, 3, 5, 7, 9)),
+        "source_k": _Key(_as_list(_as_int), (1, 3, 5, 7, 9)),
+        "target_k": _Key(_as_list(_as_int), (1, 3, 5, 7, 9)),
         "squeeze_photons": _Key(float, math.inf),
         "theta_sub": _Key(float, math.pi / 5),
         "cutoff": _Key(_as_int, 300),
         "work_cutoff": _Key(_as_int, 600),
     },
     "gaussdrive": {
-        "d0_list": _Key(_as_floats, (1.0,)),
-        "r0_photons": _Key(_as_floats, (0.0, 0.1)),
+        "d0_list": _Key(_as_list(float), (1.0,)),
+        "r0_photons": _Key(_as_list(float), (0.0, 0.1)),
         "r_min": _Key(float, 0.0),
         "r_max": _Key(float, 6.0),
         "r_steps": _Key(_as_int, 25),
@@ -405,13 +402,12 @@ def _kitten_table(config: ExperimentConfig, columns: tuple[str, ...], project) -
     points = [(photons, k) for photons in sweep for k in config["k_list"]]
     specs = [KittenSpec(photons, theta, k, cutoff) for photons, k in points]
     live = [spec for spec in specs if spec.squeeze_photons != 0.0]
-    cores = [spec.core() for spec in live]
-    tails = herald_tails(live, cores)
-    targets = [kitten_target(spec, core=core) for spec, core in zip(live, cores)]
+    tails = herald_tails(live)
+    targets = [kitten_target(spec) for spec in live]
     # target.photons is photon_number(r' + 0.0, c): kitten_direct's mean_photons
     done = iter(
-        ((math.nan if spec.infinite else _herald_probability(spec, *core), target.photons), fit)
-        for spec, core, target, fit in zip(live, cores, targets, fit_squeezed_cats(targets))
+        ((math.nan if spec.infinite else kitten_probability(spec), target.photons), fit)
+        for spec, target, fit in zip(live, targets, fit_squeezed_cats(targets))
     )
     rows = [
         (photons, k) + project(k, *(next(done) if photons != 0.0 else (None, None)))
@@ -529,9 +525,8 @@ def run_match(config: ExperimentConfig) -> ResultTable:
     photons = config["squeeze_photons"]
     ks = sorted(set(config["source_k"]) | set(config["target_k"]))
     specs = {k: KittenSpec(photons, theta, k, cutoff) for k in ks}
-    cores = [specs[k].core() for k in ks]
-    max_leak = max(herald_tails([specs[k] for k in ks], cores))
-    fits = dict(zip(ks, fit_squeezed_cats([kitten_target(specs[k], core=c) for k, c in zip(ks, cores)])))
+    max_leak = max(herald_tails(list(specs.values())))
+    fits = dict(zip(ks, fit_squeezed_cats([kitten_target(spec) for spec in specs.values()])))
 
     grid = sorted((s, t) for s in config["source_k"] for t in config["target_k"])
     off = sorted({(s, t) for s, t in grid if s != t})

@@ -121,12 +121,6 @@ class FockState:
     def is_normalized(self, tol: float = 1e-9) -> bool:
         return abs(self.norm() - 1.0) <= tol
 
-    def normalize(self) -> "FockState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockState(self.layout, self.amplitudes / n, self.leakage)
-
     @cached_property
     def guard_band_mass(self) -> float:
         """_guard_mass of the amplitudes, computed on first read."""

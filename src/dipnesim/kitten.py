@@ -4,11 +4,12 @@ A weak beamsplitter (subtraction angle theta_sub) taps a squeezed-vacuum
 mode; counting k photons in the tap heralds a^k S(r')|0> in the kept
 mode, with tanh r' = cos^2(theta_sub) tanh r (Dakna et al., PRA 55, 3184
 (1997)).  KittenSpec.core() is the one description of that state: r' and
-k + 1 amplitudes c.  The herald probability, the photon number and the
-Fock state on any cutoff all follow from it in closed form, at finite or
-infinite squeezing; one Horner pass (_build) makes the Fock states of a
-whole batch of kittens, and herald_tails reads a sweep's truncated tails
-from it.  The two-mode simulation of the same circuit,
+k + 1 amplitudes c, worked out once per spec and kept with it, so no
+function takes a copy of it.  The herald probability, the photon number
+and the Fock state on any cutoff all follow from it in closed form, at
+finite or infinite squeezing; one Horner pass (_build) makes the Fock
+states of a whole batch of kittens, and herald_tails reads a sweep's
+truncated tails from it.  The two-mode simulation of the same circuit,
 kitten_by_subtraction in tests/oracles.py, is the cross-check, and the
 log-space series of the shifted source there is the reference.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +83,13 @@ class KittenSpec:
 
         With sinh^2 r = S, sinh r' = cos^2 sqrt(S) / sqrt(1 + S sin^2 (1 + cos^2)),
         cos^2 / (sin sqrt(1 + cos^2)) at S = inf: no tanh r, which rounds
-        near 1, and no cancellation."""
+        near 1, and no cancellation.  Worked out on the first call and kept,
+        so every call returns the same tuple, c read-only; a spec whose
+        amplitudes overflow constructs, and raises here."""
+        return self._core
+
+    @cached_property
+    def _core(self) -> tuple[float, np.ndarray]:
         cos_sq, sin = math.cos(self.theta_sub) ** 2, math.sin(self.theta_sub)
         if self.infinite:
             sinh_sub = cos_sq / (sin * math.sqrt(1.0 + cos_sq))
@@ -90,7 +98,9 @@ class KittenSpec:
             sinh_sub = cos_sq * math.sqrt(s) / math.sqrt(1.0 + s * sin**2 * (1.0 + cos_sq))
         r_sub = math.asinh(sinh_sub)
         x = math.tan(self.theta_sub) * sinh_sub
-        return r_sub, _ladder(self.k, x, 0.5 * x * math.tan(self.theta_sub) * math.cosh(r_sub))
+        coeffs = _ladder(self.k, x, 0.5 * x * math.tan(self.theta_sub) * math.cosh(r_sub))
+        coeffs.setflags(write=False)
+        return r_sub, coeffs
 
 
 @dataclass(frozen=True)
@@ -121,13 +131,13 @@ def photon_number(squeeze: float, coeffs: np.ndarray) -> float:
 
 
 def _build(rows, work_cutoff: int) -> tuple[np.ndarray, list[float], list[float]]:
-    """The kittens of rows (spec, rho, (r', c) = spec.core()), each
-    antisqueezed by rho, on work_cutoff levels in one Horner pass:
-    unnormalized amplitudes (a row each), kept norm^2 and the tail cut
-    off against c.c.  Every row sees the arithmetic of its own one-row
-    call; a zero or non-finite kept mass raises."""
+    """The kittens of rows (spec, rho), each antisqueezed by rho, on
+    work_cutoff levels in one Horner pass: unnormalized amplitudes (a row
+    each), kept norm^2 and the tail cut off against c.c of spec.core().
+    Every row sees the arithmetic of its own one-row call; a zero or
+    non-finite kept mass raises."""
     dim, n = work_cutoff + 1, len(rows)
-    bigs = np.array([r_sub + rho for _, rho, (r_sub, _) in rows])
+    bigs = np.array([spec.core()[0] + rho for spec, rho in rows])
     vac, squeezed = np.zeros((n, dim)), bigs != 0.0  # S(R)|0> per row
     vac[~squeezed, 0] = 1.0
     big, m = bigs[squeezed, None], np.arange((dim + 1) // 2)
@@ -136,10 +146,10 @@ def _build(rows, work_cutoff: int) -> tuple[np.ndarray, list[float], list[float]
     # p_k solves p_{j+1} = c z p_j + h p_j', p_0 = 1, with c = sinh r' / cosh R
     # and h = cosh rho; with the herald scale tan^k / sqrt(k!), its
     # coefficient of z^p / sqrt(p!) is _ladder(k, x, x tan h / 2)[p], x = tan c
-    ks = np.array([spec.k for spec, _, _ in rows])
+    ks = np.array([spec.k for spec, _ in rows])
     coeffs = np.zeros((n, ks.max(initial=0) + 1))
-    for i, (spec, rho, (r_sub, _)) in enumerate(rows):
-        tan = math.tan(spec.theta_sub)
+    for i, (spec, rho) in enumerate(rows):
+        tan, r_sub = math.tan(spec.theta_sub), spec.core()[0]
         x = tan * math.sinh(r_sub) / math.cosh(r_sub + rho)
         coeffs[i, : spec.k + 1] = _ladder(spec.k, x, 0.5 * x * tan * math.cosh(rho))
     # Horner in a+ / sqrt(p + 1); a+ only moves mass up, so the kept levels
@@ -161,7 +171,7 @@ def _build(rows, work_cutoff: int) -> tuple[np.ndarray, list[float], list[float]
         amps[on:enter] = coeffs[on:enter, p, None] * vac[on:enter]
     amps[order] = amps.copy()  # back to the callers' row order
     kept, tails = [], []
-    for (spec, _, (_, core)), row in zip(rows, amps):
+    for (spec, _), row in zip(rows, amps):
         mass = float(row @ row)
         if not (math.isfinite(mass) and mass > 0.0):
             raise ValueError(
@@ -169,13 +179,14 @@ def _build(rows, work_cutoff: int) -> tuple[np.ndarray, list[float], list[float]
                 "of probability 0 (zero squeezing), or amplitudes that under- or overflow"
             )
         kept.append(mass)
+        _, core = spec.core()
         tails.append(max(0.0, 1.0 - mass / (core @ core)))  # rounding leaves ~1e-16 of either sign
     return amps, kept, tails
 
 
-def _one(spec: KittenSpec, rho: float, work_cutoff: int, core: tuple[float, np.ndarray]) -> FockState:
+def _one(spec: KittenSpec, rho: float, work_cutoff: int) -> FockState:
     """The one-row _build, normalized."""
-    amps, kept, tails = _build([(spec, rho, core)], work_cutoff)
+    amps, kept, tails = _build([(spec, rho)], work_cutoff)
     return FockState(ModeLayout((work_cutoff,)), amps[0] / math.sqrt(kept[0]), tails[0])
 
 
@@ -188,13 +199,9 @@ def antisqueezed_kitten(spec: KittenSpec, rho: float, work_cutoff: int) -> FockS
     axis and the even amplitudes alternate in sign).  Its leakage is the
     tail cut off, against the exact norm^2 c.c of KittenSpec.core; it warns
     above LEAK_THRESHOLD, and a zero or overflowed build raises."""
-    state = _one(spec, rho, work_cutoff, spec.core())
+    state = _one(spec, rho, work_cutoff)
     _warn_leak(state.leakage, f"antisqueezed_kitten(k={spec.k}, rho={rho:.6g}) at work cutoff {work_cutoff}")
     return state
-
-
-def _herald_probability(spec: KittenSpec, r_sub: float, core: np.ndarray) -> float:
-    return math.cosh(r_sub) / math.sqrt(1.0 + spec.squeeze_photons) * float(core @ core)
 
 
 def _check_herald(spec: KittenSpec, tail: float) -> None:
@@ -206,15 +213,15 @@ def _check_herald(spec: KittenSpec, tail: float) -> None:
     _warn_leak(tail, f"kitten_direct(k={spec.k}) at cutoff {spec.cutoff}")
 
 
-def herald_tails(specs: list[KittenSpec], cores: list[tuple[float, np.ndarray]]) -> list[float]:
+def herald_tails(specs: list[KittenSpec]) -> list[float]:
     """kitten_direct(spec).state.leakage of every spec (one cutoff for all),
-    with cores[i] = specs[i].core(), from one _build and with kitten_direct's
-    raise and warning per row, but no state kept."""
+    from one _build and with kitten_direct's raise and warning per row, but
+    no state kept."""
     if not specs:
         return []
     if len({spec.cutoff for spec in specs}) > 1:
         raise ValueError("herald_tails needs one cutoff for all specs")
-    _, _, tails = _build([(spec, 0.0, core) for spec, core in zip(specs, cores)], specs[0].cutoff)
+    _, _, tails = _build([(spec, 0.0) for spec in specs], specs[0].cutoff)
     for spec, tail in zip(specs, tails):
         _check_herald(spec, tail)
     return tails
@@ -230,11 +237,10 @@ def kitten_direct(spec: KittenSpec) -> KittenState:
     the state does not exist (zero squeezing cannot herald k >= 1) and
     where an infinite-squeezing tail beyond the cutoff exceeds TAIL_LIMIT.
     """
-    r_sub, core = spec.core()
-    state = _one(spec, 0.0, spec.cutoff, (r_sub, core))
+    state = _one(spec, 0.0, spec.cutoff)
     _check_herald(spec, state.leakage)
-    prob = math.nan if spec.infinite else _herald_probability(spec, r_sub, core)
-    return KittenState(state, prob, photon_number(r_sub, core))
+    prob = math.nan if spec.infinite else kitten_probability(spec)
+    return KittenState(state, prob, photon_number(*spec.core()))
 
 
 def kitten_probability(spec: KittenSpec) -> float:
@@ -242,7 +248,8 @@ def kitten_probability(spec: KittenSpec) -> float:
     squeezing, with (r', c) = spec.core() and cosh r = sqrt(1 + S)."""
     if spec.infinite:
         raise ValueError("herald probability is undefined at infinite squeezing")
-    return _herald_probability(spec, *spec.core())
+    r_sub, core = spec.core()
+    return math.cosh(r_sub) / math.sqrt(1.0 + spec.squeeze_photons) * float(core @ core)
 
 
 def peak_estimate(k: int, theta_sub: float) -> float:

@@ -29,22 +29,12 @@ from .circuits import GadgetSpec, _number_trace
 from .fock import FockState
 
 
-def _require_normalized(state: FockState, tol: float = 1e-6) -> None:
-    if not state.is_normalized(tol):
-        raise ValueError(f"state must be normalized, norm is {state.norm():.8g}")
-
-
-def joint_number_distribution(state: FockState) -> np.ndarray:
-    """Joint photon-number probabilities, one axis per mode in layout order."""
-    _require_normalized(state)
-    return np.abs(state.nd) ** 2
-
-
 def mean_quadrature(state: FockState, mode: int) -> tuple[float, float]:
     """Expectation pair (X, P) = 2 (Re, Im) <a> of one mode, with
     <a> = sum_n sqrt(n + 1) <psi_n, psi_{n+1}> over the slices psi_n with n
     photons in the mode, read off the float64 view with no copy."""
-    _require_normalized(state)
+    if not state.is_normalized(1e-6):
+        raise ValueError(f"state must be normalized, norm is {state.norm():.8g}")
     rows = state._mode_rows(mode)
     lo, up = rows[:, :-1], rows[:, 1:]
     pairs_lo, pairs_up = lo.reshape(lo.shape[:2] + (-1, 2)), up.reshape(up.shape[:2] + (-1, 2))

@@ -75,23 +75,6 @@ def _finish(amps: np.ndarray, layout: ModeLayout, what: str) -> FockState:
     return FockState(layout, amps, leak)
 
 
-def coherent(alpha, layout) -> FockState:
-    """Coherent state |alpha>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
-    layout = _as_layout(layout)
-    a = complex(alpha)
-    if not cmath.isfinite(a):
-        raise ValueError(f"displacement must be finite, got {a}")
-    d = layout.dim
-    if a == 0:
-        amps = np.zeros(d, dtype=np.complex128)
-        amps[0] = 1.0
-        return FockState(layout, amps)
-    n = np.arange(d)
-    logmag = -abs(a) ** 2 / 2 + n * math.log(abs(a)) - 0.5 * log_factorial(n)
-    amps = np.exp(logmag + 1j * cmath.phase(a) * n)
-    return _finish(amps, layout, f"coherent(alpha={a:.4g})")
-
-
 def squeezed_vacuum_log_even(r, m) -> np.ndarray:
     """log |C_{2m}| of S(r e^{i theta})|0> for an array of even-level indices m,
     at one r or at an array of them that broadcasts against m (a column of

@@ -22,11 +22,14 @@ bisection behind kitten.antisqueezed_kitten and the secant of
 analytics.squeeze_to_match, and the one-kitten-at-a-time Horner pass
 behind kitten._build's row batch.  A few closed forms no
 experiment uses (erasure_residual, poisson_pn, displacement_estimate) live
-here with their tests.
+here with their tests, and so do the helpers that only tests call: the
+coherent-state constructor coherent, normalize and
+joint_number_distribution.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,7 +64,7 @@ from dipnesim.fock import (
     vacuum_state,
 )
 from dipnesim.kitten import KittenSpec, KittenState, _ladder, kitten_direct, peak_estimate
-from dipnesim.measure import _split_marginals, _vacuum_split, joint_number_distribution
+from dipnesim.measure import _split_marginals, _vacuum_split
 from dipnesim.states import (
     Squeeze,
     _as_layout,
@@ -69,11 +72,43 @@ from dipnesim.states import (
     _finish,
     _parity_filter,
     _unit_phase,
-    coherent,
     log_factorial,
     squeezed_vacuum,
     squeezed_vacuum_log_even,
 )
+
+
+def coherent(alpha, layout) -> FockState:
+    """Coherent state |alpha>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
+    layout = _as_layout(layout)
+    a = complex(alpha)
+    if not cmath.isfinite(a):
+        raise ValueError(f"displacement must be finite, got {a}")
+    d = layout.dim
+    if a == 0:
+        amps = np.zeros(d, dtype=np.complex128)
+        amps[0] = 1.0
+        return FockState(layout, amps)
+    n = np.arange(d)
+    logmag = -abs(a) ** 2 / 2 + n * math.log(abs(a)) - 0.5 * log_factorial(n)
+    amps = np.exp(logmag + 1j * cmath.phase(a) * n)
+    return _finish(amps, layout, f"coherent(alpha={a:.4g})")
+
+
+def normalize(state: FockState) -> FockState:
+    """The state divided by its norm, leakage kept; the zero vector raises."""
+    n = state.norm()
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return FockState(state.layout, state.amplitudes / n, state.leakage)
+
+
+def joint_number_distribution(state: FockState) -> np.ndarray:
+    """Joint photon-number probabilities of a normalized state, one axis per
+    mode in layout order."""
+    if not state.is_normalized(1e-6):
+        raise ValueError(f"state must be normalized, norm is {state.norm():.8g}")
+    return np.abs(state.nd) ** 2
 
 
 def apply_annihilation(state: FockState, mode: int) -> FockState:

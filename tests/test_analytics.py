@@ -16,7 +16,6 @@ from dipnesim import (
     apply_element,
     basis_state,
     beamsplit,
-    coherent,
     fit_squeezed_cat,
     fit_squeezed_cats,
     kitten_direct,
@@ -41,6 +40,7 @@ from dipnesim.analytics import (
 from dipnesim.catfit import kitten_target
 from oracles import (
     antisqueezed,
+    coherent,
     erasure_residual,
     fit_target,
     kitten_series,

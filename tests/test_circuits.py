@@ -16,8 +16,10 @@ from oracles import (
     beamsplit_sector_unitaries,
     bs_number_gathers,
     bs_sector_eigh,
+    coherent,
     displacement_element,
     interference_gadget,
+    normalize,
     phase_to_dide,
     squeezed_coherent,
 )
@@ -38,7 +40,7 @@ from dipnesim.circuits import (
 from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
 from dipnesim.fock import FockState, LeakageWarning, ModeLayout, basis_state, tensor, vacuum_state
 from dipnesim.measure import _vacuum_split
-from dipnesim.states import Squeeze, coherent, squeezed_vacuum
+from dipnesim.states import Squeeze, squeezed_vacuum
 
 
 def joint_bs_expm(state, theta):
@@ -61,7 +63,7 @@ class TestBeamsplit:
         # the same truncated generator so agreement is at float precision
         lay = ModeLayout((3, 7))
         rng = np.random.default_rng(7)
-        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)).normalize()
+        psi = normalize(FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)))
         for theta in (0.3, math.pi / 4, 1.2):
             got = beamsplit(psi, 0, 1, theta).amplitudes
             want = joint_bs_expm(psi, theta)
@@ -113,7 +115,7 @@ class TestBeamsplit:
         # unequal cutoffs clip sectors and leave one-state sectors at both ends
         lay = ModeLayout(cutoffs)
         rng = np.random.default_rng(lay.dim)
-        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)).normalize()
+        psi = normalize(FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)))
         for theta in (0.3, 1.2, -0.8):
             got = beamsplit(psi, *modes, theta).amplitudes
             want = beamsplit_sector_unitaries(psi, *modes, theta).amplitudes
@@ -127,7 +129,7 @@ class TestBeamsplit:
     def test_unitary_and_photon_conserving(self, theta, seed):
         lay = ModeLayout((5, 4, 3))
         rng = np.random.default_rng(seed)
-        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)).normalize()
+        psi = normalize(FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)))
         out = beamsplit(psi, 0, 2, theta)
         assert out.norm() == pytest.approx(1.0, abs=1e-10)
         before = psi.mean_photons(0) + psi.mean_photons(2)
@@ -209,7 +211,7 @@ class TestInPlaceKernels:
         # phase against scipy's expm of the truncated generator
         lay = ModeLayout(tuple(cutoffs))
         rng = np.random.default_rng(seed)
-        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)).normalize()
+        psi = normalize(FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)))
         for modes in itertools.permutations(range(lay.n_modes), 2):
             got = psi.nd.copy()
             circuits._apply_into(got, ("beamsplit", *modes, theta))
@@ -235,7 +237,7 @@ class TestInPlaceKernels:
         # the copy; the input stays read-only and bit for bit as it was
         lay = ModeLayout(cutoffs)
         rng = np.random.default_rng(9)
-        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)).normalize()
+        psi = normalize(FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)))
         before = psi.amplitudes.copy()
         elements = [
             ("beamsplit", lay.n_modes - 1, 0, 0.7),
@@ -387,6 +389,19 @@ class TestDisplaceSqueeze:
     def test_squeeze_zero_identity(self):
         psi = coherent(0.4, 10)
         assert squeeze_op(psi, 0, Squeeze(0.0)) is psi
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda psi: displace(psi, 3, 0),
+            lambda psi: displacements(psi, 3, [0, 0]),
+            lambda psi: squeeze_op(psi, 3, Squeeze(0.0)),
+        ],
+        ids=["displace", "displacements", "squeeze_op"],
+    )
+    def test_zero_parameter_call_checks_the_mode(self, call):
+        with pytest.raises(ValueError, match=r"mode 3 outside 0\.\.0"):
+            call(coherent(0.4, 10))
 
     def test_squeeze_inverse(self):
         # S(-xi) is S(r, theta + pi)
@@ -649,7 +664,7 @@ class TestTranslations:
     def test_round_trip_identity(self, seed):
         lay = ModeLayout((6, 6))
         rng = np.random.default_rng(seed)
-        psi = FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)).normalize()
+        psi = normalize(FockState(lay, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)))
         # the inverse: +i phase shift on mode 0, then a -pi/4 beamsplit
         back = beamsplit(phase_shift(phase_to_dide(psi), 0, math.pi / 2), 0, 1, -math.pi / 4)
         np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-10)

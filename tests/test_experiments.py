@@ -940,6 +940,14 @@ class TestCli:
         assert main(["gaussdrive", "--out"]) == 2
         assert capsys.readouterr().err.startswith("error: --out needs a value")
 
+    @pytest.mark.parametrize("option", ["--out", "--config"])
+    @pytest.mark.parametrize("spelling", ["equals", "separate"])
+    def test_empty_option_value_exit(self, option, spelling, capsys):
+        argv = [f"{option}="] if spelling == "equals" else [option, ""]
+        assert main(["gaussdrive", "--r_steps", "2"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {option} needs a value")
+
     def test_equals_forms(self, tmp_path, capsys):
         config, target = tmp_path / "run.cfg", tmp_path / "table.csv"
         config.write_text("r_steps = 2\n", encoding="utf-8")

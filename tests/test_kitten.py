@@ -23,6 +23,7 @@ from oracles import (
     kitten_horner_row,
     kitten_probability_series,
     kitten_series,
+    normalize,
 )
 
 from dipnesim.experiments import make_config, run_experiment
@@ -66,6 +67,25 @@ class TestSpecValidation:
     def test_infinite_flag(self):
         assert KittenSpec(math.inf, THETA, 1, 50).infinite
         assert not KittenSpec(10.0, THETA, 1, 50).infinite
+
+
+class TestCachedCore:
+    def test_every_call_returns_the_same_tuple(self):
+        spec = KittenSpec(6.0, THETA, 5, 100)
+        first = spec.core()
+        assert spec.core() is first and spec.core() is first
+
+    def test_amplitudes_refuse_writes(self):
+        _, coeffs = KittenSpec(math.inf, THETA, 3, 100).core()
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[1] = 0.0
+
+    def test_overflowing_spec_constructs_and_raises_in_core(self):
+        spec = KittenSpec(math.inf, THETA, 5000, 6000)
+        assert spec.infinite
+        for _ in range(2):  # a core that raises is not kept
+            with pytest.raises(ValueError, match="k=5000 kitten's amplitudes overflow"):
+                spec.core()
 
 
 class TestAgainstTwoModeSimulation:
@@ -129,7 +149,7 @@ class TestDirectState:
         out = kitten_direct(KittenSpec(photons, THETA, 0, 60))
         r = math.asinh(math.sqrt(photons))
         r_eff = math.atanh(math.cos(THETA) ** 2 * math.tanh(r))
-        ref = squeezed_vacuum(Squeeze(r_eff, math.pi), 60).normalize()
+        ref = normalize(squeezed_vacuum(Squeeze(r_eff, math.pi), 60))
         assert np.max(np.abs(out.state.amplitudes - ref.amplitudes)) < 1e-12
 
     def test_zero_squeezing_k0_is_vacuum(self):
@@ -146,7 +166,7 @@ class TestDirectState:
         # no count off infinite squeezing leaves S(r')|0> with tanh r' = cos^2(theta)
         out = kitten_direct(KittenSpec(math.inf, THETA, 0, 100))
         r_sub = math.atanh(math.cos(THETA) ** 2)
-        ref = squeezed_vacuum(Squeeze(r_sub, math.pi), 100).normalize()
+        ref = normalize(squeezed_vacuum(Squeeze(r_sub, math.pi), 100))
         assert np.max(np.abs(out.state.amplitudes - ref.amplitudes)) < 1e-12
         assert out.mean_photons == pytest.approx(math.sinh(r_sub) ** 2, rel=1e-12)
         assert out.mean_photons == pytest.approx(0.7494, abs=1e-4)
@@ -347,13 +367,12 @@ class TestLoudFailure:
 
 
 def _batch_rows(cutoff: int) -> list:
-    """(spec, rho, spec.core()) rows of mixed k (0-9), antisqueezing of both
-    signs, finite and infinite squeezing, and R = r' + rho = 0 exactly."""
+    """(spec, rho) rows of mixed k (0-9), antisqueezing of both signs,
+    finite and infinite squeezing, and R = r' + rho = 0 exactly."""
     rows = []
     for k in range(10):
         spec = KittenSpec(math.inf if k % 3 == 0 else 1.5 + 2.0 * k, THETA, k, cutoff)
-        core = spec.core()
-        rows += [(spec, rho, core) for rho in (-0.4, 0.0, 0.35, -core[0])]
+        rows += [(spec, rho) for rho in (-0.4, 0.0, 0.35, -spec.core()[0])]
     return rows
 
 
@@ -372,7 +391,7 @@ class TestRowBatch:
     def test_rows_follow_the_one_kitten_oracle(self):
         rows = _batch_rows(self.CUTOFF)
         amps, kept, tails = _build(rows, self.CUTOFF)
-        for i, (spec, rho, _) in enumerate(rows):
+        for i, (spec, rho) in enumerate(rows):
             want, want_kept, want_tail = kitten_horner_row(spec, rho, self.CUTOFF)
             assert amps[i].tobytes() == want.tobytes()
             assert (kept[i], tails[i]) == (want_kept, want_tail)
@@ -380,7 +399,7 @@ class TestRowBatch:
     def test_public_builds_are_one_row_calls(self):
         spec = KittenSpec(6.0, THETA, 5, self.CUTOFF)
         for rho, state in ((0.0, kitten_direct(spec).state), (-0.3, antisqueezed_kitten(spec, -0.3, self.CUTOFF))):
-            amps, kept, tails = _build([(spec, rho, spec.core())], self.CUTOFF)
+            amps, kept, tails = _build([(spec, rho)], self.CUTOFF)
             assert state.amplitudes.tobytes() == (amps[0] / math.sqrt(kept[0])).astype(complex).tobytes()
             assert state.leakage == tails[0]
 
@@ -388,13 +407,13 @@ class TestRowBatch:
         specs = [KittenSpec(photons, 0.1, k, 441) for photons in (5.0, 20.0) for k in (1, 4, 9)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LeakageWarning)
-            tails = herald_tails(specs, [spec.core() for spec in specs])
+            tails = herald_tails(specs)
             want = [kitten_direct(spec).state.leakage for spec in specs]
         assert tails == want and max(want) > 1e-2
-        assert herald_tails([], []) == []
+        assert herald_tails([]) == []
         mixed = [specs[0], KittenSpec(5.0, 0.1, 1, 400)]
         with pytest.raises(ValueError, match="one cutoff"):
-            herald_tails(mixed, [spec.core() for spec in mixed])
+            herald_tails(mixed)
 
 
 _LAYERING_SCRIPT = """

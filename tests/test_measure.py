@@ -5,13 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from oracles import clipped_sector_mass, interference_gadget, l_intf_gathers, measure_count, readout_oracle
+from oracles import (
+    clipped_sector_mass,
+    coherent,
+    interference_gadget,
+    joint_number_distribution,
+    l_intf_gathers,
+    measure_count,
+    normalize,
+    readout_oracle,
+)
 
 from dipnesim.circuits import GadgetSpec, beamsplit, displace, displacements, squeeze_op
 from dipnesim.experiments import INTERFERENCE_FAMILIES, _interference_cores
 from dipnesim.fock import ModeLayout, basis_state, tensor, vacuum_state
-from dipnesim.measure import _vacuum_split, joint_number_distribution, l_intf, mean_quadrature
-from dipnesim.states import Squeeze, coherent, squeezed_vacuum
+from dipnesim.measure import _vacuum_split, l_intf, mean_quadrature
+from dipnesim.states import Squeeze, squeezed_vacuum
 
 
 def coherent_pair(alpha_a, alpha_b, cutoff):
@@ -142,7 +151,7 @@ class TestMeanQuadrature:
             state = squeeze_op(displace(state, mode, 0.4 - 0.3j * mode), mode, Squeeze(0.2, 1.0 + mode))
         if len(cutoffs) > 1:
             state = beamsplit(state, 0, len(cutoffs) - 1, 0.6)
-        state = state.normalize()
+        state = normalize(state)
         for mode in range(len(cutoffs)):
             n_want, a_want = readout_oracle(state, mode)
             assert abs(state.mean_photons(mode) - n_want) <= 1e-15

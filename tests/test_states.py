@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     CatSpec,
     cat_state,
+    coherent,
     infinite_squeeze_log_even,
     squeezed_coherent,
     squeezed_coherent_batch,
@@ -21,7 +22,6 @@ from dipnesim.fock import LeakageWarning, ModeLayout
 from dipnesim.states import (
     Squeeze,
     _squeezed_coherent_levels,
-    coherent,
     log_factorial,
     squeezed_vacuum,
 )
