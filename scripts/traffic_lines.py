@@ -9,7 +9,10 @@ In one process under sys.settrace it runs the traffic:
   only), each followed by the workload's verify on the table it wrote;
 - tests/test_acceptance.py, whose output goes to stderr.
 
-The import of dipnesim runs under the trace as well.  Then it prints, per
+The import of dipnesim runs under the trace as well.  OPENBLAS_NUM_THREADS
+and OMP_NUM_THREADS are removed from os.environ while the traffic runs and
+restored afterwards, so cli._pin_blas takes its full path and the count
+does not depend on the caller's environment.  Then it prints, per
 module, each statement in a function body that none of it reached: its
 line number and first source line.  Docstrings and statements with no
 bytecode (global, nonlocal) are left out, and so is module and class level
@@ -28,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 9)
+# cli._pin_blas returns early when either is set
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _header_lines(stmt: ast.stmt) -> range:
@@ -75,8 +80,9 @@ def statements(path) -> dict[int, range]:
 
 
 def reached_lines(run, package: Path) -> dict[str, set[int]]:
-    """Call run() under sys.settrace; {file: lines run} for the .py files
-    of package, keyed by their real paths."""
+    """Call run() under sys.settrace, with THREAD_VARIABLES out of
+    os.environ; {file: lines run} for the .py files of package, keyed by
+    their real paths."""
     prefix = str(package.resolve()) + os.sep
     real: dict[str, str | None] = {}
     seen: dict[str, set[int]] = {}
@@ -95,12 +101,14 @@ def reached_lines(run, package: Path) -> dict[str, set[int]]:
                 seen.setdefault(path, set())
         return local if real[name] else None
 
+    saved = {name: os.environ.pop(name) for name in THREAD_VARIABLES if name in os.environ}
     previous = sys.gettrace()
     sys.settrace(calls)
     try:
         run()
     finally:
         sys.settrace(previous)
+        os.environ.update(saved)
     return seen
 
 

@@ -426,7 +426,10 @@ def _mode_step(element) -> tuple[int, float, float, str]:
 
 
 def _copied(state: FockState, element) -> FockState:
-    """The element applied by _apply_into to a copy of the state's amplitudes."""
+    """The element applied by _apply_into to a copy of the state's amplitudes;
+    phase_shift's and beamsplit's angle must be finite."""
+    if element[0] in ("phase", "beamsplit") and not math.isfinite(element[-1]):
+        raise ValueError(f"{element[0]} angle must be finite, got {element[-1]}")
     amps = state.nd.copy()
     _apply_into(amps, element)
     return FockState(state.layout, amps, state.leakage)

@@ -142,13 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if experiment == "oracle-check":
-        try:
-            ok = table.meta("within_tolerance") == "yes"
-        except KeyError:
-            ok = False
-        if not ok:
-            return 3
+    if experiment == "oracle-check" and table.meta("within_tolerance") != "yes":
+        return 3
     return 0
 
 

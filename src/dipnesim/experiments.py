@@ -1,7 +1,9 @@
 """Deterministic experiment runners.
 
-Each experiment consumes a flat key=value config and produces a
-ResultTable whose CSV/JSON rendering is byte-identical across runs:
+Each runner consumes a flat key=value config and returns its columns,
+its rows and its figures as raw (key, value) pairs; run_experiment alone
+builds the ResultTable, whose metadata formats the config values and the
+figures alike.  The CSV/JSON rendering is byte-identical across runs:
 no wall clock, no ambient randomness (the oracle enumerator draws from
 a seeded generator), rows sorted by their sweep keys.
 """
@@ -120,10 +122,7 @@ class ResultTable:
         return [row[idx] for row in self.rows]
 
     def meta(self, key: str) -> str:
-        for k, v in self.metadata:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return dict(self.metadata)[key]
 
 
 # ---------------------------------------------------------------- config
@@ -285,17 +284,12 @@ def read_config_file(path) -> dict[str, str]:
     return result
 
 
-def _base_metadata(config: ExperimentConfig, extras: list[tuple[str, str]]) -> tuple:
-    meta = [("experiment", config.experiment)]
-    for key in sorted(config.values):
-        val = config.values[key]
-        if isinstance(val, tuple):
-            meta.append((key, ",".join(_fmt(x) for x in val)))
-        else:
-            meta.append((key, _fmt(val)))
-    meta.extend(extras)
-    meta.append(("version", __version__))
-    return tuple(meta)
+def _base_metadata(config: ExperimentConfig, figures) -> tuple:
+    """The experiment, its sorted config values, the runner's (key, raw
+    value) figures and the version, each value in _fmt's text (a tuple as
+    a comma list)."""
+    items = [("experiment", config.experiment), *sorted(config.values.items()), *figures, ("version", __version__)]
+    return tuple((key, ",".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)) for key, v in items)
 
 
 # ------------------------------------------------------------- runners
@@ -318,7 +312,7 @@ def _interference_cores(family: str, cutoff: int) -> tuple[FockState, FockState]
     )
 
 
-def run_interference(config: ExperimentConfig) -> ResultTable:
+def run_interference(config: ExperimentConfig):
     """Photon loss due to interference in the pickoff gadget, swept over
     how the displacement budget splits across the two system modes."""
     phase = config["phase"]
@@ -356,17 +350,8 @@ def run_interference(config: ExperimentConfig) -> ResultTable:
         )
         rows.append((float(fraction), sim, theory, abs(sim - theory)))
 
-    rows.sort(key=lambda r: r[0])
-    extras = [
-        ("max_leakage", _fmt(max_leak)),
-        ("max_input_guard_mass", _fmt(max_guard)),
-        ("max_clipped_sector_mass", _fmt(max_clipped)),
-    ]
-    return ResultTable(
-        columns=("fraction", "L_intf_sim", "L_intf_theory", "abs_error"),
-        rows=tuple(rows),
-        metadata=_base_metadata(config, extras),
-    )
+    figures = [("max_leakage", max_leak), ("max_input_guard_mass", max_guard), ("max_clipped_sector_mass", max_clipped)]
+    return ("fraction", "L_intf_sim", "L_intf_theory", "abs_error"), rows, figures
 
 
 def _linear_sweep(config: ExperimentConfig, name: str) -> list[float]:
@@ -376,8 +361,6 @@ def _linear_sweep(config: ExperimentConfig, name: str) -> list[float]:
         raise ValueError(f"{name}_steps must be at least 1")
     if not 0.0 <= lo <= hi < math.inf:
         raise ValueError(f"need 0 <= {name}_min <= {name}_max < inf")
-    if steps == 1:
-        return [lo]
     return [float(x) for x in np.linspace(lo, hi, steps)]
 
 
@@ -387,7 +370,7 @@ def _squeeze_sweep(config: ExperimentConfig) -> list[float]:
     return _linear_sweep(config, "squeeze")
 
 
-def _kitten_table(config: ExperimentConfig, columns: tuple[str, ...], project) -> ResultTable:
+def _kitten_rows(config: ExperimentConfig, columns: tuple[str, ...], project):
     """Herald each (squeeze_photons, k) point of the sweep, then fit the
     kitten_target of every point in one lockstep call (k + 1 levels per
     row, no cutoff); the row is the point followed by
@@ -415,12 +398,7 @@ def _kitten_table(config: ExperimentConfig, columns: tuple[str, ...], project) -
     ]
 
     rows.sort(key=lambda r: (r[0], r[1]))
-    extras = [("max_leakage", _fmt(max(tails, default=0.0)))]
-    return ResultTable(
-        columns=("squeeze_photons", "k") + columns,
-        rows=tuple(rows),
-        metadata=_base_metadata(config, extras),
-    )
+    return ("squeeze_photons", "k") + columns, rows, [("max_leakage", max(tails, default=0.0))]
 
 
 def _kitten_columns(k: int, herald: tuple[float, float] | None, fit: CatFitResult | None) -> tuple:
@@ -430,7 +408,7 @@ def _kitten_columns(k: int, herald: tuple[float, float] | None, fit: CatFitResul
     return (*herald, fit.infidelity, 1.0 - fit.plain_cat_fidelity, fit.squeeze_fraction)
 
 
-def run_kitten(config: ExperimentConfig) -> ResultTable:
+def run_kitten(config: ExperimentConfig):
     """Herald probability, photon content, and cat quality of subtracted
     squeezed vacuum across a squeezing sweep."""
     columns = (
@@ -440,7 +418,7 @@ def run_kitten(config: ExperimentConfig) -> ResultTable:
         "infidelity_plaincat",
         "squeeze_fraction",
     )
-    return _kitten_table(config, columns, _kitten_columns)
+    return _kitten_rows(config, columns, _kitten_columns)
 
 
 def _catfit_columns(k: int, herald: tuple[float, float], fit: CatFitResult) -> tuple:
@@ -454,7 +432,7 @@ def _catfit_columns(k: int, herald: tuple[float, float], fit: CatFitResult) -> t
     )
 
 
-def run_catfit(config: ExperimentConfig) -> ResultTable:
+def run_catfit(config: ExperimentConfig):
     """Full fit parameters (not just infidelities) for the same sweep
     run_kitten covers."""
     if any(s == 0.0 for s in _squeeze_sweep(config)):
@@ -467,10 +445,10 @@ def run_catfit(config: ExperimentConfig) -> ResultTable:
         "r",
         "phi",
     )
-    return _kitten_table(config, columns, _catfit_columns)
+    return _kitten_rows(config, columns, _catfit_columns)
 
 
-def run_numberdiff(config: ExperimentConfig) -> ResultTable:
+def run_numberdiff(config: ExperimentConfig):
     """Joint photon-count distribution of a kitten translated against a
     local oscillator, plus the count-difference marginal.
 
@@ -500,22 +478,18 @@ def run_numberdiff(config: ExperimentConfig) -> ResultTable:
     diffs = np.bincount(n0 - n1 + d - 1, weights=p, minlength=2 * d - 1)
     rows += [("difference", -1, -1, diff, q) for diff, q in zip(range(1 - d, d), diffs.tolist()) if q > 0.0]
 
-    extras = [
-        ("lo_amplitude", _fmt(lo_amp)),
-        ("kitten_mean_photons", _fmt(kit.mean_photons)),
-        ("kitten_probability", _fmt(kit.probability)),
-        ("p_equal_counts", _fmt(float(diffs[d - 1]))),
-        ("total_probability", _fmt(total)),
-        ("max_leakage", _fmt(kit.state.leakage)),
+    figures = [
+        ("lo_amplitude", lo_amp),
+        ("kitten_mean_photons", kit.mean_photons),
+        ("kitten_probability", kit.probability),
+        ("p_equal_counts", diffs[d - 1]),
+        ("total_probability", total),
+        ("max_leakage", kit.state.leakage),
     ]
-    return ResultTable(
-        columns=("section", "n0", "n1", "diff", "probability"),
-        rows=tuple(rows),
-        metadata=_base_metadata(config, extras),
-    )
+    return ("section", "n0", "n1", "diff", "probability"), rows, figures
 
 
-def run_match(config: ExperimentConfig) -> ResultTable:
+def run_match(config: ExperimentConfig):
     """Antisqueezing needed to move each source kitten's displacement to
     each target kitten's, with the photon overhead it causes.  Diagonal
     pairs need none and keep the kitten's own fit; the others share one
@@ -538,16 +512,11 @@ def run_match(config: ExperimentConfig) -> ResultTable:
         for s, t in grid
     ]
     guard = max((res.guard_mass for res in matched.values()), default=0.0)
-    extras = [("max_leakage", _fmt(max_leak)), ("max_guard_mass", _fmt(guard))]
-    extras += [(f"alpha_k{k}", _fmt(fits[k].alpha)) for k in ks]
-    return ResultTable(
-        columns=("k_source", "k_target", "r_required", "excess_fraction"),
-        rows=tuple(rows),
-        metadata=_base_metadata(config, extras),
-    )
+    figures = [("max_leakage", max_leak), ("max_guard_mass", guard)] + [(f"alpha_k{k}", fits[k].alpha) for k in ks]
+    return ("k_source", "k_target", "r_required", "excess_fraction"), rows, figures
 
 
-def run_gaussdrive(config: ExperimentConfig) -> ResultTable:
+def run_gaussdrive(config: ExperimentConfig):
     """Squeezing-photon fraction under antisqueezed driving, exact next
     to its strong-drive limit."""
     r_values = _linear_sweep(config, "r")
@@ -561,11 +530,7 @@ def run_gaussdrive(config: ExperimentConfig) -> ResultTable:
                 exact, strong = squeeze_fraction_strong(d0, r0, r)
                 rows.append((d0, r0, r, exact, strong))
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
-    return ResultTable(
-        columns=("d0", "r0", "r", "fraction_exact", "fraction_strong_limit"),
-        rows=tuple(rows),
-        metadata=_base_metadata(config, []),
-    )
+    return ("d0", "r0", "r", "fraction_exact", "fraction_strong_limit"), rows, []
 
 
 def _enumerated_circuits(seed: int, count: int, max_modes: int):
@@ -664,7 +629,7 @@ def _product_factors(circuits, cutoff: int):
         yield {mode: (modes, held[modes]) for mode, (modes, _) in factors.items()}
 
 
-def run_oracle_check(config: ExperimentConfig) -> ResultTable:
+def run_oracle_check(config: ExperimentConfig):
     """Moment propagation against the Fock simulator over enumerated
     Gaussian circuits, plus the equal-count amplitude against brute
     force.
@@ -707,21 +672,18 @@ def run_oracle_check(config: ExperimentConfig) -> ResultTable:
     all_ok &= c_dev <= C_EQUAL_TOL
     rows.append(("c_equal", c_dev, 0.0))
 
-    extras = [
-        ("meanphoton_tolerance", _fmt(MEANPHOTON_TOL)),
-        ("quadrature_tolerance", _fmt(QUADRATURE_TOL)),
-        ("c_equal_tolerance", _fmt(C_EQUAL_TOL)),
+    figures = [
+        ("meanphoton_tolerance", MEANPHOTON_TOL),
+        ("quadrature_tolerance", QUADRATURE_TOL),
+        ("c_equal_tolerance", C_EQUAL_TOL),
         ("c_equal_note", "the c_equal row reports its deviation in the meanphoton column"),
         ("within_tolerance", "yes" if all_ok else "no"),
     ]
-    return ResultTable(
-        columns=("circuit_id", "max_meanphoton_error", "max_quadrature_error"),
-        rows=tuple(rows),
-        metadata=_base_metadata(config, extras),
-    )
+    return ("circuit_id", "max_meanphoton_error", "max_quadrature_error"), rows, figures
 
 
-RUNNERS: dict[str, Callable[[ExperimentConfig], ResultTable]] = {
+# each runner returns (columns, rows, figures): the figures as (key, raw value) pairs
+RUNNERS: dict[str, Callable[[ExperimentConfig], tuple]] = {
     "interference": run_interference,
     "kitten": run_kitten,
     "catfit": run_catfit,
@@ -733,4 +695,7 @@ RUNNERS: dict[str, Callable[[ExperimentConfig], ResultTable]] = {
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
-    return RUNNERS[config.experiment](config)
+    """The one place a table is built: the runner's columns and rows, and
+    metadata from the config and the runner's figures."""
+    columns, rows, figures = RUNNERS[config.experiment](config)
+    return ResultTable(columns, tuple(rows), _base_metadata(config, figures))

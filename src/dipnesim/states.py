@@ -38,11 +38,11 @@ class Squeeze:
     theta: float = 0.0
 
     def __post_init__(self):
-        r = float(self.r)
-        if not (math.isfinite(r) and r >= 0.0):
-            raise ValueError(f"squeeze magnitude must be finite and >= 0, got {r}")
+        r, theta = float(self.r), float(self.theta)
+        if not (math.isfinite(r) and r >= 0.0 and math.isfinite(theta)):
+            raise ValueError(f"squeeze magnitude must be finite and >= 0 and its angle finite, got r={r}, theta={theta}")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
+        object.__setattr__(self, "theta", theta % TWO_PI)
 
 
 @lru_cache(maxsize=None)

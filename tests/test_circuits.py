@@ -25,6 +25,7 @@ from oracles import (
 )
 
 from dipnesim import circuits
+from dipnesim.analytics import gaussian_propagate, vacuum_moments
 from dipnesim.circuits import (
     GadgetSpec,
     _bs_number_readout,
@@ -375,6 +376,23 @@ class TestDisplaceSqueeze:
             displace(coherent(0.4, 10), 0, alpha)
         with pytest.raises(ValueError, match="displacement must be finite"):
             displacements(coherent(0.4, 10), 0, [0.2, alpha, 0.0])
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda psi, angle: beamsplit(psi, 0, 1, angle),
+            lambda psi, angle: phase_shift(psi, 0, angle),
+            lambda psi, angle: squeeze_op(psi, 0, Squeeze(0.3, angle)),
+            lambda psi, angle: gaussian_propagate(vacuum_moments(2), ("squeeze", 0, Squeeze(0.3, angle))),
+        ],
+        ids=["beamsplit", "phase_shift", "squeeze_op", "gaussian_propagate"],
+    )
+    def test_non_finite_angle_rejected(self, call, angle):
+        # each of these once returned all-NaN amplitudes with no error
+        psi = displace(vacuum_state(ModeLayout((6, 6))), 0, 0.5)
+        with pytest.raises(ValueError, match="angle must be finite|its angle finite"):
+            call(psi, angle)
 
     def test_displace_inverse(self):
         psi = squeezed_vacuum(Squeeze(0.3, 1.0), 40)

@@ -20,12 +20,14 @@ from oracles import (
     numberdiff_by_mode_action,
 )
 
-from dipnesim import circuits, cli
+from dipnesim import __version__, circuits, cli
 from dipnesim.circuits import apply_element
 from dipnesim.cli import main
 from dipnesim.experiments import (
     EXPERIMENTS,
+    RUNNERS,
     ResultTable,
+    _base_metadata,
     _enumerated_circuits,
     _fmt,
     _product_factors,
@@ -157,6 +159,13 @@ class TestResultTable:
         assert ResultTable(columns=("a",), rows=(), metadata=()).to_csv() == "a\n"
         with pytest.raises(ValueError):
             ResultTable(columns=("a", "b"), rows=(("x", 1), ("y\n", 2)), metadata=()).to_csv()
+        # a runner's raw figure reads in the metadata as _fmt writes it as a cell
+        config = make_config("gaussdrive")
+        for row in rows:
+            figures = list(zip("abcdefgh", row))
+            assert _base_metadata(config, figures)[-9:] == (*((k, _fmt(v)) for k, v in figures), ("version", __version__))
+        with pytest.raises(ValueError):
+            _base_metadata(config, [("note", "two\nlines")])
 
     def test_column_and_meta_access(self):
         table = ResultTable(
@@ -672,20 +681,27 @@ class TestProductFactors:
         np.testing.assert_allclose(got, full.nd, rtol=0, atol=1e-14)
 
 
+_TINY = [
+    ("interference", {"fraction_count": 3, "cutoff": 12}),
+    ("kitten", {"squeeze_min": 3, "squeeze_max": 3, "squeeze_steps": 1, "k_list": "1", "cutoff": 120}),
+    ("numberdiff", {"k": 1, "cutoff": 40, "joint_cutoff": 60}),
+    ("gaussdrive", {"r_steps": 3}),
+    ("catfit", {"squeeze_min": 3, "squeeze_max": 3, "squeeze_steps": 1, "k_list": "1", "cutoff": 120}),
+    ("match", {"source_k": "1", "target_k": "1,3", "squeeze_photons": 3, "cutoff": 120, "work_cutoff": 200}),
+    ("oracle-check", {"circuits": 4, "cutoff": 30}),
+]
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "experiment,params",
-        [
-            ("interference", {"fraction_count": 3, "cutoff": 12}),
-            ("kitten", {"squeeze_min": 3, "squeeze_max": 3, "squeeze_steps": 1,
-                        "k_list": "1", "cutoff": 120}),
-            ("numberdiff", {"k": 1, "cutoff": 40, "joint_cutoff": 60}),
-            ("gaussdrive", {"r_steps": 3}),
-        ],
-    )
+    @pytest.mark.parametrize("experiment,params", _TINY)
     def test_byte_identical_reruns(self, experiment, params):
         cfg = make_config(experiment, params)
         assert run_experiment(cfg).to_csv() == run_experiment(cfg).to_csv()
+        # every runner returns (columns, rows, figures) and builds no table itself
+        assert {name for name, _ in _TINY} == set(RUNNERS)
+        columns, rows, figures = RUNNERS[experiment](cfg)
+        assert rows and all(len(row) == len(columns) for row in rows)
+        assert all(len(figure) == 2 and isinstance(figure[0], str) for figure in figures)
 
 
 class TestThreadIndependence:

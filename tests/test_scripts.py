@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -123,6 +124,41 @@ def test_traffic_lines_traces_one_run():
     assert len(raises) == 1
     assert missed.intersection(bodies["run_gaussdrive"]) == raises
     assert bodies["run_numberdiff"] and missed.issuperset(bodies["run_numberdiff"])
+
+
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_traffic_lines_reaches_pin_blas_with_a_thread_variable_set(tmp_path, monkeypatch, variable):
+    import dipnesim
+    from dipnesim.cli import main
+
+    monkeypatch.setenv(variable, "2")
+    script = runpy.run_path(str(SCRIPTS / "traffic_lines.py"), run_name="smoke")
+    package = Path(dipnesim.__file__).resolve().parent
+    seen = script["reached_lines"](lambda: main(["gaussdrive", "--r_steps", "2", "--out", str(tmp_path / "t.csv")]), package)
+    assert os.environ[variable] == "2"
+    path = package / "cli.py"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    pin = next(node for node in ast.parse("\n".join(lines)).body if getattr(node, "name", None) == "_pin_blas")
+    body = sorted(first for first in script["statements"](path) if pin.lineno < first <= pin.end_lineno)
+    missed = set(script["unreached"](package, seen)["cli"])
+    # the early return goes unreached and the body after it runs
+    assert lines[body[1] - 1].strip() == "return" and body[1] in missed
+    assert lines[body[2] - 1].lstrip().startswith("libs = ") and body[2] not in missed
+
+
+def test_table_ab_compares_each_table_under_both_thread_counts(tmp_path):
+    # structure only, on one tiny config and one that exits before writing
+    src = str(SCRIPTS.parent / "src")
+    script = runpy.run_path(str(SCRIPTS / "table_ab.py"), run_name="smoke")
+    tables = [("tiny.csv", ["gaussdrive", "--r_steps", "2"]), ("bad.csv", ["gaussdrive", "--r_steps", "x"])]
+    results = script["compare_trees"](src, src, tables, tmp_path)
+    assert [result[:4] for result in results] == [
+        (threads, label, code, code) for threads in ("1", "2") for label, code in (("tiny.csv", 0), ("bad.csv", 2))
+    ]
+    assert [result[4] for result in results] == [["byte-identical"], ["missing table"]] * 2
+    labels = [label for label, _ in script["jobs"]()]
+    assert len(labels) == len(set(labels)) == 47
+    assert script["main"]([src]) == 2
 
 
 def test_ab_inprocess_reports_pairs(capsys):
