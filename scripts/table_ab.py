@@ -12,10 +12,10 @@ tables are:
   only);
 - oracle-check --seed 2005.
 
-Each pair of tables is compared with table_diff.compare, and a pair whose
-exit codes differ counts as differing.  Prints one line per differing pair
-with table_diff's report (for a JSON pair, which table_diff cannot parse,
-only its first line), then a summary line.  Exits 0 when every pair is
+Each pair of tables is compared with table_diff.compare (JSON tables as
+JSON), and a pair whose exit codes differ counts as differing.  Prints one
+line per differing pair with table_diff's full report, then a summary
+line.  Exits 0 when every pair is
 byte-identical with equal exit codes, 1 otherwise, and 2 on a usage error.
 """
 
@@ -76,8 +76,6 @@ def compare_trees(parent: str, change: str, tables, workdir: Path) -> list[tuple
             paths = [workdir / f"{side}-{threads}-{label}" for side in ("parent", "change")]
             codes = [write_table(src, argv, path, threads) for src, path in zip((parent, change), paths)]
             report = compare(*paths) if all(path.exists() for path in paths) else ["missing table"]
-            if label.endswith(".json"):
-                report = report[:1]
             results.append((threads, label, *codes, report))
     return results
 

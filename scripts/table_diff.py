@@ -1,32 +1,42 @@
 #!/usr/bin/env python3
-"""Compare two CSV tables written by dipne-sim.
+"""Compare two tables written by dipne-sim, as CSV or with --json.
 
-Usage: table_diff.py OLD.csv NEW.csv
+Usage: table_diff.py OLD NEW
 
-Prints whether the two files are byte-identical, each "# key = value"
-metadata line that differs, and for every column the number of cells that
-differ and, when both sides parse as numbers, the largest absolute
-deviation |new - old|.  Rows are matched by position, unless their row sets
-differ and the tables have key columns: the leading columns that hold
-integers or text, never other numbers, in both files (for numberdiff
-section, n0, n1 and diff).  Then rows are matched on those keys, the
-deviations cover the matched rows, and the rows found in only one file are
-listed.  Exits 0 when the files are byte-identical, 1 when they differ, and
-2 on a usage error or a file that cannot be read as UTF-8 text, with the
-same status and no traceback when the reader of the report closes early
+Prints whether the two files are byte-identical, each metadata entry that
+differs (key by key, as "# key = value" lines), and for every column the
+number of cells that differ and, when both sides parse as numbers, the
+largest absolute deviation |new - old|.  A JSON table is read as JSON:
+its metadata object, its column list and its rows, whose cells are
+compared as the CSV cells would be.  Rows are matched by position, unless
+their row sets differ and the tables have key columns: the leading
+columns that hold integers or text, never other numbers, in both files
+(for numberdiff section, n0, n1 and diff).  Then rows are matched on
+those keys, the deviations cover the matched rows, and the rows found in
+only one file are listed.  Exits 0 when the files are byte-identical, 1
+when they differ, and 2 on a usage error or a file that cannot be read as
+UTF-8 text or, when it starts with "{", as JSON, with the same status and
+no traceback when the reader of the report closes early
 (table_diff.py OLD NEW | head).
 """
 
+import json
 import math
 import os
 import sys
 
 
 def _read(path):
+    """(raw bytes, {metadata key: value text}, columns, rows of cell texts)."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    lines = raw.decode("utf-8").splitlines()
-    meta = [line for line in lines if line.startswith("#")]
+    text = raw.decode("utf-8")
+    if text.startswith("{"):
+        table = json.loads(text)
+        rows = [[cell if isinstance(cell, str) else json.dumps(cell) for cell in row] for row in table["rows"]]
+        return raw, {key: str(value) for key, value in table["metadata"].items()}, table["columns"], rows
+    lines = text.splitlines()
+    meta = dict(line[2:].partition(" = ")[::2] for line in lines if line.startswith("#"))
     body = [line.split(",") for line in lines if not line.startswith("#")]
     return raw, meta, body[0] if body else [], body[1:]
 
@@ -94,11 +104,11 @@ def compare(old_path, new_path) -> list[str]:
     if old_raw == new_raw:
         return ["byte-identical"]
     report = ["not byte-identical"]
-    moved = [(a, b) for a, b in zip(old_meta, new_meta) if a != b]
-    for line in old_meta[len(new_meta):]:
-        moved.append((line, "(missing)"))
-    for line in new_meta[len(old_meta):]:
-        moved.append(("(missing)", line))
+    moved = [
+        tuple(f"# {key} = {meta[key]}" if key in meta else "(missing)" for meta in (old_meta, new_meta))
+        for key in {**old_meta, **new_meta}
+        if old_meta.get(key) != new_meta.get(key)
+    ]
     if moved:
         report.append(f"metadata: {len(moved)} line(s) differ")
         for a, b in moved:
@@ -138,7 +148,7 @@ def main(argv) -> int:
         return 2
     try:
         report = compare(*argv)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -289,6 +289,8 @@ def gaussian_propagate(moments: GaussianMoments, element) -> GaussianMoments:
         mean[2 * mode] += 2.0 * alpha.real
         mean[2 * mode + 1] += 2.0 * alpha.imag
         return GaussianMoments(mean, moments.cov)
+    if name in ("phase", "beamsplit") and not math.isfinite(element[-1]):
+        raise ValueError(f"{name} angle must be finite, got {element[-1]}")
     big = np.eye(2 * n)
     if name == "phase":
         _, mode, phi = element

@@ -425,22 +425,34 @@ def _mode_step(element) -> tuple[int, float, float, str]:
     return 2, squeeze.r / 2, squeeze.theta / 2, f"squeeze_op(r={squeeze.r:.4g})"
 
 
+def _step_matrix(step, d: int) -> np.ndarray:
+    """R(phi) _expm(scale G) R(-phi) on d levels for a _mode_step tuple."""
+    power, scale, phi, _ = step
+    a, ph = _lowering(d), np.exp(1j * phi * np.arange(d))
+    return ph[:, None] * _expm(scale * (a.T - a if power == 1 else a @ a - (a @ a).T)) * ph.conj()
+
+
 def _copied(state: FockState, element) -> FockState:
     """The element applied by _apply_into to a copy of the state's amplitudes;
-    phase_shift's and beamsplit's angle must be finite."""
+    phase_shift's and beamsplit's angle must be finite.  A displace's or
+    squeeze's matrix is built first, so _expm's temporaries are freed
+    before the copy exists."""
     if element[0] in ("phase", "beamsplit") and not math.isfinite(element[-1]):
         raise ValueError(f"{element[0]} angle must be finite, got {element[-1]}")
+    matrix = None
+    if element[0] in ("displace", "squeeze"):
+        matrix = _step_matrix(_mode_step(element), state.nd.shape[element[1]])
     amps = state.nd.copy()
-    _apply_into(amps, element)
+    _apply_into(amps, element, matrix)
     return FockState(state.layout, amps, state.leakage)
 
 
-def _apply_into(amps: np.ndarray, element) -> None:
+def _apply_into(amps: np.ndarray, element, matrix: np.ndarray | None = None) -> None:
     """Apply one circuit element in place to a writable C-ordered array with
     one axis per mode, of two or more modes.  A beamsplit scatters each
     number sector's product back where it gathered it; a displace or squeeze
-    multiplies R(phi) _expm(scale G) R(-phi) into slabs of the (before, d,
-    after) view, and warns on the guard-band mass."""
+    multiplies its _step_matrix (given as matrix, or built here) into slabs
+    of the (before, d, after) view, and warns on the guard-band mass."""
     mode, d = element[1], amps.shape[element[1]]
     if element[0] == "phase":
         amps *= np.exp(1j * element[2] * np.arange(d)).reshape((d,) + (1,) * (amps.ndim - mode - 1))
@@ -465,9 +477,7 @@ def _apply_into(amps: np.ndarray, element) -> None:
                 block *= np.exp(1j * theta * lam)[:, None]
                 moved[js, ks] = _real_matmul(vec, block).reshape((js.size,) + moved.shape[2:])
     elif (step := _mode_step(element))[1]:
-        power, scale, phi, what = step
-        a, ph = _lowering(d), np.exp(1j * phi * np.arange(d))
-        m = ph[:, None] * _expm(scale * (a.T - a if power == 1 else a @ a - (a @ a).T)) * ph.conj()
+        m = _step_matrix(step, d) if matrix is None else matrix
         x = amps.reshape(math.prod(amps.shape[:mode]), d, -1)
         if x.shape[2] == 1:
             for lo in range(0, x.shape[0], _SLAB):
@@ -476,7 +486,7 @@ def _apply_into(amps: np.ndarray, element) -> None:
             for rows in x:
                 for lo in range(0, x.shape[2], _SLAB):
                     rows[:, lo:lo + _SLAB] = m @ rows[:, lo:lo + _SLAB]
-        _warn_leak(_guard_mass(amps), what)
+        _warn_leak(_guard_mass(amps), step[3])
 
 
 def _apply_mode_steps(state: FockState, mode: int, elements) -> list[FockState]:

@@ -5,12 +5,14 @@ its rows and its figures as raw (key, value) pairs; run_experiment alone
 builds the ResultTable, whose metadata formats the config values and the
 figures alike.  The CSV/JSON rendering is byte-identical across runs:
 no wall clock, no ambient randomness (the oracle enumerator draws from
-a seeded generator), rows sorted by their sweep keys.
+a seeded random.Random), rows sorted by their sweep keys.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -535,43 +537,44 @@ def run_gaussdrive(config: ExperimentConfig):
 
 def _enumerated_circuits(seed: int, count: int, max_modes: int):
     """Fixed pseudorandom element sequences with bounded photon
-    potential, so cutoff 60 keeps truncation far below the tolerances."""
-    rng = np.random.default_rng(seed)
+    potential, so cutoff 60 keeps truncation far below the tolerances.
+
+    Every draw is one random.Random(seed).random() value, whose sequence
+    Python keeps fixed across versions (its randrange and choice, and
+    numpy's Generator methods, carry no such promise), scaled to its
+    range: element counts 1-6, kinds and modes uniform, magnitudes budget
+    x U(0.3, 0.9), angles U(0, 2 pi), beamsplit angles U(0.1, 1.4) on an
+    ordered pair of distinct modes."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    uniform = random.Random(seed).random
+
+    def below(n: int) -> int:
+        return int(n * uniform())
+
     for i in range(count):
         n_modes = 1 + i % max_modes
         if i == 0:
             yield f"g{i:03d}", n_modes, []
             continue
-        n_elements = int(rng.integers(1, 7))
+        kinds = ("displace", "squeeze", "phase", "beamsplit")[: 3 + (n_modes > 1)]
         disp_left, squeeze_left = 2.0, 0.5
         elements = []
-        for _ in range(n_elements):
-            kinds = ["displace", "squeeze", "phase"]
-            if n_modes > 1:
-                kinds.append("beamsplit")
-            kind = kinds[int(rng.integers(len(kinds)))]
+        for _ in range(1 + below(6)):
+            kind, mode = kinds[below(len(kinds))], below(n_modes)
             if kind == "displace":
-                mag = disp_left * float(rng.uniform(0.3, 0.9))
+                mag = disp_left * (0.3 + 0.6 * uniform())
                 disp_left -= mag
-                angle = float(rng.uniform(0.0, 2.0 * math.pi))
-                elements.append(
-                    ("displace", int(rng.integers(n_modes)), mag * complex(math.cos(angle), math.sin(angle)))
-                )
+                elements.append(("displace", mode, cmath.rect(mag, 2.0 * math.pi * uniform())))
             elif kind == "squeeze":
-                r = squeeze_left * float(rng.uniform(0.3, 0.9))
+                r = squeeze_left * (0.3 + 0.6 * uniform())
                 squeeze_left -= r
-                elements.append(
-                    ("squeeze", int(rng.integers(n_modes)), Squeeze(r, float(rng.uniform(0.0, 2.0 * math.pi))))
-                )
+                elements.append(("squeeze", mode, Squeeze(r, 2.0 * math.pi * uniform())))
             elif kind == "phase":
-                elements.append(
-                    ("phase", int(rng.integers(n_modes)), float(rng.uniform(0.0, 2.0 * math.pi)))
-                )
+                elements.append(("phase", mode, 2.0 * math.pi * uniform()))
             else:
-                pair = rng.choice(n_modes, size=2, replace=False)
-                elements.append(
-                    ("beamsplit", int(pair[0]), int(pair[1]), float(rng.uniform(0.1, 1.4)))
-                )
+                other = below(n_modes - 1)
+                elements.append(("beamsplit", mode, other + (other >= mode), 0.1 + 1.3 * uniform()))
         yield f"g{i:03d}", n_modes, elements
 
 

@@ -44,6 +44,9 @@ from dipnesim.measure import _vacuum_split
 from dipnesim.states import Squeeze, squeezed_vacuum
 
 
+DISPLACED_MOMENTS = gaussian_propagate(vacuum_moments(2), ("displace", 0, 0.5))
+
+
 def joint_bs_expm(state, theta):
     # oracle: exponentiate the truncated two-mode generator as one matrix
     da, db = state.layout.dims
@@ -179,8 +182,9 @@ class TestSectorPlan:
 
     @pytest.mark.filterwarnings("ignore::dipnesim.fock.LeakageWarning")
     def test_mode_steps_allocate_one_state(self):
-        # one copy of the state, then one complex matrix along the mode axis
-        # of the (before, d, after) view in slabs of _SLAB columns, and the
+        # the complex matrix first, so _expm's temporaries are gone before
+        # the one copy of the state; then the matrix along the mode axis of
+        # the (before, d, after) view in slabs of _SLAB columns, and the
         # guard band summed over the band: only the copy is a whole state
         lay = ModeLayout((60, 60, 60))
         rng = np.random.default_rng(4)
@@ -193,7 +197,7 @@ class TestSectorPlan:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= 1.2 * psi.amplitudes.nbytes, mode
+                assert peak <= 1.05 * psi.amplitudes.nbytes, mode
 
 
 class TestInPlaceKernels:
@@ -385,11 +389,14 @@ class TestDisplaceSqueeze:
             lambda psi, angle: phase_shift(psi, 0, angle),
             lambda psi, angle: squeeze_op(psi, 0, Squeeze(0.3, angle)),
             lambda psi, angle: gaussian_propagate(vacuum_moments(2), ("squeeze", 0, Squeeze(0.3, angle))),
+            lambda psi, angle: gaussian_propagate(DISPLACED_MOMENTS, ("phase", 0, angle)),
+            lambda psi, angle: gaussian_propagate(DISPLACED_MOMENTS, ("beamsplit", 0, 1, angle)),
         ],
-        ids=["beamsplit", "phase_shift", "squeeze_op", "gaussian_propagate"],
+        ids=["beamsplit", "phase_shift", "squeeze_op", "gaussian_propagate", "gaussian_phase", "gaussian_beamsplit"],
     )
     def test_non_finite_angle_rejected(self, call, angle):
-        # each of these once returned all-NaN amplitudes with no error
+        # each of these once returned NaN amplitudes or means with no error,
+        # or (a beamsplit's inf in gaussian_propagate) a bare math domain error
         psi = displace(vacuum_state(ModeLayout((6, 6))), 0, 0.5)
         with pytest.raises(ValueError, match="angle must be finite|its angle finite"):
             call(psi, angle)

@@ -564,6 +564,67 @@ class TestOracleCheckRun:
         assert a.to_csv() != b.to_csv()
 
 
+class TestEnumeratedCircuits:
+    def test_seed_7_circuits_are_pinned(self):
+        # the draws come from random.Random(7).random(), whose sequence
+        # Python keeps across versions; a change to the stream shows here
+        want = [
+            ("g000", 1, []),
+            ("g001", 2, [
+                ("displace", 1, -0.669539485227014 - 0.15356051909559745j),
+                ("squeeze", 0, Squeeze(0.30223071995682604, 0.2355921702057036)),
+            ]),
+            ("g002", 3, [
+                ("displace", 0, 0.5151366014439843 - 0.982575052922816j),
+                ("displace", 0, 0.5702150170691539 - 0.19439226845046104j),
+                ("phase", 1, 6.133991735520491),
+            ]),
+            ("g003", 1, [("phase", 0, 0.906381420237418)]),
+            ("g004", 2, [("squeeze", 1, Squeeze(0.20421791397718123, 3.6543016029772506))]),
+        ]
+        assert list(_enumerated_circuits(7, 5, 3)) == want
+
+    def test_draws_lie_in_their_ranges(self):
+        counts, pairs = set(), set()
+        for seed in range(200):
+            for i, (circuit_id, n_modes, elements) in enumerate(_enumerated_circuits(seed, 100, 3)):
+                assert (circuit_id, n_modes) == (f"g{i:03d}", 1 + i % 3)
+                if i == 0:
+                    assert elements == []
+                    continue
+                assert 1 <= len(elements) <= 6
+                counts.add(len(elements))
+                disp_left, squeeze_left = 2.0, 0.5
+                for element in elements:
+                    kind, mode = element[:2]
+                    assert 0 <= mode < n_modes
+                    if kind == "displace":
+                        mag = abs(element[2])
+                        assert 0.3 * disp_left * (1 - 1e-12) <= mag < 0.9 * disp_left * (1 + 1e-12)
+                        disp_left -= mag
+                    elif kind == "squeeze":
+                        squeeze = element[2]
+                        assert 0.3 * squeeze_left * (1 - 1e-12) <= squeeze.r < 0.9 * squeeze_left * (1 + 1e-12)
+                        assert 0.0 <= squeeze.theta < 2.0 * math.pi
+                        squeeze_left -= squeeze.r
+                    elif kind == "phase":
+                        assert 0.0 <= element[2] < 2.0 * math.pi
+                    else:
+                        assert kind == "beamsplit" and n_modes > 1
+                        assert 0 <= element[2] < n_modes and element[2] != mode
+                        assert 0.1 <= element[3] < 1.4
+                        pairs.add((n_modes, mode, element[2]))
+        # every count and every ordered pair of distinct modes is drawn
+        assert counts == set(range(1, 7))
+        assert pairs == {(n, a, b) for n in (2, 3) for a in range(n) for b in range(n) if a != b}
+
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            next(_enumerated_circuits(-7, 3, 3))
+        assert main(["oracle-check", "--seed", "-1"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 class TestProductFactors:
     @pytest.mark.parametrize("seed", [7, *range(501, 511)])
     def test_rows_match_full_state_oracle(self, seed):
@@ -749,20 +810,23 @@ _NUMPY_ONLY_SCRIPT = """
 import json, sys
 import dipnesim, dipnesim.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def unwanted_modules():
+    # scipy, and numpy.random with the secrets -> hashlib -> OpenSSL chain it loads
+    names, prefixes = ("scipy", "numpy.random", "secrets", "hashlib", "_hashlib"), ("scipy.", "numpy.random.")
+    return sorted(m for m in sys.modules if m in names or m.startswith(prefixes))
 
-loaded = {"import": scipy_modules()}
+loaded = {"import": unwanted_modules()}
 for argv in json.loads(sys.argv[1]):
     code = dipnesim.cli.main(argv + ["--out", sys.argv[2]])
-    loaded[argv[0]] = scipy_modules() if code == 0 else f"exit {code}"
+    loaded[argv[0]] = unwanted_modules() if code == 0 else f"exit {code}"
 print(json.dumps(loaded))
 """
 
 
 class TestNumpyOnly:
     def test_import_and_runs_load_no_scipy(self, tmp_path):
-        # scipy is a test oracle only; the package and its experiments run on numpy
+        # scipy is a test oracle only; the package and its experiments run on numpy,
+        # and oracle-check draws its circuits from random, not numpy.random
         runs = [
             ["kitten", "--k_list", "1,3", "--squeeze_steps", "2", "--squeeze_max", "5"],
             ["interference", "--fraction_count", "3", "--family", "photon-both+squeeze-i"],

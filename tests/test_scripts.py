@@ -88,6 +88,38 @@ def test_table_diff_matches_differing_row_sets_on_key_columns(tmp_path):
     assert script["compare"](floats, fewer)[-1] == "row counts differ: 2 -> 1"
 
 
+def test_table_diff_reads_json_tables_as_json(tmp_path):
+    from dipnesim.cli import main
+
+    script = runpy.run_path(str(SCRIPTS / "table_diff.py"), run_name="smoke")
+    old, new, csv = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "old.csv"
+    argv = ["oracle-check", "--circuits", "4", "--cutoff", "40", "--out"]
+    assert main(argv + [str(old), "--json"]) == 0 and main(argv + [str(csv)]) == 0
+    table = json.loads(old.read_text(encoding="utf-8"))
+    assert table["metadata"]["within_tolerance"] == "yes"
+    table["metadata"]["within_tolerance"] = "no"
+    table["rows"][1][1] += 0.5
+    new.write_text(json.dumps(table, indent=2) + "\n", encoding="utf-8")
+    out = script["compare"](old, new)
+    assert out[:5] == [
+        "not byte-identical",
+        "metadata: 1 line(s) differ",
+        "  - # within_tolerance = yes",
+        "  + # within_tolerance = no",
+        "rows: 5",
+    ]
+    columns = {line.split()[0]: line.split()[1:] for line in out[6:]}
+    assert columns == {
+        "circuit_id": ["0", "n/a"],
+        "max_meanphoton_error": ["1", "0.5"],
+        "max_quadrature_error": ["0", "0"],
+    }
+    # the same run as CSV and as JSON holds the same metadata and cells
+    same = script["compare"](csv, old)
+    assert same[1:3] == [f"metadata: identical ({len(table['metadata'])} lines)", "rows: 5"]
+    assert all(line.split()[1] == "0" for line in same[4:])
+
+
 def test_table_diff_survives_a_closed_pipe(tmp_path):
     # table_diff.py OLD NEW | head -1: the reader closes after one line
     header = "# experiment = demo\nsection,n0,probability\n"
