@@ -148,7 +148,8 @@ def main(argv) -> int:
         return 2
     try:
         report = compare(*argv)
-    except (OSError, UnicodeDecodeError, ValueError, KeyError) as exc:
+    # ValueError covers UnicodeDecodeError and a malformed JSON table, KeyError a JSON object with no table
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

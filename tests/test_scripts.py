@@ -118,6 +118,10 @@ def test_table_diff_reads_json_tables_as_json(tmp_path):
     same = script["compare"](csv, old)
     assert same[1:3] == [f"metadata: identical ({len(table['metadata'])} lines)", "rows: 5"]
     assert all(line.split()[1] == "0" for line in same[4:])
+    # a file that starts as JSON but is none is a usage error
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json\n", encoding="utf-8")
+    assert script["main"]([str(old), str(bad)]) == 2
 
 
 def test_table_diff_survives_a_closed_pipe(tmp_path):
